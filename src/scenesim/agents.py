@@ -117,5 +117,4 @@ def _resolve(view, node_id: str) -> str:
 
 def observe(truth: SceneGraph, agent: Agent, t: float) -> Observation:
     """Noiseless induced subgraph within the agent's sensor radius."""
-    center = truth.node_position(agent.current_node)
-    return truth.radius_subgraph(center, agent.sensor_radius, t)
+    return truth.sensor_view(agent.current_node, agent.sensor_radius, t)

@@ -132,13 +132,7 @@ def cmd_run(args) -> int:
     trace_factory = None
     if args.trace:
         def trace_factory(i):
-            handle = open(outdir / f"trace_{i}.ndjson", "w")
-
-            def trace(t, kind, payload):
-                handle.write(json.dumps(
-                    {"t": round(t, 9), "kind": kind, "payload": _payload_repr(payload)}
-                ) + "\n")
-            return trace
+            return TraceWriter(outdir / f"trace_{i}.ndjson")
 
     ledgers = run_replications(graph, config, config.replications, config.seed,
                                trace_factory=trace_factory)
@@ -166,6 +160,21 @@ def cmd_init_config(args) -> int:
     write_config_template(args.output)
     print(f"wrote config template to {args.output}")
     return 0
+
+
+class TraceWriter:
+    """Per-replication trace callback writing one JSON object per event line."""
+
+    def __init__(self, path):
+        self._file = open(path, "w")
+
+    def __call__(self, t, kind, payload):
+        self._file.write(json.dumps(
+            {"t": round(t, 9), "kind": kind, "payload": _payload_repr(payload)}
+        ) + "\n")
+
+    def close(self):
+        self._file.close()
 
 
 def _payload_repr(payload):

@@ -41,10 +41,6 @@ class InvalidGeometry(ScenesimError):
     """Agent width incompatible with sidewalk geometry."""
 
 
-class NoCapacityWithinBound(ScenesimError):
-    """Nearest-capacity search exhausted the configured radius bound."""
-
-
 class Unreachable(ScenesimError):
     """No path exists between the requested endpoints."""
 

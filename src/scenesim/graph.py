@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     CapacityExceeded,
@@ -84,18 +84,114 @@ class Edge:
     length: float | None = None
 
 
-@dataclass(frozen=True)
 class Observation:
     """Induced subgraph snapshot taken at time ``t``.
 
     Object nodes are frozen, so sharing instances with the true graph is safe.
+    ``edges`` are the static edges between selected nodes plus one attachment
+    edge per object; unless given, they are derived from ``static_edges`` the
+    first time they are read, so observations nobody inspects never pay for
+    them.
     """
 
-    t: float
-    path_nodes: frozenset[str]
-    poi_nodes: frozenset[str]
-    objects_at: dict  # path node id -> tuple of ObjectNode
-    edges: tuple
+    __slots__ = ("t", "path_nodes", "poi_nodes", "objects_at", "_edges", "_static_edges")
+
+    def __init__(self, t: float, path_nodes: frozenset[str], poi_nodes: frozenset[str],
+                 objects_at: dict, edges=None, static_edges=()):
+        self.t = t
+        self.path_nodes = path_nodes
+        self.poi_nodes = poi_nodes
+        self.objects_at = objects_at  # path node id -> tuple of ObjectNode
+        self._edges = None if edges is None else tuple(edges)
+        self._static_edges = static_edges
+
+    @property
+    def edges(self) -> tuple:
+        if self._edges is None:
+            selected = self.path_nodes | self.poi_nodes
+            edges = [e for e in self._static_edges
+                     if e.u in selected and e.v in selected]
+            for nid in self.path_nodes:
+                for obj in self.objects_at.get(nid, ()):
+                    edges.append(Edge(EDGE_ATTACHMENT, obj.id, nid))
+            self._edges = tuple(edges)
+        return self._edges
+
+
+def _scan(path_nodes, poi_nodes, cx: float, cy: float, r: float):
+    """(path ids, PoI ids) strictly within distance r of (cx, cy), by full scan."""
+    return (
+        frozenset(nid for nid, n in path_nodes.items() if math.hypot(n.x - cx, n.y - cy) < r),
+        frozenset(nid for nid, n in poi_nodes.items() if math.hypot(n.x - cx, n.y - cy) < r),
+    )
+
+
+class VisibilityIndex:
+    """Memoized sensor views of a frozen static graph.
+
+    Maps (path node id, radius) to the (path ids, PoI ids) strictly within
+    the radius of that node.  Entries are filled on first request; a miss is
+    answered from a uniform grid of cell side r built on the first miss for
+    that radius, whose neighbouring cells hold every candidate.  A zero or
+    non-finite radius, or one too small for the coordinates' precision,
+    falls back to the full scan.
+    """
+
+    def __init__(self, path_nodes: dict, poi_nodes: dict):
+        self._path_nodes = path_nodes
+        self._poi_nodes = poi_nodes
+        self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
+        # radius -> (cell x, cell y) -> ([path nodes], [PoI nodes])
+        self._grids: dict[float, dict] = {}
+
+    def visible(self, node_id: str, r: float) -> tuple[frozenset, frozenset]:
+        key = (node_id, r)
+        hit = self._visible.get(key)
+        if hit is None:
+            node = self._path_nodes.get(node_id)
+            if node is None:
+                raise UnknownId(f"{node_id!r} is not a path node")
+            hit = self._grid_scan(node.x, node.y, r) if 0 < r < math.inf else None
+            if hit is None:
+                hit = _scan(self._path_nodes, self._poi_nodes, node.x, node.y, r)
+            self._visible[key] = hit
+        return hit
+
+    def _grid(self, r: float) -> dict:
+        grid = self._grids.get(r)
+        if grid is None:
+            grid = {}
+            for kind, nodes in enumerate((self._path_nodes, self._poi_nodes)):
+                for n in nodes.values():
+                    cell = (math.floor(n.x / r), math.floor(n.y / r))
+                    grid.setdefault(cell, ([], []))[kind].append(n)
+            self._grids[r] = grid  # stored only once complete
+        return grid
+
+    def _grid_scan(self, cx: float, cy: float, r: float):
+        """Grid answer for a finite r > 0, or None when r is too small for it."""
+        # A node strictly inside the radius lies in [c - r, c + r] on each
+        # axis, so its cell lies between the cells of those bounds: the 3x3
+        # neighbourhood, with rounding at cell borders covered.  When c / r
+        # overflows or loses the units digit, the span is not a few cells.
+        try:
+            grid = self._grid(r)
+            x0, x1 = math.floor((cx - r) / r), math.floor((cx + r) / r)
+            y0, y1 = math.floor((cy - r) / r), math.floor((cy + r) / r)
+        except OverflowError:
+            return None
+        if x1 - x0 > 3 or y1 - y0 > 3:
+            return None
+        selected = ([], [])
+        for ix in range(x0, x1 + 1):
+            for iy in range(y0, y1 + 1):
+                cell = grid.get((ix, iy))
+                if cell is None:
+                    continue
+                for kind in (0, 1):
+                    selected[kind].extend(n.id for n in cell[kind]
+                                          if math.hypot(n.x - cx, n.y - cy) < r)
+        return frozenset(selected[0]), frozenset(selected[1])
 
 
 class SceneGraph:
@@ -114,6 +210,7 @@ class SceneGraph:
         self.objects_at: dict[str, set[str]] = {}
         self.occupancy: dict[str, Counter] = {}
         self.depot_id: str | None = None
+        self.visibility: VisibilityIndex | None = None  # built by freeze_static
         self._frozen = False
 
     # -- static construction -------------------------------------------------
@@ -159,6 +256,8 @@ class SceneGraph:
 
     def freeze_static(self):
         """Lock the static subgraph; only objects may change afterwards."""
+        if not self._frozen:
+            self.visibility = VisibilityIndex(self.path_nodes, self.poi_nodes)
         self._frozen = True
 
     def _check_mutable_static(self):
@@ -173,7 +272,8 @@ class SceneGraph:
         """Fresh object-free graph sharing this graph's static stores.
 
         Replications each mutate their own copy; the static dicts are
-        immutable after freeze and safe to share.
+        immutable after freeze and the visibility index only memoizes answers
+        derived from them, so both are safe to share.
         """
         if not self._frozen:
             raise ValueError("freeze the static subgraph before copying")
@@ -185,6 +285,7 @@ class SceneGraph:
         twin.access = self.access
         twin.static_edges = self.static_edges
         twin.depot_id = self.depot_id
+        twin.visibility = self.visibility
         twin.objects = {}
         twin.objects_at = {nid: set() for nid in self.path_nodes}
         twin.occupancy = {nid: Counter() for nid in self.path_nodes}
@@ -254,42 +355,38 @@ class SceneGraph:
         """Induced subgraph over nodes strictly within Euclidean distance r.
 
         Object positions are their attachment node's position; an edge is
-        included only when both endpoints are selected.
+        included only when both endpoints are selected.  This is the full-scan
+        reference for arbitrary centres; :meth:`sensor_view` answers the same
+        query for a path node from the visibility index.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        cx, cy = center
+        path_sel, poi_sel = _scan(self.path_nodes, self.poi_nodes, center[0], center[1], r)
+        return self._observation(path_sel, poi_sel, t)
 
-        def inside(x, y):
-            return math.hypot(x - cx, y - cy) < r
+    def sensor_view(self, node_id: str, r: float, t: float = 0.0) -> Observation:
+        """``radius_subgraph`` centred on path node ``node_id``, memoized.
 
-        path_sel = frozenset(
-            nid for nid, n in self.path_nodes.items() if inside(n.x, n.y)
-        )
-        poi_sel = frozenset(
-            nid for nid, n in self.poi_nodes.items() if inside(n.x, n.y)
-        )
-        objects_at = {
-            nid: tuple(sorted((self.objects[oid] for oid in self.objects_at[nid]),
+        The visible node sets depend only on the frozen static graph, so they
+        are computed once per (node, radius) and shared by every dynamic copy;
+        only the objects on the visible nodes are read per call.
+        """
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+        if self.visibility is None:
+            raise ValueError("freeze the static subgraph before observing")
+        path_sel, poi_sel = self.visibility.visible(node_id, r)
+        return self._observation(path_sel, poi_sel, t)
+
+    def _observation(self, path_sel: frozenset, poi_sel: frozenset, t: float) -> Observation:
+        objects, objects_at = self.objects, self.objects_at
+        observed = {
+            nid: tuple(sorted((objects[oid] for oid in objects_at[nid]),
                               key=lambda o: o.id))
             for nid in path_sel
-            if self.objects_at[nid]
+            if objects_at[nid]
         }
-        edges = []
-        for edge in self.static_edges:
-            selected = path_sel | poi_sel
-            if edge.u in selected and edge.v in selected:
-                edges.append(edge)
-        for nid in path_sel:
-            for obj in objects_at.get(nid, ()):
-                edges.append(Edge(EDGE_ATTACHMENT, obj.id, nid))
-        return Observation(
-            t=t,
-            path_nodes=path_sel,
-            poi_nodes=poi_sel,
-            objects_at=objects_at,
-            edges=tuple(edges),
-        )
+        return Observation(t, path_sel, poi_sel, observed, static_edges=self.static_edges)
 
 
 class ObservedGraph:
@@ -311,7 +408,6 @@ class ObservedGraph:
         self.depot_id = truth.depot_id
         self.objects: dict[str, ObjectNode] = {}
         self.objects_at: dict[str, set[str]] = {nid: set() for nid in truth.path_nodes}
-        self.last_observed: dict[str, float] = {}
         self.version = 0
 
     def node_position(self, node_id: str) -> tuple[float, float]:
@@ -345,7 +441,6 @@ class ObservedGraph:
                 for obj in obs.objects_at.get(nid, ()):
                     self.objects[obj.id] = obj
                     self.objects_at[nid].add(obj.id)
-            self.last_observed[nid] = t
         if changed:
             self.version += 1
 

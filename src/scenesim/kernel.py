@@ -364,15 +364,21 @@ def run_replications(scenario: SceneGraph, config: SimConfig, n: int,
                      base_seed: int, trace_factory=None):
     """Run n independent replications with derived seeds base_seed ^ i.
 
-    ``trace_factory(i)`` may return a per-replication trace callback.
-    Returns the list of finalized ledgers.
+    ``trace_factory(i)`` may return a per-replication trace callback; if it
+    has a ``close()`` method, that is called when the replication ends, also
+    when it fails.  Returns the list of finalized ledgers.
     """
     if n < 1:
         raise ValueError("need at least one replication")
     ledgers = []
     for i in range(n):
         trace = trace_factory(i) if trace_factory is not None else None
-        state = SimState(scenario, config, base_seed ^ i, trace=trace)
-        state.run()
+        try:
+            state = SimState(scenario, config, base_seed ^ i, trace=trace)
+            state.run()
+        finally:
+            close = getattr(trace, "close", None)
+            if close is not None:
+                close()
         ledgers.append(state.ledger)
     return ledgers

@@ -187,16 +187,15 @@ class MetricsLedger:
         """Keep tasks assigned inside the measurement window."""
         if task.t_assigned >= self.warmup_end:
             self.tasks.append(task)
+            if task.t_completed - task.t_assigned <= 0:
+                self.counters["degenerate_tasks"] += 1
         else:
             self.counters["tasks_warmup"] += 1
 
     def mean_task_delay_pct(self) -> float | None:
-        delays = []
-        for task in self.tasks:
-            if task.t_completed - task.t_assigned > 0:
-                delays.append(task_delay(task))
-            else:
-                self.counters["degenerate_tasks"] += 1
+        """Mean normalized delay over non-degenerate tasks; reading has no side effects."""
+        delays = [task_delay(task) for task in self.tasks
+                  if task.t_completed - task.t_assigned > 0]
         if not delays:
             return None
         return 100.0 * sum(delays) / len(delays)

@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scenesim
 from scenesim.cli import main
-from scenesim.scenario import load_scenario, save_scenario
+from scenesim.kernel import run_replications
+from scenesim.scenario import load_config, load_scenario, save_scenario
 from scenesim.synthetic import grid_scenario
 
 CONFIG_YAML = """\
@@ -114,6 +120,38 @@ class TestRun:
             assert lines
             first = json.loads(lines[0])
             assert {"t", "kind", "payload"} <= set(first)
+
+    def test_trace_files_closed_and_complete(self, workspace):
+        tmp, scenario, config = workspace
+        out = tmp / "out"
+        src = Path(scenesim.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "scenesim.cli",
+             "run", str(scenario), str(config), "--out", str(out), "--trace",
+             "--replications", "2"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+
+        graph = load_scenario(scenario)
+        cfg = load_config(config, graph)
+        expected = {}
+
+        def counter(i):
+            expected[i] = 0
+
+            def trace(t, kind, payload):
+                expected[i] += 1
+            return trace
+
+        run_replications(graph, cfg, 2, cfg.seed, trace_factory=counter)
+        for i in range(2):
+            text = (out / f"trace_{i}.ndjson").read_text()
+            assert text.endswith("\n")
+            records = [json.loads(line) for line in text.splitlines()]
+            assert len(records) == expected[i] > 0
+            assert all(set(r) == {"t", "kind", "payload"} for r in records)
 
     def test_bad_warmup_override_exits_two(self, workspace, capsys):
         tmp, scenario, config = workspace

@@ -1,10 +1,12 @@
 """Scene graph ops: attach/remove, radius queries, merge, up_to_date."""
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scenesim.agents import Agent, observe
 from scenesim.errors import CapacityExceeded, DuplicateId, UnknownId, UnknownStaticNode
 from scenesim.graph import (
     ObjectNode,
@@ -15,7 +17,7 @@ from scenesim.graph import (
     SceneGraph,
     up_to_date,
 )
-from scenesim.synthetic import line_scenario
+from scenesim.synthetic import grid_scenario, line_scenario
 
 
 def obj(oid, node, cls="car", area=1.0):
@@ -118,7 +120,7 @@ class TestMerge:
         tiny_graph.remove_object("o1")
         belief.merge_observation(tiny_graph.radius_subgraph((0, 0), 5.0), 2.0)
         assert belief.objects_at["v0"] == set()
-        assert belief.last_observed["v0"] == 2.0
+        assert "o1" not in belief.objects
 
     def test_new_object_inserted(self, tiny_graph):
         belief = ObservedGraph(tiny_graph)
@@ -262,3 +264,84 @@ def test_occupancy_matches_attachments(placements):
             )
             assert count == attached
             assert count <= graph.path_nodes[node].capacity[cls]
+
+
+# -- memoized sensor views against the full-scan reference -----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def static_grid(cols, rows, spacing):
+    """One frozen grid per shape, so its visibility index outlives examples."""
+    return grid_scenario(cols, rows, spacing=spacing, poi_every=2,
+                         capacity={"car": 2, "bicycle": 3, "trashcan": 1})
+
+
+@st.composite
+def sensor_cases(draw):
+    spacing = draw(st.sampled_from([5.0, 7.5, 10.0, 15.0]))
+    base = static_grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)), spacing)
+    truth = base.dynamic_copy()
+    node_ids = sorted(truth.path_nodes)
+    placements = draw(st.lists(
+        st.tuples(st.sampled_from(node_ids),
+                  st.sampled_from(["car", "bicycle", "trashcan"])),
+        max_size=15))
+    for k, (nid, cls) in enumerate(placements):
+        if truth.free_capacity(nid, cls) > 0:
+            truth.attach_object(obj(f"o{k}", nid, cls=cls))
+    radius = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-20, math.inf]),
+        st.sampled_from([spacing, 2 * spacing, math.hypot(spacing, spacing)]),
+        st.floats(min_value=0.0, max_value=5 * spacing),
+    ))
+    return truth, draw(st.sampled_from(node_ids)), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sensor_cases(), t=st.floats(min_value=0.0, max_value=1e6))
+def test_sensor_view_matches_radius_subgraph(case, t):
+    truth, node, radius = case
+    agent = Agent(id="a", current_node=node, default_velocity=1.0, width=0.5,
+                  sensor_radius=radius)
+    got = observe(truth, agent, t)
+    want = truth.radius_subgraph(truth.node_position(node), radius, t)
+    assert got.t == want.t == t
+    assert got.path_nodes == want.path_nodes
+    assert got.poi_nodes == want.poi_nodes
+    assert got.objects_at == want.objects_at
+    assert len(got.edges) == len(want.edges)
+    assert set(got.edges) == set(want.edges)
+    # a second look is served from the index and still tracks the objects
+    assert observe(truth, agent, t).objects_at == want.objects_at
+
+
+class TestSensorView:
+    def test_index_shared_by_dynamic_copies(self, tiny_graph):
+        copy = tiny_graph.dynamic_copy()
+        assert copy.visibility is tiny_graph.visibility
+        copy.sensor_view("v0", 15.0)
+        assert tiny_graph.sensor_view("v0", 15.0).path_nodes == {"v0", "v1"}
+
+    def test_objects_read_per_call(self, tiny_graph):
+        assert not tiny_graph.sensor_view("v1", 15.0).objects_at
+        tiny_graph.attach_object(obj("o1", "v2"))
+        view = tiny_graph.sensor_view("v1", 15.0)
+        assert [o.id for o in view.objects_at["v2"]] == ["o1"]
+
+    def test_unfrozen_graph_rejected(self):
+        graph = SceneGraph()
+        graph.add_path_node(PathNode("x", 0, 0, "sidewalk", {}, 1.0, 2.0))
+        with pytest.raises(ValueError):
+            graph.sensor_view("x", 5.0)
+
+    def test_negative_radius_rejected(self, tiny_graph):
+        with pytest.raises(ValueError):
+            tiny_graph.sensor_view("v0", -1.0)
+
+    def test_unknown_node_rejected(self, tiny_graph):
+        with pytest.raises(UnknownId):
+            tiny_graph.sensor_view("nope", 5.0)
+
+    def test_explicit_edges_kept(self):
+        given_edges = Observation(0.0, frozenset(), frozenset(), {}, edges=[])
+        assert given_edges.edges == ()

@@ -21,6 +21,7 @@ from scenesim.kernel import (
     measure_rtf,
     run_replications,
 )
+from scenesim.metrics import summary_metrics
 from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile
 from scenesim.synthetic import grid_scenario, line_scenario
@@ -275,6 +276,29 @@ class TestReplications:
         a = run_replications(scenario, config, 2, base_seed=11)
         b = run_replications(scenario, config, 2, base_seed=11)
         assert [l.counters for l in a] == [l.counters for l in b]
+
+    def test_replications_sharing_a_scenario_agree(self):
+        # the first run fills the shared visibility index, the second reads it
+        config = empty_config(
+            processes=[car_process(footprint_area=2.0,
+                                   source_classes=frozenset({"housing", "retail"}))],
+            tasks=[TaskSpec("visits", frozenset({"housing"}),
+                            RateProfile.constant(1.0))],
+            fleet=FleetConfig(count=2, sensor_radius=25.0),
+            duration=12 * HOUR, warmup=HOUR)
+
+        def summary(scenario):
+            state = SimState(scenario, config, 5)
+            state.run()
+            row = summary_metrics(state.ledger, sorted(scenario.path_nodes))
+            del row["rtf"]
+            return row, state.ledger.heatmap, state.ledger.counters
+
+        shared = grid_scenario(5, 5)
+        first = summary(shared)
+        assert first[1]  # agents observed something
+        assert summary(shared) == first
+        assert summary(grid_scenario(5, 5)) == first
 
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from scenesim.metrics import (
     MetricsLedger,
     fmt,
     signed_task_delay,
+    summary_metrics,
     task_delay,
     write_outputs,
 )
@@ -199,6 +200,22 @@ class TestDelayIdentity:
             state.run()
             assert state.ledger.tasks
             assert state.ledger.mean_task_delay_pct() == pytest.approx(0.0, abs=1e-9)
+
+
+class TestRepeatedReads:
+    def test_summary_read_twice_gives_same_counters(self):
+        led = MetricsLedger(0.0, 10 * HOUR, ["car"])
+        led.record_task(make_task(t_assigned=HOUR, t_pred=HOUR + 100.0,
+                                  t_completed=HOUR + 110.0))
+        led.record_task(make_task(t_assigned=2 * HOUR, t_completed=2 * HOUR))
+        led.finalize()
+        first = summary_metrics(led, ["v0"])
+        counters = dict(led.counters)
+        second = summary_metrics(led, ["v0"])
+        assert second == first
+        assert dict(led.counters) == counters
+        assert counters["degenerate_tasks"] == 1
+        assert first["mean_task_delay_pct"] == pytest.approx(100.0 * 10.0 / 110.0)
 
 
 class TestExports:
