@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidGeometry
+from .errors import InvalidGeometry, UnknownId, Unreachable
 from .graph import Observation, ObservedGraph, PathNode, SceneGraph
 from .routing import astar
 
@@ -53,6 +53,13 @@ class Task:
     t_completed: float | None = None
 
 
+def _too_narrow(node: PathNode, agent_width: float) -> InvalidGeometry:
+    return InvalidGeometry(
+        f"agent width {agent_width} >= sidewalk width {node.sidewalk_width} "
+        f"at node {node.id!r}"
+    )
+
+
 def node_velocity(node: PathNode, footprint_sum: float, agent_width: float,
                   default_velocity: float) -> float:
     """Agent velocity over the node's segment under the linear density model.
@@ -62,10 +69,7 @@ def node_velocity(node: PathNode, footprint_sum: float, agent_width: float,
     obstacles fill the free area.
     """
     if agent_width >= node.sidewalk_width:
-        raise InvalidGeometry(
-            f"agent width {agent_width} >= sidewalk width {node.sidewalk_width} "
-            f"at node {node.id!r}"
-        )
+        raise _too_narrow(node, agent_width)
     a_free = node.segment_length * (node.sidewalk_width - agent_width)
     return max((a_free - footprint_sum) / a_free * default_velocity, 0.0)
 
@@ -89,24 +93,58 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     excluded), in static mode it is the empty-segment dwell.  The cost of a
     path therefore equals the time an agent needs to traverse it when the
     world matches the planning view.
+
+    The search runs on the view's compiled :class:`StaticNetwork`, whose
+    indices order like the ids, so it returns what a search over the ids
+    would.  Static costs never change, so static results are memoized on the
+    network per (start, goal, speed).
     """
     start = _resolve(view, start)
     goal = _resolve(view, goal)
     v = agent.default_velocity
+    net = view.network
+    ids = net.ids
+    segment = net.segment_lengths
 
     if mode == PLANNER_OBSERVED:
-        def node_cost(nid):
-            node = view.path_nodes[nid]
-            nu = node_velocity(node, view.footprint_sum(nid), agent.width, v)
-            if nu == 0.0:
-                return math.inf
-            return node.segment_length / nu
-    else:
-        def node_cost(nid):
-            node = view.path_nodes[nid]
-            return node.segment_length / v
+        width = agent.width
+        free = net.free_areas(width)
+        totals = view.footprint_totals
+        total = view.footprint_total
 
-    return astar(view.adjacency, view.node_position, start, goal, v, node_cost)
+        def node_cost(i):
+            a_free = free[i]
+            if a_free is None:
+                raise _too_narrow(view.path_nodes[ids[i]], width)
+            footprint = totals.get(ids[i])
+            if footprint is None:
+                footprint = total(ids[i])
+            nu = (a_free - footprint) / a_free * v
+            if nu <= 0.0:  # node_velocity clamps this to 0: blocked
+                return math.inf
+            return segment[i] / nu
+    else:
+        key = (start, goal, v)
+        memo = net.static_plans.get(key)
+        if memo is not None:
+            return list(memo[0]), memo[1]
+
+        def node_cost(i):
+            return segment[i] / v
+
+    index = net.index
+    for nid in (start, goal):
+        if nid not in index:
+            raise UnknownId(nid)
+    try:
+        path, cost = astar(net.neighbours, net.positions.__getitem__,
+                           index[start], index[goal], v, node_cost)
+    except Unreachable:
+        raise Unreachable(f"no path from {start!r} to {goal!r}") from None
+    path = [ids[i] for i in path]
+    if mode != PLANNER_OBSERVED:
+        net.static_plans[key] = (tuple(path), cost)
+    return path, cost
 
 
 def _resolve(view, node_id: str) -> str:

@@ -23,7 +23,13 @@ from .errors import ScenesimError, ValidationError
 from .kernel import run_replications
 from .metrics import write_outputs
 from .osm import ImportParams, import_osm
-from .scenario import load_config, load_scenario, save_scenario, write_config_template
+from .scenario import (
+    load_config,
+    load_scenario,
+    run_control_violations,
+    save_scenario,
+    write_config_template,
+)
 
 
 def main(argv=None) -> int:
@@ -118,9 +124,15 @@ def _apply_overrides(config, args):
         config.warmup = args.warmup_hours * 3600.0
     if getattr(args, "planner", None) is not None:
         config.fleet = dataclasses.replace(config.fleet, planner_mode=args.planner)
-    if config.warmup >= config.duration:
-        raise ValidationError(["warmup must be shorter than the run duration"])
+    _check_run_control(config)
     return config
+
+
+def _check_run_control(config):
+    violations = run_control_violations(config.duration, config.warmup,
+                                        config.replications)
+    if violations:
+        raise ValidationError(violations)
 
 
 def cmd_run(args) -> int:
@@ -148,6 +160,7 @@ def cmd_sample(args) -> int:
         config.seed = args.seed
     config.duration = args.days * 86400.0
     config.warmup = min(config.warmup, config.duration / 2)
+    _check_run_control(config)
     config.tasks = []
     config.fleet = dataclasses.replace(config.fleet, count=0)
     ledgers = run_replications(graph, config, 1, config.seed)

@@ -13,6 +13,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     CapacityExceeded,
@@ -194,7 +195,103 @@ class VisibilityIndex:
         return frozenset(selected[0]), frozenset(selected[1])
 
 
-class SceneGraph:
+class StaticNetwork:
+    """Integer-indexed compilation of a frozen path network, for planning.
+
+    Index ``i`` is the ``i``-th path node id in sorted order, so comparing
+    indices orders nodes exactly as comparing their ids does: search ties
+    that break on the node break the same way on either.  Each table is
+    compiled on first read and then shared by every graph over the same
+    static stores; constructing the network only keeps references.
+    """
+
+    def __init__(self, path_nodes: dict, adjacency: dict):
+        self._path_nodes = path_nodes
+        self._adjacency = adjacency
+        self._free_areas: dict[float, list] = {}
+        # (start id, goal id, speed) -> (path ids, cost) under static costs
+        self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
+
+    @cached_property
+    def ids(self) -> list[str]:
+        return sorted(self._path_nodes)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {nid: i for i, nid in enumerate(self.ids)}
+
+    @cached_property
+    def neighbours(self) -> list[list[tuple[int, float]]]:
+        """Per index: (neighbour index, length), in ``adjacency[id]`` order."""
+        index = self.index
+        return [[(index[v], length) for v, length in self._adjacency[nid]]
+                for nid in self.ids]
+
+    @cached_property
+    def positions(self) -> list[tuple[float, float]]:
+        nodes = self._path_nodes
+        return [(nodes[nid].x, nodes[nid].y) for nid in self.ids]
+
+    @cached_property
+    def segment_lengths(self) -> list[float]:
+        nodes = self._path_nodes
+        return [nodes[nid].segment_length for nid in self.ids]
+
+    @cached_property
+    def edge_length(self) -> dict[tuple[str, str], float]:
+        """(u, v) -> length of the shortest directed edge from u to v."""
+        lengths: dict[tuple[str, str], float] = {}
+        for u, nbrs in self._adjacency.items():
+            for v, length in nbrs:
+                if length < lengths.get((u, v), math.inf):
+                    lengths[(u, v)] = length
+        return lengths
+
+    def free_areas(self, agent_width: float) -> list:
+        """Per index: the free area left to an agent of this width, or None.
+
+        The area is ``segment_length * (sidewalk_width - agent_width)``, the
+        velocity model's expression; it is None where the sidewalk is not
+        wider than the agent.
+        """
+        areas = self._free_areas.get(agent_width)
+        if areas is None:
+            nodes = self._path_nodes
+            areas = [
+                (node.segment_length * (node.sidewalk_width - agent_width)
+                 if agent_width < node.sidewalk_width else None)
+                for node in (nodes[nid] for nid in self.ids)
+            ]
+            self._free_areas[agent_width] = areas
+        return areas
+
+
+class ObjectLayer:
+    """Objects attached to path nodes, with cached per-node footprint totals.
+
+    ``footprint_totals`` maps a path node id to the sum of its objects'
+    footprint areas.  Whatever changes a node's object set drops its entry,
+    and :meth:`footprint_total` re-sums it on the next read.  A re-sum over
+    an unchanged set gives the same float, so the cache never drifts the way
+    running ``+=``/``-=`` totals of non-integer areas would.
+    """
+
+    objects: dict[str, ObjectNode]
+    objects_at: dict[str, set[str]]
+    footprint_totals: dict[str, float]
+
+    def footprint_sum(self, path_id: str) -> float:
+        return sum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
+
+    def footprint_total(self, path_id: str) -> float:
+        """``footprint_sum(path_id)``, summed once per change of the node's objects."""
+        total = self.footprint_totals.get(path_id)
+        if total is None:
+            total = self.footprint_totals[path_id] = self.footprint_sum(path_id)
+        return total
+
+
+class SceneGraph(ObjectLayer):
     """True world state: static infrastructure plus live objects."""
 
     def __init__(self, registry: ClassRegistry = DEFAULT_REGISTRY):
@@ -208,9 +305,11 @@ class SceneGraph:
         self.access: dict[str, tuple[str, float]] = {}
         self.static_edges: list[Edge] = []
         self.objects_at: dict[str, set[str]] = {}
+        self.footprint_totals: dict[str, float] = {}
         self.occupancy: dict[str, Counter] = {}
         self.depot_id: str | None = None
         self.visibility: VisibilityIndex | None = None  # built by freeze_static
+        self._network: StaticNetwork | None = None  # created by freeze_static
         self._frozen = False
 
     # -- static construction -------------------------------------------------
@@ -258,7 +357,15 @@ class SceneGraph:
         """Lock the static subgraph; only objects may change afterwards."""
         if not self._frozen:
             self.visibility = VisibilityIndex(self.path_nodes, self.poi_nodes)
+            self._network = StaticNetwork(self.path_nodes, self.adjacency)
         self._frozen = True
+
+    @property
+    def network(self) -> StaticNetwork:
+        """The compiled path network, shared with every copy and belief graph."""
+        if self._network is None:
+            raise ValueError("freeze the static subgraph before planning")
+        return self._network
 
     def _check_mutable_static(self):
         if self._frozen:
@@ -272,8 +379,9 @@ class SceneGraph:
         """Fresh object-free graph sharing this graph's static stores.
 
         Replications each mutate their own copy; the static dicts are
-        immutable after freeze and the visibility index only memoizes answers
-        derived from them, so both are safe to share.
+        immutable after freeze, and the visibility index and the compiled
+        network only memoize answers derived from them, so all are safe to
+        share.
         """
         if not self._frozen:
             raise ValueError("freeze the static subgraph before copying")
@@ -286,8 +394,10 @@ class SceneGraph:
         twin.static_edges = self.static_edges
         twin.depot_id = self.depot_id
         twin.visibility = self.visibility
+        twin._network = self._network
         twin.objects = {}
         twin.objects_at = {nid: set() for nid in self.path_nodes}
+        twin.footprint_totals = {}
         twin.occupancy = {nid: Counter() for nid in self.path_nodes}
         twin._frozen = True
         return twin
@@ -306,9 +416,6 @@ class SceneGraph:
     def free_capacity(self, path_id: str, object_class: str) -> int:
         node = self.path_nodes[path_id]
         return node.capacity.get(object_class, 0) - self.occupancy[path_id][object_class]
-
-    def footprint_sum(self, path_id: str) -> float:
-        return sum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
 
     def static_hash(self) -> str:
         """Stable digest of the static subgraph (nodes + edges, sorted)."""
@@ -340,6 +447,7 @@ class SceneGraph:
             )
         self.objects[obj.id] = obj
         self.objects_at[obj.attached_to].add(obj.id)
+        self.footprint_totals.pop(obj.attached_to, None)
         self.occupancy[obj.attached_to][obj.semantic_class] += 1
 
     def remove_object(self, object_id: str):
@@ -347,6 +455,7 @@ class SceneGraph:
         if obj is None:
             raise UnknownId(f"object {object_id!r} not in graph")
         self.objects_at[obj.attached_to].discard(object_id)
+        self.footprint_totals.pop(obj.attached_to, None)
         self.occupancy[obj.attached_to][obj.semantic_class] -= 1
 
     # -- observation ----------------------------------------------------------
@@ -389,7 +498,7 @@ class SceneGraph:
         return Observation(t, path_sel, poi_sel, observed, static_edges=self.static_edges)
 
 
-class ObservedGraph:
+class ObservedGraph(ObjectLayer):
     """Belief graph: shared static subgraph plus independently tracked objects.
 
     Dynamic content changes only through :meth:`merge_observation`; the
@@ -406,18 +515,19 @@ class ObservedGraph:
         self.access = truth.access
         self.static_edges = truth.static_edges
         self.depot_id = truth.depot_id
+        self._network = truth._network
         self.objects: dict[str, ObjectNode] = {}
         self.objects_at: dict[str, set[str]] = {nid: set() for nid in truth.path_nodes}
+        self.footprint_totals: dict[str, float] = {}
         self.version = 0
+
+    network = SceneGraph.network
 
     def node_position(self, node_id: str) -> tuple[float, float]:
         node = self.path_nodes.get(node_id) or self.poi_nodes.get(node_id)
         if node is None:
             raise UnknownId(node_id)
         return (node.x, node.y)
-
-    def footprint_sum(self, path_id: str) -> float:
-        return sum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
 
     def merge_observation(self, obs: Observation, t: float):
         """Replace believed object sets at every observed path node.
@@ -438,6 +548,7 @@ class ObservedGraph:
                 for oid in self.objects_at[nid]:
                     del self.objects[oid]
                 self.objects_at[nid] = set()
+                self.footprint_totals.pop(nid, None)
                 for obj in obs.objects_at.get(nid, ()):
                     self.objects[obj.id] = obj
                     self.objects_at[nid].add(obj.id)

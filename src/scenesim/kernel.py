@@ -68,6 +68,7 @@ class SimState:
         self._object_serial = 0
         self._task_serial = 0
         self.rtf: float | None = None
+        self.wall_s = 0.0  # summed wall time of all run() segments
         self._initialized = False
 
         self.ledger = MetricsLedger(
@@ -105,12 +106,6 @@ class SimState:
                 self._task_streams[(spec.name, poi_id)] = (
                     spec, RandomStream(seed, ("task", spec.name, poi_id))
                 )
-        self._edge_len: dict[tuple[str, str], float] = {}
-        for u, nbrs in self.truth.adjacency.items():
-            for v, length in nbrs:
-                key = (u, v)
-                if key not in self._edge_len or length < self._edge_len[key]:
-                    self._edge_len[key] = length
 
     # -- scheduling -------------------------------------------------------------
 
@@ -141,7 +136,12 @@ class SimState:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, t_end: float | None = None):
-        """Execute events until the queue drains or the clock passes t_end."""
+        """Execute events until the queue drains or the clock passes t_end.
+
+        A run may be split into segments, ``run(t1)`` then ``run()``: the
+        ledger is finalized once the clock reaches the configured end, and
+        ``rtf`` is the simulated time over the wall time of all segments.
+        """
         if t_end is None:
             t_end = self.t_end
         self.initialize()
@@ -168,9 +168,10 @@ class SimState:
                 ) from exc
             executed += 1
         self.clock = t_end
-        self.ledger.finalize()
-        wall = _time.perf_counter() - started
-        self.rtf = t_end / wall if wall > 0 else float("inf")
+        if t_end >= self.t_end:
+            self.ledger.finalize()
+        self.wall_s += _time.perf_counter() - started
+        self.rtf = t_end / self.wall_s if self.wall_s > 0 else float("inf")
         self.ledger.rtf = self.rtf
         return executed
 
@@ -183,8 +184,10 @@ class SimState:
         obs = observe(self.truth, agent, t)
         self.belief.merge_observation(obs, t)
         self.ledger.on_merge(t, obs)
+        # a wholesale merge of a snapshot taken now makes belief equal truth
+        # at every observed node
         for node in obs.path_nodes:
-            self._touch_node(t, node)
+            self.ledger.set_correct(t, node, True)
 
     def _planner_view(self):
         if self.config.fleet.planner_mode == PLANNER_OBSERVED:
@@ -266,7 +269,7 @@ class SimState:
 
     def _advance(self, agent: Agent, t: float):
         next_node = agent.path[agent.path_index + 1]
-        length = self._edge_len[(agent.current_node, next_node)]
+        length = self.truth.network.edge_length[(agent.current_node, next_node)]
         self.schedule(t + length / agent.default_velocity, AGENT_NODE_ENTRY,
                       (agent.id, next_node))
 
@@ -293,7 +296,7 @@ class SimState:
 
     def _start_dwell_or_wait(self, agent: Agent, t: float):
         node = self.truth.path_nodes[agent.current_node]
-        nu = node_velocity(node, self.truth.footprint_sum(agent.current_node),
+        nu = node_velocity(node, self.truth.footprint_total(agent.current_node),
                            agent.width, agent.default_velocity)
         if nu == 0.0:
             agent.resume_state = agent.state
@@ -317,7 +320,7 @@ class SimState:
         if agent.state != WAITING:
             return
         node = self.truth.path_nodes[agent.current_node]
-        nu = node_velocity(node, self.truth.footprint_sum(agent.current_node),
+        nu = node_velocity(node, self.truth.footprint_total(agent.current_node),
                            agent.width, agent.default_velocity)
         if nu == 0.0:
             return

@@ -40,29 +40,29 @@ def nearest_matching_node(adjacency, start: str, predicate, bound: float) -> str
     return None
 
 
-def astar(adjacency, positions, start: str, goal: str, speed: float,
-          node_cost) -> tuple[list[str], float]:
+def astar(adjacency, positions, start, goal, speed: float,
+          node_cost) -> tuple[list, float]:
     """Minimum travel-time path from ``start`` to ``goal``.
 
     Edge cost is length/speed plus ``node_cost(target)``; targets with
     infinite node cost are excluded.  The heuristic (straight-line distance
     over default speed) is admissible because node costs are non-negative and
-    edge lengths are at least the straight-line displacement.
+    edge lengths are at least the straight-line displacement.  Nodes may be
+    any ordered hashable keys of ``adjacency``; ties at equal f and g break
+    on the lowest node.
     """
-
-    def heuristic(node):
-        x, y = positions(node)
-        gx, gy = positions(goal)
-        return math.hypot(x - gx, y - gy) / speed
-
     if start == goal:
         return [start], 0.0
+    gx, gy = positions(goal)
+    hypot, inf = math.hypot, math.inf
+    push, pop = heapq.heappush, heapq.heappop
+    x, y = positions(start)
     g_score = {start: 0.0}
     parent = {}
-    heap = [(heuristic(start), 0.0, start)]
+    heap = [(hypot(x - gx, y - gy) / speed, 0.0, start)]
     closed = set()
     while heap:
-        _, g, node = heapq.heappop(heap)
+        _, g, node = pop(heap)
         if node == goal:
             path = [node]
             while node in parent:
@@ -77,11 +77,12 @@ def astar(adjacency, positions, start: str, goal: str, speed: float,
             if nbr in closed:
                 continue
             step = node_cost(nbr)
-            if math.isinf(step):
+            if step == inf:
                 continue
             ng = g + length / speed + step
-            if ng < g_score.get(nbr, math.inf):
+            if ng < g_score.get(nbr, inf):
                 g_score[nbr] = ng
                 parent[nbr] = node
-                heapq.heappush(heap, (ng + heuristic(nbr), ng, nbr))
+                x, y = positions(nbr)
+                push(heap, (ng + hypot(x - gx, y - gy) / speed, ng, nbr))
     raise Unreachable(f"no path from {start!r} to {goal!r}")

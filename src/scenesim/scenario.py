@@ -283,13 +283,8 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
     sim = data.get("sim", {}) or {}
     duration = float(sim.get("duration_days", 22)) * 86400.0
     warmup = float(sim.get("warmup_hours", 48)) * 3600.0
-    if duration <= 0:
-        violations.append("sim.duration_days: must be positive")
-    if not 0 <= warmup < duration:
-        violations.append("sim.warmup_hours: must lie inside the run duration")
     replications = int(sim.get("replications", 5))
-    if replications < 1:
-        violations.append("sim.replications: must be >= 1")
+    violations.extend(run_control_violations(duration, warmup, replications))
     bound = float(sim.get("drain_search_bound", 300.0))
     if bound <= 0:
         violations.append("sim.drain_search_bound: must be positive")
@@ -306,6 +301,22 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         seed=int(sim.get("seed", 1)),
         drain_search_bound=bound,
     )
+
+
+def run_control_violations(duration: float, warmup: float, replications: int) -> list[str]:
+    """Violated run-control rules, for config files and CLI overrides alike.
+
+    ``duration`` and ``warmup`` are in seconds; NaN fails every comparison
+    and is reported like any other out-of-range value.
+    """
+    violations = []
+    if not 0 < duration < math.inf:
+        violations.append("sim.duration_days: must be positive and finite")
+    if not 0 <= warmup < duration:
+        violations.append("sim.warmup_hours: must lie inside the run duration")
+    if replications < 1:
+        violations.append("sim.replications: must be >= 1")
+    return violations
 
 
 CONFIG_TEMPLATE = """\

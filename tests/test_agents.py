@@ -4,6 +4,7 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenesim.agents import (
     Agent,
@@ -14,7 +15,7 @@ from scenesim.agents import (
     observe,
     plan_path,
 )
-from scenesim.errors import InvalidGeometry, Unreachable
+from scenesim.errors import InvalidGeometry, UnknownId, Unreachable
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream
@@ -191,3 +192,106 @@ class TestObserve:
         add_object(graph, "o1", "v4")  # 40 m away, radius 20
         obs = observe(graph, make_agent(radius=20.0), 0.0)
         assert "v4" not in obs.objects_at and "v4" not in obs.path_nodes
+
+
+# -- the compiled planner against the reference search on string ids -------------
+
+
+def reference_plan(view, start, goal, agent, mode):
+    """``routing.astar`` on the string-keyed graph with the model's node cost."""
+    v = agent.default_velocity
+    if mode == PLANNER_OBSERVED:
+        def node_cost(nid):
+            node = view.path_nodes[nid]
+            nu = node_velocity(node, view.footprint_sum(nid), agent.width, v)
+            return math.inf if nu == 0.0 else node.segment_length / nu
+    else:
+        def node_cost(nid):
+            return view.path_nodes[nid].segment_length / v
+    return astar(view.adjacency, view.node_position, start, goal, v, node_cost)
+
+
+def outcome(plan, *args):
+    try:
+        return plan(*args)
+    except (Unreachable, InvalidGeometry) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def planning_cases(draw):
+    """Grids with equal edge lengths (many equal-cost routes), node ids in
+    random order, random believed footprints, blocked and narrow nodes."""
+    cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    n = cols * rows
+    ids = draw(st.permutations([f"n{k}" for k in range(n)]))
+    graph = SceneGraph()
+    for k, nid in enumerate(ids):
+        graph.add_path_node(PathNode(
+            nid, (k % cols) * 10.0, (k // cols) * 10.0, "sidewalk", {"car": 12},
+            draw(st.sampled_from([5.0, 10.0])),
+            draw(st.sampled_from([2.0] * 8 + [1.0, 0.5]))))
+    for k in range(n):
+        right, down = k + 1, k + cols
+        if right % cols:
+            graph.add_adjacency_edge(ids[k], ids[right], 10.0,
+                                     directed=draw(st.booleans()) and draw(st.booleans()))
+        if down < n:
+            graph.add_adjacency_edge(ids[k], ids[down], draw(st.sampled_from([10.0, 12.0])))
+    graph.freeze_static()
+    for k, nid in enumerate(draw(st.lists(st.sampled_from(ids), max_size=12))):
+        area = draw(st.sampled_from([1.5, 3.75, 7.5, 16.0]))
+        add_object(graph, f"o{k}", nid, area=area)
+    belief = ObservedGraph(graph)
+    for nid, r in draw(st.lists(st.tuples(st.sampled_from(ids),
+                                          st.sampled_from([5.0, 15.0, 25.0])),
+                                max_size=4)):
+        belief.merge_observation(graph.sensor_view(nid, r), 0.0)
+    agent = make_agent(velocity=draw(st.sampled_from([1.0, 1.5])))
+    return graph, belief, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), agent
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=planning_cases())
+def test_compiled_planner_matches_reference_search(case):
+    truth, belief, start, goal, agent = case
+    for view in (belief, truth):
+        for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
+            want = outcome(reference_plan, view, start, goal, agent, mode)
+            assert outcome(plan_path, view, start, goal, agent, mode) == want
+            # a repeat, served from the static memo in static mode
+            assert outcome(plan_path, view, start, goal, agent, mode) == want
+    copy = truth.dynamic_copy()
+    assert (outcome(plan_path, copy, start, goal, agent, PLANNER_STATIC)
+            == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))
+
+
+class TestCompiledPlanner:
+    def test_unreachable_names_string_ids(self):
+        graph = line_scenario(3, capacity={"car": 9})
+        add_object(graph, "o1", "v1", area=100.0)
+        belief = ObservedGraph(graph)
+        belief.merge_observation(graph.sensor_view("v1", 1.0), 0.0)
+        with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v2'$"):
+            plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
+
+    def test_narrow_node_raises_only_when_evaluated(self):
+        graph = line_scenario(4)
+        agent = make_agent(width=2.0)  # every sidewalk is 2 m wide
+        assert plan_path(graph, "v1", "v1", agent, PLANNER_OBSERVED) == (["v1"], 0.0)
+        with pytest.raises(InvalidGeometry,
+                           match=r"^agent width 2.0 >= sidewalk width 2.0 at node 'v1'$"):
+            plan_path(graph, "v0", "v3", agent, PLANNER_OBSERVED)
+
+    def test_static_memo_returns_fresh_lists(self):
+        graph = line_scenario(4)
+        path, cost = plan_path(graph, "v0", "v3", make_agent(), PLANNER_STATIC)
+        path.append("junk")
+        again = plan_path(graph.dynamic_copy(), "v0", "v3", make_agent(),
+                          PLANNER_STATIC)
+        assert again == (["v0", "v1", "v2", "v3"], cost)
+        assert graph.network.static_plans
+
+    def test_unknown_endpoint_rejected(self):
+        with pytest.raises(UnknownId):
+            plan_path(line_scenario(3), "v0", "nope", make_agent(), PLANNER_STATIC)

@@ -159,6 +159,35 @@ class TestRun:
                      str(tmp / "o"), "--days", "0.1", "--warmup-hours", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("overrides, sim", [
+        (["--warmup-hours", "-2"], {"warmup_hours": "-2"}),
+        (["--days", "nan"], {"duration_days": ".nan"}),
+        (["--days", "inf"], {"duration_days": ".inf"}),
+        (["--days", "-1", "--warmup-hours", "-30"],
+         {"duration_days": "-1", "warmup_hours": "-30"}),
+        (["--replications", "0"], {"replications": "0"}),
+    ], ids=["negative-warmup", "nan-days", "inf-days", "negative-both",
+            "zero-replications"])
+    def test_invalid_override_rejected_like_config(self, workspace, capsys,
+                                                   overrides, sim):
+        tmp, scenario, config = workspace
+        out = tmp / "o"
+        assert main(["run", str(scenario), str(config), "--out", str(out)]
+                    + overrides) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors and all(line.startswith("error: sim.") for line in errors)
+        assert not out.exists()
+
+        # the same values in a config file give the same messages
+        text = config.read_text()
+        for key, value in sim.items():
+            text = "\n".join(f"  {key}: {value}" if line.startswith(f"  {key}:")
+                             else line for line in text.splitlines())
+        bad = tmp / "bad.yaml"
+        bad.write_text(text + "\n")
+        assert main(["validate", str(scenario), str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == errors
+
 
 class TestSample:
     def test_truth_only_run(self, workspace):
@@ -170,6 +199,15 @@ class TestSample:
         assert "tasks_completed,0" in summary
         trends = (out / "daily_trends.csv").read_text()
         assert "car" in trends
+
+    @pytest.mark.parametrize("days", ["-1", "nan", "0"])
+    def test_invalid_days_exits_two(self, workspace, capsys, days):
+        tmp, scenario, config = workspace
+        out = tmp / "sample"
+        assert main(["sample", str(scenario), str(config), "--out", str(out),
+                     "--days", days]) == 2
+        assert "error: sim.duration_days" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScaffolding:

@@ -252,6 +252,58 @@ def test_up_to_date_within_radius_after_merge(placements, cx, r):
         assert up_to_date(belief, graph, node)
 
 
+@settings(max_examples=250, deadline=None)
+@given(placements=object_placements,
+       stale=object_placements,
+       node=st.integers(min_value=0, max_value=11),
+       r=st.floats(min_value=0, max_value=60))
+def test_any_merge_leaves_observed_nodes_up_to_date(placements, stale, node, r):
+    # from arbitrary prior belief; the kernel records these nodes as correct
+    # after a merge without testing them
+    graph = populated_line(placements)
+    belief = ObservedGraph(graph)
+    other = populated_line(stale)
+    belief.merge_observation(other.radius_subgraph((50, 0), float("inf")), 0.0)
+    obs = graph.sensor_view(sorted(graph.path_nodes)[node], r, 1.0)
+    belief.merge_observation(obs, 1.0)
+    for nid in obs.path_nodes:
+        assert up_to_date(belief, graph, nid)
+
+
+footprint_ops = st.lists(st.one_of(
+    st.tuples(st.just("attach"), st.integers(0, 5),
+              st.sampled_from([0.1, 0.7, 1.3, 4.0, 2.2])),
+    st.tuples(st.just("remove"), st.integers(0, 30), st.just(0.0)),
+    st.tuples(st.just("merge"), st.integers(0, 5), st.sampled_from([0.0, 5.0, 15.0])),
+    st.tuples(st.just("read"), st.integers(0, 5), st.just(0.0)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=footprint_ops)
+def test_footprint_totals_match_fresh_sums(ops):
+    # non-integer areas: running totals would drift, the cache must not
+    graph = line_scenario(6, capacity={"car": 50})
+    belief = ObservedGraph(graph)
+    nodes = sorted(graph.path_nodes)
+    serial = 0
+    for op, k, value in ops:
+        if op == "attach":
+            graph.attach_object(obj(f"o{serial}", nodes[k], area=value))
+            serial += 1
+        elif op == "remove":
+            if graph.objects:
+                graph.remove_object(sorted(graph.objects)[k % len(graph.objects)])
+        elif op == "merge":
+            belief.merge_observation(graph.sensor_view(nodes[k], value), 0.0)
+        else:
+            graph.footprint_total(nodes[k])
+            belief.footprint_total(nodes[k])
+        for layer in (graph, belief):
+            for nid in nodes:
+                assert layer.footprint_total(nid) == layer.footprint_sum(nid)
+
+
 @settings(max_examples=100, deadline=None)
 @given(placements=object_placements)
 def test_occupancy_matches_attachments(placements):
@@ -345,3 +397,46 @@ class TestSensorView:
     def test_explicit_edges_kept(self):
         given_edges = Observation(0.0, frozenset(), frozenset(), {}, edges=[])
         assert given_edges.edges == ()
+
+
+class TestStaticNetwork:
+    def test_indices_follow_sorted_ids(self):
+        graph = SceneGraph()
+        for nid, x in (("b", 0.0), ("c", 10.0), ("a", 20.0)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {}, 4.0, 2.0))
+        graph.add_adjacency_edge("b", "c", 10.0)
+        graph.add_adjacency_edge("c", "a", 12.0)
+        graph.add_adjacency_edge("c", "a", 11.0, directed=True)
+        graph.freeze_static()
+        net = graph.network
+        assert net.ids == ["a", "b", "c"]
+        assert net.index == {"a": 0, "b": 1, "c": 2}
+        assert net.positions == [(20.0, 0.0), (0.0, 0.0), (10.0, 0.0)]
+        # neighbour lists keep adjacency order, parallel edges included
+        assert net.neighbours == [[(2, 12.0)], [(2, 10.0)], [(1, 10.0), (0, 12.0), (0, 11.0)]]
+        assert net.edge_length[("c", "a")] == 11.0
+        assert net.edge_length[("a", "c")] == 12.0
+        assert ("a", "b") not in net.edge_length
+
+    def test_free_areas_per_width(self, tiny_graph):
+        net = tiny_graph.network
+        assert net.free_areas(0.5) == [10.0 * 1.5] * 3
+        assert net.free_areas(2.0) == [None] * 3
+        assert net.free_areas(0.5) is net.free_areas(0.5)
+
+    def test_shared_by_copies_and_belief(self, tiny_graph):
+        copy = tiny_graph.dynamic_copy()
+        assert copy.network is tiny_graph.network
+        assert ObservedGraph(copy).network is tiny_graph.network
+
+    def test_compiled_on_first_read(self):
+        graph = grid_scenario(3, 3)
+        assert "neighbours" not in vars(graph.network)
+        graph.network.neighbours
+        assert "neighbours" in vars(graph.dynamic_copy().network)
+
+    def test_unfrozen_graph_has_no_network(self):
+        graph = SceneGraph()
+        graph.add_path_node(PathNode("x", 0, 0, "sidewalk", {}, 1.0, 2.0))
+        with pytest.raises(ValueError):
+            graph.network

@@ -1,5 +1,6 @@
 """Event kernel: ordering, determinism, tick-based oracle, task lifecycle."""
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -9,7 +10,7 @@ import pytest
 from scenesim.agents import Task, WAITING
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel
-from scenesim.graph import ObjectNode
+from scenesim.graph import ObjectNode, up_to_date
 from scenesim.kernel import (
     AGENT_NODE_ENTRY,
     AGENT_NODE_EXIT,
@@ -21,7 +22,7 @@ from scenesim.kernel import (
     measure_rtf,
     run_replications,
 )
-from scenesim.metrics import summary_metrics
+from scenesim.metrics import summary_metrics, write_outputs
 from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile
 from scenesim.synthetic import grid_scenario, line_scenario
@@ -303,3 +304,116 @@ class TestReplications:
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError):
             run_replications(line_scenario(3), empty_config(), 0, base_seed=1)
+
+
+# -- golden outputs ---------------------------------------------------------------
+
+GOLDEN_FILES = ("daily_trends.csv", "arrivals_by_node_hour.csv", "heatmap.csv",
+                "tasks.csv", "summary.csv")
+GOLDEN_PLACES = frozenset({"housing", "retail", "leisure", "work"})
+
+
+def golden_config(planner, agents):
+    # two cars of 6 m^2 take 12 of a node's 15 m^2 free area, so believed
+    # costs vary from node to node and the observed planner replans en route
+    return SimConfig(
+        processes=[ProcessSpec("cars", GOLDEN_PLACES, frozenset({"car"}),
+                               RateProfile.constant(2.0), footprint_area=6.0,
+                               lifetime_mean=2 * HOUR)],
+        tasks=([TaskSpec("visits", GOLDEN_PLACES, RateProfile.constant(0.5))]
+               if agents else []),
+        fleet=FleetConfig(count=agents, sensor_radius=25.0, planner_mode=planner),
+        duration=12 * HOUR, warmup=HOUR)
+
+
+def output_digest(outdir) -> str:
+    """sha256 over the metric CSVs, summary.csv without its wall-clock rtf rows."""
+    h = hashlib.sha256()
+    for name in GOLDEN_FILES:
+        lines = (outdir / name).read_text().splitlines(keepends=True)
+        if name == "summary.csv":
+            lines = [l for l in lines if l.split(",")[1] != "rtf"]
+        h.update(name.encode())
+        h.update("".join(lines).encode())
+    return h.hexdigest()
+
+
+class TestGoldenOutputs:
+    """Pinned output digests: the README determinism contract across changes.
+
+    A change that alters any simulated number (event order, a float
+    expression, a tie-break) changes these digests.  Update them only for a
+    deliberate change of the model's behaviour, and say so.
+    """
+
+    @pytest.mark.parametrize("planner, agents, expected", [
+        ("observed", 3,
+         "d1ad988d6f7e1ea0687d503a93c29c21b3931b10013f347905af540cce17622d"),
+        ("static", 3,
+         "57927f32df7dace11d4377ecf446b522f18f155618b4869f80a0689bbdfe694d"),
+        ("static", 0,
+         "ba927eaf1675520fbf1f5618f0dacf207dfd7fd0f68233b2d20cfa8885f5d8b9"),
+    ])
+    def test_digest(self, tmp_path, planner, agents, expected):
+        scenario = grid_scenario(8, 6)
+        ledgers = run_replications(scenario, golden_config(planner, agents), 2,
+                                   base_seed=5)
+        write_outputs(ledgers, scenario, tmp_path)
+        assert output_digest(tmp_path) == expected
+
+
+def csv_outputs(outdir):
+    """Every metric CSV's text, summary.csv without its wall-clock rtf rows."""
+    return {path.name: [l for l in path.read_text().splitlines()
+                        if l.split(",")[1] != "rtf"]
+            for path in sorted(outdir.glob("*.csv"))}
+
+
+class TestSplitRun:
+    def test_paused_run_matches_one_shot(self, tmp_path):
+        scenario = grid_scenario(8, 6)
+        config = golden_config("observed", 3)
+        whole = SimState(scenario, config, seed=5)
+        whole.run()
+        split = SimState(scenario, config, seed=5)
+        split.run(config.duration / 2)
+        split.run()
+
+        rows = []
+        for name, state in (("whole", whole), ("split", split)):
+            row = summary_metrics(state.ledger, sorted(scenario.path_nodes))
+            assert 0 < row.pop("rtf") < math.inf
+            rows.append(row)
+            write_outputs([state.ledger], scenario, tmp_path / name)
+        assert rows[0] == rows[1]
+        assert csv_outputs(tmp_path / "whole") == csv_outputs(tmp_path / "split")
+
+    def test_rtf_spans_every_segment(self):
+        config = golden_config("observed", 3)
+        state = SimState(grid_scenario(8, 6), config, seed=5)
+        state.run(config.duration / 4)
+        first = state.wall_s
+        assert state.rtf == pytest.approx(config.duration / 4 / first)
+        state.run()
+        assert state.wall_s > first
+        assert state.rtf == pytest.approx(config.duration / state.wall_s)
+
+
+class TestMergeTouch:
+    def test_observed_nodes_recorded_up_to_date(self):
+        # the kernel records every observed node as correct without testing
+        # it; check that the test would agree after every merge of a run
+        checked = []
+
+        class Checked(SimState):
+            def _merge_observation(self, agent, t):
+                super()._merge_observation(agent, t)
+                view = self.truth.sensor_view(agent.current_node,
+                                              agent.sensor_radius, t)
+                for node in view.path_nodes:
+                    assert up_to_date(self.belief, self.truth, node)
+                    assert self.ledger._correct[node][1:] == [t, True]
+                checked.append(len(view.path_nodes))
+
+        Checked(grid_scenario(8, 6), golden_config("observed", 3), seed=5).run()
+        assert len(checked) > 100 and sum(checked) > 1000
