@@ -450,13 +450,15 @@ class SceneGraph(ObjectLayer):
         self.footprint_totals.pop(obj.attached_to, None)
         self.occupancy[obj.attached_to][obj.semantic_class] += 1
 
-    def remove_object(self, object_id: str):
+    def remove_object(self, object_id: str) -> ObjectNode:
+        """Detach and return the object ``object_id``."""
         obj = self.objects.pop(object_id, None)
         if obj is None:
             raise UnknownId(f"object {object_id!r} not in graph")
         self.objects_at[obj.attached_to].discard(object_id)
         self.footprint_totals.pop(obj.attached_to, None)
         self.occupancy[obj.attached_to][obj.semantic_class] -= 1
+        return obj
 
     # -- observation ----------------------------------------------------------
 
@@ -541,17 +543,21 @@ class ObservedGraph(ObjectLayer):
             if nid not in self.path_nodes:
                 raise UnknownStaticNode(f"observation covers unknown node {nid!r}")
         changed = False
+        objects_at = self.objects_at
         for nid in obs.path_nodes:
-            seen = {obj.id for obj in obs.objects_at.get(nid, ())}
-            if seen != self.objects_at[nid]:
+            observed = obs.objects_at.get(nid, ())
+            believed = objects_at[nid]
+            if not observed and not believed:
+                continue  # both empty: nothing to compare
+            seen = {obj.id for obj in observed}
+            if seen != believed:
                 changed = True
-                for oid in self.objects_at[nid]:
+                for oid in believed:
                     del self.objects[oid]
-                self.objects_at[nid] = set()
                 self.footprint_totals.pop(nid, None)
-                for obj in obs.objects_at.get(nid, ()):
+                for obj in observed:
                     self.objects[obj.id] = obj
-                    self.objects_at[nid].add(obj.id)
+                objects_at[nid] = seen
         if changed:
             self.version += 1
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 import time as _time
 from collections import deque
-from dataclasses import replace
 
 from .agents import (
     IDLE_AT_DEPOT,
     PLANNER_OBSERVED,
+    PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
     WAITING,
@@ -154,12 +154,13 @@ class SimState:
             AGENT_NODE_EXIT: self._handle_agent_exit,
             WAIT_RETRY: self._handle_wait_retry,
         }
+        queue, pop, trace = self._queue, heapq.heappop, self.trace
         executed = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            t, _, _, kind, payload = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= t_end:
+            t, _, _, kind, payload = pop(queue)
             self.clock = t
-            if self.trace is not None:
-                self.trace(t, kind, payload)
+            if trace is not None:
+                trace(t, kind, payload)
             try:
                 handlers[kind](t, payload)
             except Exception as exc:
@@ -189,10 +190,19 @@ class SimState:
         for node in obs.path_nodes:
             self.ledger.set_correct(t, node, True)
 
-    def _planner_view(self):
+    def _plan(self, agent: Agent, start: str, goal: str):
+        """Plan a leg on the configured planner's view.
+
+        In observed mode a leg the belief blocks is planned on the static
+        view instead, as the en-route replan keeps its committed path:
+        physics will decide, and the agent waits where a node is truly full.
+        """
         if self.config.fleet.planner_mode == PLANNER_OBSERVED:
-            return self.belief, PLANNER_OBSERVED
-        return self.truth, "static"
+            try:
+                return plan_path(self.belief, start, goal, agent, PLANNER_OBSERVED)
+            except Unreachable:
+                pass
+        return plan_path(self.truth, start, goal, agent, PLANNER_STATIC)
 
     # -- process events ---------------------------------------------------------------
 
@@ -201,27 +211,27 @@ class SimState:
         object_id = f"obj{self._object_serial}"
         self._object_serial += 1
         outcome = inst.drain(t, self.truth, object_id, self.config.drain_search_bound)
-        if outcome.status == ATTACHED:
-            lifetime = inst.lifetime(t, outcome.obj)
-            obj = replace(outcome.obj, t_lifetime=lifetime)
-            self.truth.objects[obj.id] = obj
-            self.ledger.counters["spawned"] += 1
-            self.ledger.on_true_arrival(t, obj.attached_to)
-            self.ledger.on_live_change(t, obj.semantic_class, +1)
+        status = outcome.status
+        if status == ATTACHED:
+            obj = outcome.obj
+            ledger = self.ledger
+            ledger.counters["spawned"] += 1
+            ledger.on_true_arrival(t, obj.attached_to)
+            ledger.on_live_change(t, obj.semantic_class, +1)
             self._touch_node(t, obj.attached_to)
-            self.schedule(t + lifetime, EXPIRY, obj.id)
-        elif outcome.status == DISCARDED_PRIVATE:
+            self.schedule(t + obj.t_lifetime, EXPIRY, object_id)
+        elif status == DISCARDED_PRIVATE:
             self.ledger.counters["discarded_private"] += 1
-        elif outcome.status == DISCARDED_CAPACITY:
+        elif status == DISCARDED_CAPACITY:
             self.ledger.counters["discarded_capacity"] += 1
         self.schedule(t + inst.source(t), SPAWN, key)
 
     def _handle_expiry(self, t: float, object_id: str):
-        obj = self.truth.objects[object_id]
+        obj = self.truth.remove_object(object_id)
         node = obj.attached_to
-        self.truth.remove_object(object_id)
-        self.ledger.counters["expired"] += 1
-        self.ledger.on_live_change(t, obj.semantic_class, -1)
+        ledger = self.ledger
+        ledger.counters["expired"] += 1
+        ledger.on_live_change(t, obj.semantic_class, -1)
         self._touch_node(t, node)
         for agent in self.waiting_at.get(node, ()):
             self.schedule(t, WAIT_RETRY, agent.id)
@@ -247,11 +257,8 @@ class SimState:
 
     def _assign(self, t: float, agent: Agent, task: Task):
         """FIFO assignment; prediction is the round-trip cost on the planner view."""
-        view, mode = self._planner_view()
-        path_out, cost_out = plan_path(view, agent.current_node, task.target_poi,
-                                       agent, mode)
-        _, cost_back = plan_path(view, task.target_poi, agent.current_node,
-                                 agent, mode)
+        path_out, cost_out = self._plan(agent, agent.current_node, task.target_poi)
+        _, cost_back = self._plan(agent, task.target_poi, agent.current_node)
         task.t_assigned = t
         task.t_pred = t + cost_out + cost_back
         agent.task = task
@@ -332,10 +339,8 @@ class SimState:
 
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:
-            view, mode = self._planner_view()
             depot_node = self.truth.access[self.truth.depot_id][0]
-            path_back, _ = plan_path(view, agent.current_node, depot_node,
-                                     agent, mode)
+            path_back, _ = self._plan(agent, agent.current_node, depot_node)
             agent.state = RETURNING
             agent.path = path_back
             agent.path_index = 0

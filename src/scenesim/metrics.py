@@ -88,12 +88,21 @@ class MetricsLedger:
 
         Nodes start correct at t=0 (both graphs are seeded empty).
         """
-        entry = self._correct.setdefault(node, [0.0, 0.0, True])
-        self._accumulate(entry, t)
+        entry = self._correct.get(node)
+        if entry is None:
+            entry = self._correct[node] = [0.0, 0.0, True]
+        if entry[2]:
+            # _accumulate(entry, t), inlined: this runs on every spawn,
+            # expiry and observed node
+            lo = self.warmup_end if self.warmup_end > entry[1] else entry[1]
+            hi = self.t_end if self.t_end < t else t
+            if hi > lo:
+                entry[0] += hi - lo
         entry[1] = t
         entry[2] = correct
 
     def _accumulate(self, entry, t: float):
+        """Add the correct seconds of ``entry``'s open interval up to ``t``."""
         lo = max(entry[1], self.warmup_end)
         hi = min(t, self.t_end)
         if entry[2] and hi > lo:
@@ -120,7 +129,8 @@ class MetricsLedger:
     # -- live counts ----------------------------------------------------------
 
     def on_live_change(self, t: float, object_class: str, delta: int):
-        self._sample_live_up_to(t)
+        if self._next_sample_t <= t:  # an hour boundary has passed
+            self._sample_live_up_to(t)
         self._live[object_class] += delta
 
     def _sample_live_up_to(self, t: float):
@@ -153,8 +163,9 @@ class MetricsLedger:
     # -- arrivals and observations ---------------------------------------------
 
     def on_true_arrival(self, t: float, node: str):
-        if self._in_window(t):
-            self.true_arrivals[(node, self._hour_of_day(t))] += 1
+        # _in_window and _hour_of_day, inlined: this runs on every spawn
+        if self.warmup_end <= t <= self.t_end:
+            self.true_arrivals[(node, int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR))] += 1
 
     def on_merge(self, t: float, observation):
         in_window = self._in_window(t)

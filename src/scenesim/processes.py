@@ -76,7 +76,10 @@ class ProcessInstance:
         With probability 1 - sidewalk_probability the object stays on private
         ground and never enters the graph.  The capacity search runs Dijkstra
         from the PoI's access node and gives up beyond ``search_bound`` meters
-        of network distance.
+        of network distance.  Once a node is found, the object's lifetime is
+        drawn and the object is attached with it; the stream thus serves the
+        sidewalk uniform, then the lifetime, then the caller's next
+        inter-arrival.
         """
         if not stochastic.bernoulli(self.spec.sidewalk_probability, self.stream):
             return DrainOutcome(DISCARDED_PRIVATE)
@@ -93,16 +96,16 @@ class ProcessInstance:
             id=object_id,
             semantic_class=self.object_class,
             t_spawn=t,
-            t_lifetime=0.0,  # set when the lifetime is drawn
+            t_lifetime=self.lifetime(t),
             footprint_area=self.spec.footprint_area,
             attached_to=target,
         )
         graph.attach_object(obj)
         return DrainOutcome(ATTACHED, obj)
 
-    def lifetime(self, t: float, obj: ObjectNode) -> float:
+    def lifetime(self, t: float) -> float:
         if self.lifetime_fn is not None:
-            return self.lifetime_fn(t, obj)
+            return self.lifetime_fn(t)
         return stochastic.sample_exponential(self.lifetime_mean, self.stream)
 
 

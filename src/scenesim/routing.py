@@ -18,8 +18,15 @@ def nearest_matching_node(adjacency, start: str, predicate, bound: float) -> str
 
     Returns the node with the smallest network distance <= ``bound`` that
     satisfies ``predicate`` (lowest id on distance ties), or None when the
-    search exhausts the bound.
+    search exhausts the bound.  ``start`` is tested first, before any search
+    state exists; when it does not match, the search continues from its
+    neighbours and never tests it again.  Nodes are tested in the order of a
+    plain Dijkstra.
     """
+    if bound < 0.0:  # the start itself lies beyond the bound
+        return None
+    if predicate(start):
+        return start
     dist = {start: 0.0}
     heap = [(0.0, start)]
     visited = set()
@@ -30,7 +37,7 @@ def nearest_matching_node(adjacency, start: str, predicate, bound: float) -> str
         visited.add(node)
         if d > bound:
             return None
-        if predicate(node):
+        if node != start and predicate(node):
             return node
         for nbr, length in adjacency[node]:
             nd = d + length

@@ -21,7 +21,12 @@ SECONDS_PER_DAY = 86400.0
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Piecewise-constant daily rate: 24 hourly bins, arrivals per hour."""
+    """Piecewise-constant daily rate: 24 hourly bins, arrivals per hour.
+
+    The per-second rates and their peak are computed once, at construction:
+    ``per_second[h]`` is ``hourly_rates[h] / 3600`` and
+    ``max_rate_per_second`` is ``max(hourly_rates) / 3600``.
+    """
 
     hourly_rates: tuple
 
@@ -32,10 +37,9 @@ class RateProfile:
         if any(r < 0 or not np.isfinite(r) for r in rates):
             raise ValueError("rates must be finite and non-negative")
         object.__setattr__(self, "hourly_rates", rates)
-
-    @property
-    def max_rate_per_second(self) -> float:
-        return max(self.hourly_rates) / SECONDS_PER_HOUR
+        object.__setattr__(self, "per_second",
+                           tuple(r / SECONDS_PER_HOUR for r in rates))
+        object.__setattr__(self, "max_rate_per_second", max(rates) / SECONDS_PER_HOUR)
 
     @property
     def mean_rate_per_second(self) -> float:
@@ -43,8 +47,7 @@ class RateProfile:
 
     def rate_per_second(self, t: float) -> float:
         """Rate in effect at simulation time t (seconds), daily periodic."""
-        hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-        return self.hourly_rates[hour] / SECONDS_PER_HOUR
+        return self.per_second[int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]
 
     @classmethod
     def constant(cls, per_hour: float) -> "RateProfile":
@@ -115,10 +118,12 @@ def next_nhpp_interarrival(profile: RateProfile, t_now: float, stream: RandomStr
     lam_max = profile.max_rate_per_second
     if lam_max <= 0:
         raise ZeroRate("all hourly rates are zero")
+    mean = 1.0 / lam_max
+    rates = profile.per_second
     t = t_now
     while True:
-        t += stream.exponential(1.0 / lam_max)
-        if stream.uniform() * lam_max <= profile.rate_per_second(t):
+        t += stream.exponential(mean)
+        if stream.uniform() * lam_max <= rates[int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]:
             dt = t - t_now
             if dt > 0.0:
                 return dt

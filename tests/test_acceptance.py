@@ -81,7 +81,7 @@ def test_02_tick_oracle(capsys):
     (inst,) = state.instances
     ia, lt = iter(interarrivals), iter(lifetimes)
     inst.interarrival_fn = lambda t: next(ia, math.inf)
-    inst.lifetime_fn = lambda t, obj: next(lt)
+    inst.lifetime_fn = lambda t: next(lt)
     events = []
     state.trace = lambda t, k, p: events.append((t, k))
     state.run()

@@ -7,9 +7,9 @@ import math
 
 import pytest
 
-from scenesim.agents import Task, WAITING
+from scenesim.agents import Task, WAITING, plan_path
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
-from scenesim.errors import TimeTravel
+from scenesim.errors import TimeTravel, Unreachable
 from scenesim.graph import ObjectNode, up_to_date
 from scenesim.kernel import (
     AGENT_NODE_ENTRY,
@@ -361,12 +361,63 @@ class TestGoldenOutputs:
         write_outputs(ledgers, scenario, tmp_path)
         assert output_digest(tmp_path) == expected
 
+    def test_truth_only_spawn_paths(self, tmp_path):
+        # every branch of a spawn: thinning rejects candidates off-peak, 30%
+        # of objects stay private, one car slot per node sends drains past a
+        # full access node and a 25 m bound discards some; the warm-up ends
+        # mid-hour
+        shape = (1.0,) * 6 + (4.0,) * 6 + (2.0,) * 12
+        config = SimConfig(
+            processes=[ProcessSpec("cars", GOLDEN_PLACES, frozenset({"car"}),
+                                   RateProfile(shape), footprint_area=6.0,
+                                   sidewalk_probability=0.7,
+                                   lifetime_mean=3 * HOUR)],
+            tasks=[], fleet=FleetConfig(count=0),
+            duration=12 * HOUR, warmup=1.5 * HOUR, drain_search_bound=25.0)
+        scenario = grid_scenario(8, 6, capacity={"car": 1})
+        ledgers = run_replications(scenario, config, 2, base_seed=5)
+        for ledger in ledgers:
+            assert ledger.counters["discarded_private"] > 0
+            assert ledger.counters["discarded_capacity"] > 0
+            assert ledger.counters["spawned"] > 0
+        write_outputs(ledgers, scenario, tmp_path)
+        assert output_digest(tmp_path) == (
+            "f28cfe05b85fd2a993914af9058f8b713b2e84ca811a056b1239b9d6ad440ec0")
+
 
 def csv_outputs(outdir):
     """Every metric CSV's text, summary.csv without its wall-clock rtf rows."""
     return {path.name: [l for l in path.read_text().splitlines()
                         if l.split(",")[1] != "rtf"]
             for path in sorted(outdir.glob("*.csv"))}
+
+
+class TestObservedFallback:
+    def test_leg_blocked_in_belief_is_planned_on_static_view(self, monkeypatch):
+        # cars of 8 m^2: two fill a node's 15 m^2 free area, so the belief
+        # can block every way to a target or back to the depot
+        blocked = []
+
+        def recording(view, start, goal, agent, mode):
+            try:
+                return plan_path(view, start, goal, agent, mode)
+            except Unreachable:
+                blocked.append(mode)
+                raise
+
+        monkeypatch.setattr("scenesim.kernel.plan_path", recording)
+        config = SimConfig(
+            processes=[ProcessSpec("cars", GOLDEN_PLACES, frozenset({"car"}),
+                                   RateProfile.constant(1.0), footprint_area=8.0,
+                                   lifetime_mean=8 * HOUR)],
+            tasks=[TaskSpec("visits", GOLDEN_PLACES, RateProfile.constant(0.5))],
+            fleet=FleetConfig(count=3, sensor_radius=25.0, planner_mode="observed"),
+            duration=8 * HOUR, warmup=HOUR)
+        ledgers = run_replications(grid_scenario(6, 6), config, 2, base_seed=5)
+        assert "observed" in blocked and "static" not in blocked
+        for ledger in ledgers:
+            assert ledger._finalized
+            assert ledger.counters["tasks_completed"] > 0
 
 
 class TestSplitRun:

@@ -4,7 +4,7 @@ import csv
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scenesim.agents import Task
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
@@ -149,6 +149,85 @@ class TestLiveCounts:
         # hour bin 0 sampled at t=0 s (count 0), t=24 h and t=48 h (count 1)
         assert counts[("car", 0)] == pytest.approx(2.0 / 3.0)
         assert counts[("car", 5)] == 1.0
+
+
+def reference_correct_seconds(transitions, warmup, end):
+    """node -> correct seconds in [warmup, end], by walking each node's states.
+
+    Every node starts correct at t=0; a transition sets its state from then
+    on.  Integral times keep every sum exact, so the order of summation does
+    not matter.
+    """
+    states: dict[str, list] = {}
+    for t, node, correct in transitions:
+        states.setdefault(node, [(0.0, True)]).append((t, correct))
+    seconds = {}
+    for node, steps in states.items():
+        total = 0.0
+        bounds = [t for t, _ in steps[1:]] + [end]
+        for (t0, correct), t1 in zip(steps, bounds):
+            lo, hi = max(t0, warmup), min(t1, end)
+            if correct and hi > lo:
+                total += hi - lo
+        seconds[node] = total
+    return seconds
+
+
+def reference_live_bins(changes, warmup, end, classes):
+    """(class, hour of day) -> mean live count over the on-the-hour samples.
+
+    A sample at s counts the changes strictly before s: a change at s itself
+    is applied after the sample.
+    """
+    bins: dict[tuple, list] = {}
+    s = math.ceil(warmup / HOUR) * HOUR
+    while s <= end:
+        for cls in classes:
+            count = sum(delta for t, c, delta in changes if c == cls and t < s)
+            bin_ = bins.setdefault((cls, int(s % 86400.0 // HOUR)), [0, 0])
+            bin_[0] += count
+            bin_[1] += 1
+        s += HOUR
+    return {key: total / n for key, (total, n) in sorted(bins.items())}
+
+
+window_bounds = st.tuples(st.integers(0, 30), st.integers(1, 30)).map(
+    lambda w: (w[0] * 900.0, w[0] * 900.0 + w[1] * 1800.0))
+
+
+class TestLedgerReference:
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=window_bounds,
+           transitions=st.lists(st.tuples(st.integers(0, 70000),
+                                          st.sampled_from(["v0", "v1", "v2"]),
+                                          st.booleans()), max_size=40))
+    def test_correct_seconds(self, bounds, transitions):
+        # transitions may fall before the warm-up, on its end, and after t_end
+        warmup, end = bounds
+        transitions = sorted((float(t), node, c) for t, node, c in transitions)
+        led = MetricsLedger(warmup, end, ["car"])
+        for t, node, correct in transitions:
+            led.set_correct(t, node, correct)
+        led.finalize()
+        got = {node: entry[0] for node, entry in led._correct.items()}
+        assert got == reference_correct_seconds(transitions, warmup, end)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=window_bounds,
+           steps=st.lists(st.tuples(st.integers(0, 70000),
+                                    st.sampled_from(["car", "bicycle"]),
+                                    st.sampled_from([+1, -1])), max_size=40))
+    def test_hourly_live_samples(self, bounds, steps):
+        # changes on the hour, before the warm-up and after t_end included
+        warmup, end = bounds
+        changes = sorted((float(t - t % 1800 if t % 3 == 0 else t), c, d)
+                         for t, c, d in steps)
+        led = MetricsLedger(warmup, end, ["bicycle", "car"])
+        for t, cls, delta in changes:
+            led.on_live_change(t, cls, delta)
+        led.finalize()
+        assert led.live_count_by_hour() == reference_live_bins(
+            changes, warmup, end, ["bicycle", "car"])
 
 
 class TestObservations:

@@ -14,7 +14,7 @@ from scenesim.processes import (
     ProcessSpec,
     instantiate_processes,
 )
-from scenesim.stochastic import RateProfile, RandomStream
+from scenesim.stochastic import RateProfile, RandomStream, sample_exponential
 from scenesim.synthetic import grid_scenario, line_scenario
 
 
@@ -83,6 +83,16 @@ class TestDrain:
         assert out.status == ATTACHED
         assert out.obj.attached_to == "v2"
         assert graph.objects["obj0"].footprint_area == 8.0
+
+    def test_object_is_attached_with_its_lifetime(self):
+        # the stream serves the sidewalk uniform, then the lifetime
+        graph = line_scenario(5, pois=((2, "housing"),))
+        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        twin = RandomStream(1, inst.stream.stream_id)
+        out = inst.drain(0.0, graph, "obj0")
+        assert graph.objects["obj0"] is out.obj
+        twin.uniform()
+        assert out.obj.t_lifetime == sample_exponential(inst.lifetime_mean, twin)
 
     def test_skips_full_nodes_to_nearest_free(self):
         graph = line_scenario(5, capacity={"car": 1}, pois=((2, "housing"),))
@@ -158,7 +168,6 @@ class TestLifetimes:
     def test_lifetime_mean_recovered(self):
         graph = line_scenario(3, pois=((1, "housing"),))
         (inst,) = instantiate_processes(graph, [make_spec(lifetime_mean=500.0)], seed=3)
-        obj = ObjectNode("o", "car", 0.0, 0.0, 8.0, "v1")
-        draws = [inst.lifetime(0.0, obj) for _ in range(20000)]
+        draws = [inst.lifetime(0.0) for _ in range(20000)]
         assert all(d > 0 for d in draws)
         assert sum(draws) / len(draws) == pytest.approx(500.0, rel=0.03)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from scenesim.errors import InvalidMean, InvalidProbability, InvalidRate, ZeroRate
@@ -42,6 +43,49 @@ class TestRateProfile:
         profile = RateProfile(tuple(range(24)))
         assert profile.rate_per_second(5.5 * 3600) == 5 / 3600
         assert profile.rate_per_second(5.5 * 3600 + SECONDS_PER_DAY) == 5 / 3600
+
+
+finite_rates = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0 / 3.0, 3600.0, 7.2e3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.lists(finite_rates, min_size=24, max_size=24),
+       times=st.lists(st.floats(min_value=0.0, max_value=1e9), max_size=10))
+def test_precomputed_rates_are_bit_equal(rates, times):
+    profile = RateProfile(tuple(rates))
+    for t in times + [0.0, 3599.999, 3600.0, SECONDS_PER_DAY - 1e-9, SECONDS_PER_DAY]:
+        hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
+        assert profile.rate_per_second(t).hex() == (rates[hour] / 3600).hex()
+    assert profile.max_rate_per_second.hex() == (max(profile.hourly_rates) / 3600).hex()
+
+
+def reference_interarrival(profile, t_now, stream):
+    """Thinning with every rate divided out on each candidate."""
+    lam_max = max(profile.hourly_rates) / SECONDS_PER_HOUR
+    t = t_now
+    while True:
+        t += stream.exponential(1.0 / lam_max)
+        hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
+        if stream.uniform() * lam_max <= profile.hourly_rates[hour] / SECONDS_PER_HOUR:
+            dt = t - t_now
+            if dt > 0.0:
+                return dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(rates=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=24,
+                      max_size=24).filter(lambda r: max(r) >= 0.01),
+       t0=st.floats(min_value=0.0, max_value=1e7), seed=st.integers(0, 2**32))
+def test_interarrivals_match_reference_thinning(rates, t0, seed):
+    profile = RateProfile(tuple(rates))
+    ours, ref = RandomStream(seed, "nhpp"), RandomStream(seed, "nhpp")
+    t_ours = t_ref = t0
+    for _ in range(20):
+        t_ours += next_nhpp_interarrival(profile, t_ours, ours)
+        t_ref += reference_interarrival(profile, t_ref, ref)
+        assert t_ours == t_ref
 
 
 class TestNhpp:
