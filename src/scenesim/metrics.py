@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DegenerateTask, EmptyMeasurement
-from .stochastic import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from .stochastic import SECONDS_PER_HOUR, hour_of_day
 
 
 def fmt(value) -> str:
@@ -77,10 +77,6 @@ class MetricsLedger:
     def _in_window(self, t: float) -> bool:
         return self.warmup_end <= t <= self.t_end
 
-    @staticmethod
-    def _hour_of_day(t: float) -> int:
-        return int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-
     # -- correctness intervals ------------------------------------------------
 
     def set_correct(self, t: float, node: str, correct: bool):
@@ -92,8 +88,8 @@ class MetricsLedger:
         if entry is None:
             entry = self._correct[node] = [0.0, 0.0, True]
         if entry[2]:
-            # _accumulate(entry, t), inlined: this runs on every spawn,
-            # expiry and observed node
+            # add the correct seconds of the open interval, clamped to
+            # the window
             lo = self.warmup_end if self.warmup_end > entry[1] else entry[1]
             hi = self.t_end if self.t_end < t else t
             if hi > lo:
@@ -101,12 +97,9 @@ class MetricsLedger:
         entry[1] = t
         entry[2] = correct
 
-    def _accumulate(self, entry, t: float):
-        """Add the correct seconds of ``entry``'s open interval up to ``t``."""
-        lo = max(entry[1], self.warmup_end)
-        hi = min(t, self.t_end)
-        if entry[2] and hi > lo:
-            entry[0] += hi - lo
+    # finalize closes the open intervals through this alias, so a tracer
+    # that wraps ``set_correct`` still counts one call per transition
+    _close_interval = set_correct
 
     def up_to_date_share(self, path_node_ids) -> float:
         """Mean over path nodes of the correct-time fraction, in percent."""
@@ -136,7 +129,7 @@ class MetricsLedger:
     def _sample_live_up_to(self, t: float):
         limit = min(t, self.t_end)
         while self._next_sample_t <= limit:
-            hour = self._hour_of_day(self._next_sample_t)
+            hour = hour_of_day(self._next_sample_t)
             for cls in self.object_classes:
                 bin_ = self._live_bins[(cls, hour)]
                 bin_[0] += self._live[cls]
@@ -163,9 +156,9 @@ class MetricsLedger:
     # -- arrivals and observations ---------------------------------------------
 
     def on_true_arrival(self, t: float, node: str):
-        # _in_window and _hour_of_day, inlined: this runs on every spawn
+        # _in_window, inlined: this runs on every spawn
         if self.warmup_end <= t <= self.t_end:
-            self.true_arrivals[(node, int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR))] += 1
+            self.true_arrivals[(node, hour_of_day(t))] += 1
 
     def on_merge(self, t: float, observation):
         in_window = self._in_window(t)
@@ -182,7 +175,7 @@ class MetricsLedger:
                 if obj.id not in self._seen_objects:
                     self._seen_objects.add(obj.id)
                     if in_window:
-                        self.observed_arrivals[(node, self._hour_of_day(t))] += 1
+                        self.observed_arrivals[(node, hour_of_day(t))] += 1
 
     def inter_observation_stats(self) -> dict:
         """node -> mean gap between consecutive observations; needs >= 2 obs."""
@@ -218,9 +211,8 @@ class MetricsLedger:
         if self._finalized:
             return
         self._sample_live_up_to(self.t_end)
-        for entry in self._correct.values():
-            self._accumulate(entry, self.t_end)
-            entry[1] = self.t_end
+        for node, entry in self._correct.items():
+            self._close_interval(self.t_end, node, entry[2])
         self._finalized = True
 
 

@@ -19,6 +19,11 @@ SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 
 
+def hour_of_day(t: float) -> int:
+    """Daily-periodic hour bin (0-23) of simulation time ``t`` in seconds."""
+    return int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
+
+
 @dataclass(frozen=True)
 class RateProfile:
     """Piecewise-constant daily rate: 24 hourly bins, arrivals per hour.
@@ -47,7 +52,7 @@ class RateProfile:
 
     def rate_per_second(self, t: float) -> float:
         """Rate in effect at simulation time t (seconds), daily periodic."""
-        return self.per_second[int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]
+        return self.per_second[hour_of_day(t)]
 
     @classmethod
     def constant(cls, per_hour: float) -> "RateProfile":
@@ -119,11 +124,10 @@ def next_nhpp_interarrival(profile: RateProfile, t_now: float, stream: RandomStr
     if lam_max <= 0:
         raise ZeroRate("all hourly rates are zero")
     mean = 1.0 / lam_max
-    rates = profile.per_second
     t = t_now
     while True:
         t += stream.exponential(mean)
-        if stream.uniform() * lam_max <= rates[int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)]:
+        if stream.uniform() * lam_max <= profile.rate_per_second(t):
             dt = t - t_now
             if dt > 0.0:
                 return dt
