@@ -7,7 +7,8 @@ Subcommands:
   sample       truth-only long run (no agents/tasks) for ground-truth stats
   init-config  write a commented config template
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.  Every
+failure exit prints ``error:`` lines to stderr, not a traceback.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ def main(argv=None) -> int:
             print(f"error: {violation}", file=sys.stderr)
         return 2
     except ScenesimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        # the kernel wraps a failing event's error with the event it hit
+        if not isinstance(exc.__cause__, ScenesimError):
+            raise
+        print(f"error: {exc}: {exc.__cause__}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

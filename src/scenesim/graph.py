@@ -90,20 +90,19 @@ class Observation:
 
     Object nodes are frozen, so sharing instances with the true graph is safe.
     ``edges`` are the static edges between selected nodes plus one attachment
-    edge per object; unless given, they are derived from ``static_edges`` the
-    first time they are read, so observations nobody inspects never pay for
-    them.
+    edge per object; they are derived from ``static_edges`` the first time
+    they are read, so observations nobody inspects never pay for them.
     """
 
     __slots__ = ("t", "path_nodes", "poi_nodes", "objects_at", "_edges", "_static_edges")
 
     def __init__(self, t: float, path_nodes: frozenset[str], poi_nodes: frozenset[str],
-                 objects_at: dict, edges=None, static_edges=()):
+                 objects_at: dict, static_edges=()):
         self.t = t
         self.path_nodes = path_nodes
         self.poi_nodes = poi_nodes
         self.objects_at = objects_at  # path node id -> tuple of ObjectNode
-        self._edges = None if edges is None else tuple(edges)
+        self._edges = None
         self._static_edges = static_edges
 
     @property
@@ -127,90 +126,33 @@ def _scan(path_nodes, poi_nodes, cx: float, cy: float, r: float):
     )
 
 
-class VisibilityIndex:
-    """Memoized sensor views of a frozen static graph.
-
-    Maps (path node id, radius) to the (path ids, PoI ids) strictly within
-    the radius of that node.  Entries are filled on first request; a miss is
-    answered from a uniform grid of cell side r built on the first miss for
-    that radius, whose neighbouring cells hold every candidate.  A zero or
-    non-finite radius, or one too small for the coordinates' precision,
-    falls back to the full scan.
-    """
-
-    def __init__(self, path_nodes: dict, poi_nodes: dict):
-        self._path_nodes = path_nodes
-        self._poi_nodes = poi_nodes
-        self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
-        # radius -> (cell x, cell y) -> ([path nodes], [PoI nodes])
-        self._grids: dict[float, dict] = {}
-
-    def visible(self, node_id: str, r: float) -> tuple[frozenset, frozenset]:
-        key = (node_id, r)
-        hit = self._visible.get(key)
-        if hit is None:
-            node = self._path_nodes.get(node_id)
-            if node is None:
-                raise UnknownId(f"{node_id!r} is not a path node")
-            hit = self._grid_scan(node.x, node.y, r) if 0 < r < math.inf else None
-            if hit is None:
-                hit = _scan(self._path_nodes, self._poi_nodes, node.x, node.y, r)
-            self._visible[key] = hit
-        return hit
-
-    def _grid(self, r: float) -> dict:
-        grid = self._grids.get(r)
-        if grid is None:
-            grid = {}
-            for kind, nodes in enumerate((self._path_nodes, self._poi_nodes)):
-                for n in nodes.values():
-                    cell = (math.floor(n.x / r), math.floor(n.y / r))
-                    grid.setdefault(cell, ([], []))[kind].append(n)
-            self._grids[r] = grid  # stored only once complete
-        return grid
-
-    def _grid_scan(self, cx: float, cy: float, r: float):
-        """Grid answer for a finite r > 0, or None when r is too small for it."""
-        # A node strictly inside the radius lies in [c - r, c + r] on each
-        # axis, so its cell lies between the cells of those bounds: the 3x3
-        # neighbourhood, with rounding at cell borders covered.  When c / r
-        # overflows or loses the units digit, the span is not a few cells.
-        try:
-            grid = self._grid(r)
-            x0, x1 = math.floor((cx - r) / r), math.floor((cx + r) / r)
-            y0, y1 = math.floor((cy - r) / r), math.floor((cy + r) / r)
-        except OverflowError:
-            return None
-        if x1 - x0 > 3 or y1 - y0 > 3:
-            return None
-        selected = ([], [])
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                cell = grid.get((ix, iy))
-                if cell is None:
-                    continue
-                for kind in (0, 1):
-                    selected[kind].extend(n.id for n in cell[kind]
-                                          if math.hypot(n.x - cx, n.y - cy) < r)
-        return frozenset(selected[0]), frozenset(selected[1])
-
-
 class StaticNetwork:
-    """Integer-indexed compilation of a frozen path network, for planning.
+    """Compilation of a frozen static graph, for planning and sensing.
 
     Index ``i`` is the ``i``-th path node id in sorted order, so comparing
     indices orders nodes exactly as comparing their ids does: search ties
     that break on the node break the same way on either.  Each table is
     compiled on first read and then shared by every graph over the same
     static stores; constructing the network only keeps references.
+
+    Sensor views are memoized the same way: :meth:`visible` maps (path node
+    id, radius) to the (path ids, PoI ids) strictly within the radius of that
+    node.  A miss is answered from a uniform grid of cell side r built on the
+    first miss for that radius, whose neighbouring cells hold every
+    candidate.  A zero or non-finite radius, or one too small for the
+    coordinates' precision, falls back to the full scan.
     """
 
-    def __init__(self, path_nodes: dict, adjacency: dict):
+    def __init__(self, path_nodes: dict, poi_nodes: dict, adjacency: dict):
         self._path_nodes = path_nodes
+        self._poi_nodes = poi_nodes
         self._adjacency = adjacency
         self._free_areas: dict[float, list] = {}
         # (start id, goal id, speed) -> (path ids, cost) under static costs
         self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
+        self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
+        # radius -> (cell x, cell y) -> ([path nodes], [PoI nodes])
+        self._grids: dict[float, dict] = {}
 
     @cached_property
     def ids(self) -> list[str]:
@@ -265,9 +207,63 @@ class StaticNetwork:
             self._free_areas[agent_width] = areas
         return areas
 
+    def visible(self, node_id: str, r: float) -> tuple[frozenset, frozenset]:
+        """(path ids, PoI ids) strictly within ``r`` of path node ``node_id``."""
+        key = (node_id, r)
+        hit = self._visible.get(key)
+        if hit is None:
+            node = self._path_nodes.get(node_id)
+            if node is None:
+                raise UnknownId(f"{node_id!r} is not a path node")
+            hit = self._grid_scan(node.x, node.y, r) if 0 < r < math.inf else None
+            if hit is None:
+                hit = _scan(self._path_nodes, self._poi_nodes, node.x, node.y, r)
+            self._visible[key] = hit
+        return hit
+
+    def _grid(self, r: float) -> dict:
+        grid = self._grids.get(r)
+        if grid is None:
+            grid = {}
+            for kind, nodes in enumerate((self._path_nodes, self._poi_nodes)):
+                for n in nodes.values():
+                    cell = (math.floor(n.x / r), math.floor(n.y / r))
+                    grid.setdefault(cell, ([], []))[kind].append(n)
+            self._grids[r] = grid  # stored only once complete
+        return grid
+
+    def _grid_scan(self, cx: float, cy: float, r: float):
+        """Grid answer for a finite r > 0, or None when r is too small for it."""
+        # A node strictly inside the radius lies in [c - r, c + r] on each
+        # axis, so its cell lies between the cells of those bounds: the 3x3
+        # neighbourhood, with rounding at cell borders covered.  When c / r
+        # overflows or loses the units digit, the span is not a few cells.
+        try:
+            grid = self._grid(r)
+            x0, x1 = math.floor((cx - r) / r), math.floor((cx + r) / r)
+            y0, y1 = math.floor((cy - r) / r), math.floor((cy + r) / r)
+        except OverflowError:
+            return None
+        if x1 - x0 > 3 or y1 - y0 > 3:
+            return None
+        selected = ([], [])
+        for ix in range(x0, x1 + 1):
+            for iy in range(y0, y1 + 1):
+                cell = grid.get((ix, iy))
+                if cell is None:
+                    continue
+                for kind in (0, 1):
+                    selected[kind].extend(n.id for n in cell[kind]
+                                          if math.hypot(n.x - cx, n.y - cy) < r)
+        return frozenset(selected[0]), frozenset(selected[1])
+
 
 class ObjectLayer:
-    """Objects attached to path nodes, with cached per-node footprint totals.
+    """Objects attached to the path nodes of a shared static scene.
+
+    Both the true graph and the belief graph are object layers over the same
+    frozen static stores; :meth:`_share_static` is where a layer takes them
+    from a source graph by reference.
 
     ``footprint_totals`` maps a path node id to the sum of its objects'
     footprint areas.  Whatever changes a node's object set drops its entry,
@@ -276,9 +272,44 @@ class ObjectLayer:
     running ``+=``/``-=`` totals of non-integer areas would.
     """
 
+    path_nodes: dict[str, PathNode]
+    poi_nodes: dict[str, PoiNode]
     objects: dict[str, ObjectNode]
     objects_at: dict[str, set[str]]
     footprint_totals: dict[str, float]
+    _network: StaticNetwork | None
+
+    def _share_static(self, source: "ObjectLayer"):
+        """Share ``source``'s static stores and network; start with no objects.
+
+        The static dicts are immutable after freeze, and the network only
+        memoizes answers derived from them, so all are safe to share.
+        """
+        self.registry = source.registry
+        self.path_nodes = source.path_nodes
+        self.poi_nodes = source.poi_nodes
+        self.adjacency = source.adjacency
+        self.access = source.access
+        self.static_edges = source.static_edges
+        self.depot_id = source.depot_id
+        self._network = source._network
+        self.objects = {}
+        self.objects_at = {nid: set() for nid in source.path_nodes}
+        self.footprint_totals = {}
+
+    @property
+    def network(self) -> StaticNetwork:
+        """The compiled static network, shared with every copy and belief graph."""
+        if self._network is None:
+            raise ValueError("freeze the static subgraph first")
+        return self._network
+
+    def node_position(self, node_id: str) -> tuple[float, float]:
+        """Position of a path or PoI node."""
+        node = self.path_nodes.get(node_id) or self.poi_nodes.get(node_id)
+        if node is None:
+            raise UnknownId(node_id)
+        return (node.x, node.y)
 
     def footprint_sum(self, path_id: str) -> float:
         return sum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
@@ -308,9 +339,7 @@ class SceneGraph(ObjectLayer):
         self.footprint_totals: dict[str, float] = {}
         self.occupancy: dict[str, Counter] = {}
         self.depot_id: str | None = None
-        self.visibility: VisibilityIndex | None = None  # built by freeze_static
         self._network: StaticNetwork | None = None  # created by freeze_static
-        self._frozen = False
 
     # -- static construction -------------------------------------------------
 
@@ -355,20 +384,11 @@ class SceneGraph(ObjectLayer):
 
     def freeze_static(self):
         """Lock the static subgraph; only objects may change afterwards."""
-        if not self._frozen:
-            self.visibility = VisibilityIndex(self.path_nodes, self.poi_nodes)
-            self._network = StaticNetwork(self.path_nodes, self.adjacency)
-        self._frozen = True
-
-    @property
-    def network(self) -> StaticNetwork:
-        """The compiled path network, shared with every copy and belief graph."""
         if self._network is None:
-            raise ValueError("freeze the static subgraph before planning")
-        return self._network
+            self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.adjacency)
 
     def _check_mutable_static(self):
-        if self._frozen:
+        if self._network is not None:
             raise ValueError("static subgraph is immutable after freeze")
 
     def _check_fresh_id(self, node_id: str):
@@ -378,40 +398,16 @@ class SceneGraph(ObjectLayer):
     def dynamic_copy(self) -> "SceneGraph":
         """Fresh object-free graph sharing this graph's static stores.
 
-        Replications each mutate their own copy; the static dicts are
-        immutable after freeze, and the visibility index and the compiled
-        network only memoize answers derived from them, so all are safe to
-        share.
+        Replications each mutate their own copy.
         """
-        if not self._frozen:
+        if self._network is None:
             raise ValueError("freeze the static subgraph before copying")
         twin = SceneGraph.__new__(SceneGraph)
-        twin.registry = self.registry
-        twin.path_nodes = self.path_nodes
-        twin.poi_nodes = self.poi_nodes
-        twin.adjacency = self.adjacency
-        twin.access = self.access
-        twin.static_edges = self.static_edges
-        twin.depot_id = self.depot_id
-        twin.visibility = self.visibility
-        twin._network = self._network
-        twin.objects = {}
-        twin.objects_at = {nid: set() for nid in self.path_nodes}
-        twin.footprint_totals = {}
+        twin._share_static(self)
         twin.occupancy = {nid: Counter() for nid in self.path_nodes}
-        twin._frozen = True
         return twin
 
     # -- queries --------------------------------------------------------------
-
-    def node_position(self, node_id: str) -> tuple[float, float]:
-        node = self.path_nodes.get(node_id) or self.poi_nodes.get(node_id)
-        if node is None:
-            obj = self.objects.get(node_id)
-            if obj is None:
-                raise UnknownId(node_id)
-            return self.node_position(obj.attached_to)
-        return (node.x, node.y)
 
     def free_capacity(self, path_id: str, object_class: str) -> int:
         node = self.path_nodes[path_id]
@@ -436,8 +432,6 @@ class SceneGraph(ObjectLayer):
 
     def attach_object(self, obj: ObjectNode):
         """Insert ``obj`` and its attachment edge, honoring per-class capacity."""
-        if obj.id in self.objects:
-            raise DuplicateId(f"object id {obj.id!r} already attached")
         self._check_fresh_id(obj.id)
         if obj.attached_to not in self.path_nodes:
             raise UnknownId(f"attachment target {obj.attached_to!r} is not a path node")
@@ -468,7 +462,7 @@ class SceneGraph(ObjectLayer):
         Object positions are their attachment node's position; an edge is
         included only when both endpoints are selected.  This is the full-scan
         reference for arbitrary centres; :meth:`sensor_view` answers the same
-        query for a path node from the visibility index.
+        query for a path node from the network's memoized views.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
@@ -478,15 +472,13 @@ class SceneGraph(ObjectLayer):
     def sensor_view(self, node_id: str, r: float, t: float = 0.0) -> Observation:
         """``radius_subgraph`` centred on path node ``node_id``, memoized.
 
-        The visible node sets depend only on the frozen static graph, so they
-        are computed once per (node, radius) and shared by every dynamic copy;
+        The visible node sets depend only on the frozen static graph, so the
+        network computes them once per (node, radius) for every dynamic copy;
         only the objects on the visible nodes are read per call.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        if self.visibility is None:
-            raise ValueError("freeze the static subgraph before observing")
-        path_sel, poi_sel = self.visibility.visible(node_id, r)
+        path_sel, poi_sel = self.network.visible(node_id, r)
         return self._observation(path_sel, poi_sel, t)
 
     def _observation(self, path_sel: frozenset, poi_sel: frozenset, t: float) -> Observation:
@@ -509,27 +501,8 @@ class ObservedGraph(ObjectLayer):
     """
 
     def __init__(self, truth: SceneGraph):
-        # Static stores are shared by reference; they are immutable after load.
-        self.registry = truth.registry
-        self.path_nodes = truth.path_nodes
-        self.poi_nodes = truth.poi_nodes
-        self.adjacency = truth.adjacency
-        self.access = truth.access
-        self.static_edges = truth.static_edges
-        self.depot_id = truth.depot_id
-        self._network = truth._network
-        self.objects: dict[str, ObjectNode] = {}
-        self.objects_at: dict[str, set[str]] = {nid: set() for nid in truth.path_nodes}
-        self.footprint_totals: dict[str, float] = {}
+        self._share_static(truth)
         self.version = 0
-
-    network = SceneGraph.network
-
-    def node_position(self, node_id: str) -> tuple[float, float]:
-        node = self.path_nodes.get(node_id) or self.poi_nodes.get(node_id)
-        if node is None:
-            raise UnknownId(node_id)
-        return (node.x, node.y)
 
     def merge_observation(self, obs: Observation, t: float):
         """Replace believed object sets at every observed path node.

@@ -59,14 +59,9 @@ class ProcessInstance:
     object_class: str
     stream: RandomStream
     lifetime_mean: float = 0.0
-    # test hooks: override sampling with pre-drawn variate iterators
-    interarrival_fn: object = None
-    lifetime_fn: object = None
 
     def source(self, t: float) -> float:
         """Seconds until this instance's next spawn event."""
-        if self.interarrival_fn is not None:
-            return self.interarrival_fn(t)
         return stochastic.next_nhpp_interarrival(self.spec.rate_profile, t, self.stream)
 
     def drain(self, t: float, graph: SceneGraph, object_id: str,
@@ -96,17 +91,12 @@ class ProcessInstance:
             id=object_id,
             semantic_class=self.object_class,
             t_spawn=t,
-            t_lifetime=self.lifetime(t),
+            t_lifetime=stochastic.sample_exponential(self.lifetime_mean, self.stream),
             footprint_area=self.spec.footprint_area,
             attached_to=target,
         )
         graph.attach_object(obj)
         return DrainOutcome(ATTACHED, obj)
-
-    def lifetime(self, t: float) -> float:
-        if self.lifetime_fn is not None:
-            return self.lifetime_fn(t)
-        return stochastic.sample_exponential(self.lifetime_mean, self.stream)
 
 
 def instantiate_processes(graph: SceneGraph, specs: list[ProcessSpec],

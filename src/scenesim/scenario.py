@@ -62,17 +62,52 @@ def save_scenario(graph: SceneGraph, path, name: str = "scenario",
 
 def load_scenario(path) -> SceneGraph:
     """Parse and validate a scenario file into a frozen scene graph."""
+    return scenario_from_dict(_read(path, json.loads, json.JSONDecodeError))
+
+
+def _read(path, parse, parse_error) -> dict:
+    """Parse the file at ``path`` into a mapping, or raise ParseError."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = parse(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, parse_error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return scenario_from_dict(data)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a mapping at top level")
+    return data
+
+
+def _section(data: dict, key: str, violations: list) -> dict:
+    """The mapping under ``data[key]`` ({} when absent); anything else is a violation."""
+    section = data.get(key) or {}
+    if not isinstance(section, dict):
+        violations.append(f"{key}: expected a mapping")
+        return {}
+    return section
+
+
+def _entries(data: dict, key: str, violations: list):
+    """Yield (index, mapping) per entry listed under ``data[key]``.
+
+    Anything else is a violation.  Entries are yielded, not collected, so a
+    large scenario's load allocates no list of pairs.
+    """
+    entries = data.get(key) or []
+    if not isinstance(entries, list):
+        violations.append(f"{key}: expected a list")
+        return
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            yield i, entry
+        else:
+            violations.append(f"{key}[{i}]: expected a mapping")
 
 
 def scenario_from_dict(data: dict) -> SceneGraph:
     violations: list[str] = []
 
-    classes = data.get("classes", {})
+    classes = _section(data, "classes", violations)
     places = set(classes.get("places", ()))
     objects = set(classes.get("objects", ()))
     overlap = places & objects
@@ -82,7 +117,8 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     registry = ClassRegistry(frozenset(places), frozenset(objects))
     graph = SceneGraph(registry)
 
-    flagged = [str(p["id"]) for p in data.get("poi_nodes", ()) if p.get("is_depot")]
+    pois = list(_entries(data, "poi_nodes", violations))
+    flagged = [str(p.get("id")) for _, p in pois if p.get("is_depot")]
     depot_id = data.get("depot")
     if depot_id is None and len(flagged) == 1:
         depot_id = flagged[0]
@@ -90,10 +126,10 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         violations.append(f"depot: multiple depots declared: {flagged}")
     if depot_id is None:
         violations.append("depot: no depot declared")
-    elif not any(str(p["id"]) == str(depot_id) for p in data.get("poi_nodes", ())):
+    elif not any(str(p.get("id")) == str(depot_id) for _, p in pois):
         violations.append(f"depot: {depot_id!r} is not a PoI node")
 
-    for i, spec in enumerate(data.get("path_nodes", ())):
+    for i, spec in _entries(data, "path_nodes", violations):
         field_path = f"path_nodes[{i}]"
         try:
             node = PathNode(
@@ -103,7 +139,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
                 segment_length=float(spec["segment_length"]),
                 sidewalk_width=float(spec["sidewalk_width"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             violations.append(f"{field_path}: {exc!r}")
             continue
         if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -124,7 +160,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except Exception as exc:
             violations.append(f"{field_path}: {exc}")
 
-    for i, spec in enumerate(data.get("poi_nodes", ())):
+    for i, spec in pois:
         field_path = f"poi_nodes[{i}]"
         try:
             node = PoiNode(
@@ -132,7 +168,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
                 semantic_class=spec["class"],
                 is_depot=(spec["id"] == depot_id),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             violations.append(f"{field_path}: {exc!r}")
             continue
         if node.semantic_class not in places:
@@ -144,7 +180,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except Exception as exc:
             violations.append(f"{field_path}: {exc}")
 
-    for i, spec in enumerate(data.get("edges", ())):
+    for i, spec in _entries(data, "edges", violations):
         field_path = f"edges[{i}]"
         kind = spec.get("kind")
         u, v = spec.get("u"), spec.get("v")
@@ -196,13 +232,7 @@ def _path_network_connected(graph: SceneGraph) -> bool:
 
 def load_config(path, graph: SceneGraph | None = None) -> SimConfig:
     """Parse a YAML run config; validate class references against the scenario."""
-    try:
-        data = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a mapping at top level")
-    return config_from_dict(data, graph)
+    return config_from_dict(_read(path, yaml.safe_load, yaml.YAMLError), graph)
 
 
 def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
@@ -217,8 +247,16 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             if name not in universe:
                 violations.append(f"{where}: undeclared class {name!r}")
 
+    def number(section, where, key, default, cast=float):
+        value = section.get(key, default)
+        try:
+            return cast(value)
+        except (OverflowError, TypeError, ValueError):
+            violations.append(f"{where}.{key}: expected a number, got {value!r}")
+            return cast(default)
+
     processes = []
-    for i, spec in enumerate(data.get("processes", ()) or ()):
+    for i, spec in _entries(data, "processes", violations):
         where = f"processes[{i}]"
         try:
             name = spec.get("name", f"process{i}")
@@ -252,7 +290,7 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             violations.append(f"{where}: {exc!r}")
 
     tasks = []
-    for i, spec in enumerate(data.get("tasks", ()) or ()):
+    for i, spec in _entries(data, "tasks", violations):
         where = f"tasks[{i}]"
         try:
             place_classes = frozenset(spec["place_classes"])
@@ -265,29 +303,35 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 
-    fleet_data = data.get("fleet", {}) or {}
+    fleet_data = _section(data, "fleet", violations)
     fleet = FleetConfig(
-        count=int(fleet_data.get("count", 1)),
-        default_velocity=float(fleet_data.get("default_velocity", 1.5)),
-        agent_width=float(fleet_data.get("agent_width", 0.5)),
-        sensor_radius=float(fleet_data.get("sensor_radius", 20.0)),
+        count=number(fleet_data, "fleet", "count", 1, int),
+        default_velocity=number(fleet_data, "fleet", "default_velocity", 1.5),
+        agent_width=number(fleet_data, "fleet", "agent_width", 0.5),
+        sensor_radius=number(fleet_data, "fleet", "sensor_radius", 20.0),
         planner_mode=fleet_data.get("planner_mode", "observed"),
     )
     if fleet.planner_mode not in ("static", "observed"):
         violations.append(f"fleet.planner_mode: unknown {fleet.planner_mode!r}")
+    if fleet.count < 0:
+        violations.append("fleet.count: must be >= 0")
     if fleet.default_velocity <= 0:
         violations.append("fleet.default_velocity: must be positive")
+    # NaN fails the comparison and is reported too
+    if not fleet.agent_width > 0:
+        violations.append("fleet.agent_width: must be positive")
     if fleet.sensor_radius < 0:
         violations.append("fleet.sensor_radius: must be non-negative")
 
-    sim = data.get("sim", {}) or {}
-    duration = float(sim.get("duration_days", 22)) * 86400.0
-    warmup = float(sim.get("warmup_hours", 48)) * 3600.0
-    replications = int(sim.get("replications", 5))
+    sim = _section(data, "sim", violations)
+    duration = number(sim, "sim", "duration_days", 22) * 86400.0
+    warmup = number(sim, "sim", "warmup_hours", 48) * 3600.0
+    replications = number(sim, "sim", "replications", 5, int)
     violations.extend(run_control_violations(duration, warmup, replications))
-    bound = float(sim.get("drain_search_bound", 300.0))
+    bound = number(sim, "sim", "drain_search_bound", 300.0)
     if bound <= 0:
         violations.append("sim.drain_search_bound: must be positive")
+    seed = number(sim, "sim", "seed", 1, int)
 
     if violations:
         raise ValidationError(violations)
@@ -298,7 +342,7 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         duration=duration,
         warmup=warmup,
         replications=replications,
-        seed=int(sim.get("seed", 1)),
+        seed=seed,
         drain_search_bound=bound,
     )
 

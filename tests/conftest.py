@@ -15,3 +15,33 @@ def tiny_graph():
 
 def build_line(n, capacity=None, pois=(), **kwargs):
     return line_scenario(n, capacity=capacity, pois=pois, **kwargs)
+
+
+class ScriptedStream:
+    """Stand-in for a process's ``RandomStream`` that serves scripted variates.
+
+    ``uniform()`` is always 0.0, so every sidewalk draw and every thinning
+    candidate is accepted.  ``exponential()`` ignores the mean and replays the
+    first inter-arrival, then each spawn's lifetime and next inter-arrival in
+    the order ``ProcessInstance.drain`` and ``source`` draw them; once the
+    script is spent it returns 1e18 s, which pushes the next spawn past any
+    horizon (``inf`` would not do: the rate profile cannot bin it).
+    """
+
+    def __init__(self, interarrivals, lifetimes):
+        script = [interarrivals[0]]
+        for k, lifetime in enumerate(lifetimes):
+            script.append(lifetime)
+            script.append(interarrivals[k + 1] if k + 1 < len(interarrivals) else 1e18)
+        self._script = iter(script)
+
+    def uniform(self):
+        return 0.0
+
+    def exponential(self, _mean):
+        return next(self._script, 1e18)
+
+
+@pytest.fixture
+def scripted_stream():
+    return ScriptedStream

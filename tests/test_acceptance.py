@@ -65,7 +65,7 @@ def test_01_determinism(tmp_path, capsys):
 # -- 2: event kernel vs fixed-step oracle ----------------------------------------------
 
 
-def test_02_tick_oracle(capsys):
+def test_02_tick_oracle(capsys, scripted_stream):
     horizon = 2000.0
     interarrivals = [7.0, 13.0, 5.0, 41.0, 3.0, 97.0, 11.0, 251.0, 2.0,
                      173.0, 19.0, 307.0, 23.0, 89.0, 131.0]
@@ -79,9 +79,7 @@ def test_02_tick_oracle(capsys):
         tasks=[], fleet=FleetConfig(count=0), duration=horizon, warmup=0.0)
     state = SimState(scenario, config, seed=1)
     (inst,) = state.instances
-    ia, lt = iter(interarrivals), iter(lifetimes)
-    inst.interarrival_fn = lambda t: next(ia, math.inf)
-    inst.lifetime_fn = lambda t: next(lt)
+    inst.stream = scripted_stream(interarrivals, lifetimes)
     events = []
     state.trace = lambda t, k, p: events.append((t, k))
     state.run()

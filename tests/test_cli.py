@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,27 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 1
 
+    @pytest.mark.parametrize("which", ["scenario", "config"])
+    def test_missing_file_exits_one(self, workspace, capsys, which):
+        tmp, scenario, config = workspace
+        missing = tmp / "nope"
+        args = [str(missing)] if which == "scenario" else [str(scenario), str(missing)]
+        assert main(["validate"] + args) == 1
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_scenario_not_a_mapping_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: expected a mapping at top level\n"
+
+    def test_process_not_a_mapping_exits_two(self, workspace, capsys):
+        tmp, scenario, _ = workspace
+        bad = tmp / "bad.yaml"
+        bad.write_text("processes: [5]\n")
+        assert main(["validate", str(scenario), str(bad)]) == 2
+        assert capsys.readouterr().err == "error: processes[0]: expected a mapping\n"
+
 
 class TestRun:
     def test_writes_all_csvs(self, workspace):
@@ -152,6 +174,22 @@ class TestRun:
             records = [json.loads(line) for line in text.splitlines()]
             assert len(records) == expected[i] > 0
             assert all(set(r) == {"t", "kind", "payload"} for r in records)
+
+    def test_failed_event_exits_one(self, workspace, capsys):
+        # a 3 m agent cannot use the grid's 2 m sidewalks: the first task fails
+        tmp, scenario, config = workspace
+        config.write_text(CONFIG_YAML.replace("  count: 1\n",
+                                              "  count: 1\n  agent_width: 3.0\n"))
+        assert main(["run", str(scenario), str(config), "--out", str(tmp / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: event #\d+ \(task_arrival at t=.*\) failed: "
+                            r"agent width 3\.0 >= sidewalk width 2\.0 at node 'g\d+'",
+                            line)
+
+    def test_unwritable_output_exits_one(self, workspace, capsys):
+        tmp, scenario, config = workspace
+        assert main(["run", str(scenario), str(config), "--out", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{config}'\n"
 
     def test_bad_warmup_override_exits_two(self, workspace, capsys):
         tmp, scenario, config = workspace
@@ -229,3 +267,10 @@ class TestScaffolding:
         graph = load_scenario(out)
         assert len(graph.path_nodes) == 4
         assert graph.depot_id == "p20"
+
+    def test_missing_extract_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "nope.osm"
+        assert main(["import", str(missing), str(tmp_path / "s.json"), "--center",
+                     "0", "0", "--radius", "200"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 2] No such file or directory: '{missing}'\n")

@@ -140,7 +140,7 @@ class TestMerge:
     def test_unknown_static_node_rejected(self, tiny_graph):
         belief = ObservedGraph(tiny_graph)
         bogus = Observation(t=0.0, path_nodes=frozenset({"ghost"}),
-                            poi_nodes=frozenset(), objects_at={}, edges=())
+                            poi_nodes=frozenset(), objects_at={})
         with pytest.raises(UnknownStaticNode):
             belief.merge_observation(bogus, 0.0)
 
@@ -323,7 +323,7 @@ def test_occupancy_matches_attachments(placements):
 
 @functools.lru_cache(maxsize=None)
 def static_grid(cols, rows, spacing):
-    """One frozen grid per shape, so its visibility index outlives examples."""
+    """One frozen grid per shape, so its memoized sensor views outlive examples."""
     return grid_scenario(cols, rows, spacing=spacing, poi_every=2,
                          capacity={"car": 2, "bicycle": 3, "trashcan": 1})
 
@@ -370,7 +370,7 @@ def test_sensor_view_matches_radius_subgraph(case, t):
 class TestSensorView:
     def test_index_shared_by_dynamic_copies(self, tiny_graph):
         copy = tiny_graph.dynamic_copy()
-        assert copy.visibility is tiny_graph.visibility
+        assert copy.network is tiny_graph.network
         copy.sensor_view("v0", 15.0)
         assert tiny_graph.sensor_view("v0", 15.0).path_nodes == {"v0", "v1"}
 
@@ -393,10 +393,6 @@ class TestSensorView:
     def test_unknown_node_rejected(self, tiny_graph):
         with pytest.raises(UnknownId):
             tiny_graph.sensor_view("nope", 5.0)
-
-    def test_explicit_edges_kept(self):
-        given_edges = Observation(0.0, frozenset(), frozenset(), {}, edges=[])
-        assert given_edges.edges == ()
 
 
 class TestStaticNetwork:
@@ -425,9 +421,21 @@ class TestStaticNetwork:
         assert net.free_areas(0.5) is net.free_areas(0.5)
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
+        tiny_graph.attach_object(obj("o1", "v0"))
+        tiny_graph.footprint_total("v0")
         copy = tiny_graph.dynamic_copy()
-        assert copy.network is tiny_graph.network
-        assert ObservedGraph(copy).network is tiny_graph.network
+        for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):
+            for store in ("registry", "path_nodes", "poi_nodes", "adjacency",
+                          "access", "static_edges", "depot_id", "network"):
+                assert getattr(layer, store) is getattr(tiny_graph, store), store
+            assert layer.objects == {} and layer.objects is not tiny_graph.objects
+            assert layer.objects_at == {nid: set() for nid in tiny_graph.path_nodes}
+            assert all(layer.objects_at[nid] is not tiny_graph.objects_at[nid]
+                       for nid in tiny_graph.path_nodes)
+            assert layer.footprint_totals == {}
+            assert layer.footprint_totals is not tiny_graph.footprint_totals
+        assert copy.occupancy == {nid: {} for nid in tiny_graph.path_nodes}
+        assert copy.occupancy["v0"] is not tiny_graph.occupancy["v0"]
 
     def test_compiled_on_first_read(self):
         graph = grid_scenario(3, 3)

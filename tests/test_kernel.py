@@ -50,16 +50,6 @@ def car_process(rate_per_hour=2.0, lifetime=HOUR, **overrides):
     return ProcessSpec(**base)
 
 
-def from_list(values):
-    """Variate injector that replays a list, then pushes events past any horizon."""
-    it = iter(values)
-
-    def draw(*_args):
-        return next(it, math.inf)
-
-    return draw
-
-
 class TestScheduling:
     def test_equal_time_orders_by_kind(self):
         state = SimState(line_scenario(3), empty_config(), seed=1)
@@ -108,7 +98,7 @@ class TestRun:
         live_now = len(state.truth.objects)
         assert c["spawned"] - c["expired"] == live_now
 
-    def test_expiry_frees_capacity_for_simultaneous_spawn(self):
+    def test_expiry_frees_capacity_for_simultaneous_spawn(self, scripted_stream):
         # one free slot: a spawn landing exactly at an expiry instant must
         # find the slot already vacated
         scenario = line_scenario(3, capacity={"car": 1}, pois=((1, "housing"),))
@@ -116,8 +106,7 @@ class TestRun:
                               duration=50.0, drain_search_bound=0.0)
         state = SimState(scenario, config, seed=1)
         (inst,) = state.instances
-        inst.interarrival_fn = from_list([10.0, 10.0])
-        inst.lifetime_fn = from_list([10.0, 100.0])
+        inst.stream = scripted_stream([10.0, 10.0], [10.0, 100.0])
         state.run()
         assert state.ledger.counters["spawned"] == 2
         assert state.ledger.counters["discarded_capacity"] == 0
@@ -155,7 +144,7 @@ class TestDeterminism:
 
 
 class TestTickOracle:
-    def test_live_counts_match_fixed_step_simulation(self):
+    def test_live_counts_match_fixed_step_simulation(self, scripted_stream):
         # inject pre-drawn variates into the event kernel, then replay the
         # same variates through an independent 1 s fixed-step loop and compare
         # the live-object count at every tick
@@ -169,8 +158,7 @@ class TestTickOracle:
         config = empty_config(processes=[car_process()], duration=horizon)
         state = SimState(scenario, config, seed=1)
         (inst,) = state.instances
-        inst.interarrival_fn = from_list(interarrivals)
-        inst.lifetime_fn = from_list(lifetimes)
+        inst.stream = scripted_stream(interarrivals, lifetimes)
         events = []
         state.trace = lambda t, k, p: events.append((t, k))
         state.run()
@@ -279,7 +267,7 @@ class TestReplications:
         assert [l.counters for l in a] == [l.counters for l in b]
 
     def test_replications_sharing_a_scenario_agree(self):
-        # the first run fills the shared visibility index, the second reads it
+        # the first run fills the network's shared sensor views, the second reads them
         config = empty_config(
             processes=[car_process(footprint_area=2.0,
                                    source_classes=frozenset({"housing", "retail"}))],

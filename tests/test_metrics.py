@@ -36,7 +36,7 @@ def make_task(t_assigned=0.0, t_pred=100.0, t_completed=100.0):
 
 def obs(t, nodes, objects_at=None):
     return Observation(t=t, path_nodes=dict.fromkeys(nodes), poi_nodes={},
-                       objects_at=objects_at or {}, edges=[])
+                       objects_at=objects_at or {})
 
 
 class TestTaskDelay:

@@ -166,8 +166,8 @@ class TestDrain:
 
 class TestLifetimes:
     def test_lifetime_mean_recovered(self):
-        graph = line_scenario(3, pois=((1, "housing"),))
+        graph = line_scenario(3, capacity={"car": 20000}, pois=((1, "housing"),))
         (inst,) = instantiate_processes(graph, [make_spec(lifetime_mean=500.0)], seed=3)
-        draws = [inst.lifetime(0.0) for _ in range(20000)]
+        draws = [inst.drain(0.0, graph, f"o{k}").obj.t_lifetime for k in range(20000)]
         assert all(d > 0 for d in draws)
         assert sum(draws) / len(draws) == pytest.approx(500.0, rel=0.03)

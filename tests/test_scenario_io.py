@@ -141,6 +141,19 @@ class TestScenarioValidation:
         text = violations_of(data)
         assert "segment_length" in text and "sidewalk_width" in text
 
+    def test_entries_must_be_mappings(self):
+        data = scenario_dict()
+        data["path_nodes"][1]["capacity"] = ["car"]
+        data["path_nodes"].append(5)
+        data["edges"].append("p0-p1")
+        text = violations_of(data)
+        assert "path_nodes[1]: AttributeError(" in text
+        assert "path_nodes[2]: expected a mapping" in text
+        assert "edges[2]: expected a mapping" in text
+        text = violations_of(scenario_dict(classes=["sidewalk"], poi_nodes="d"))
+        assert "classes: expected a mapping" in text
+        assert "poi_nodes: expected a list" in text
+
     def test_all_violations_reported_together(self):
         data = scenario_dict(depot=None)
         data["path_nodes"][0]["capacity"]["scooter"] = 1
@@ -213,6 +226,33 @@ class TestConfig:
         data["fleet"]["planner_mode"] = "psychic"
         with pytest.raises(ValidationError):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("agent_width", -1.0, "fleet.agent_width: must be positive"),
+        ("agent_width", 0.0, "fleet.agent_width: must be positive"),
+        ("agent_width", float("nan"), "fleet.agent_width: must be positive"),
+        ("count", -3, "fleet.count: must be >= 0"),
+        ("count", "three", "fleet.count: expected a number, got 'three'"),
+    ])
+    def test_bad_fleet_values(self, field, value, message):
+        data = config_dict()
+        data["fleet"][field] = value
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == [message]
+
+    def test_empty_fleet_allowed(self):
+        data = config_dict()
+        data["fleet"]["count"] = 0
+        assert config_from_dict(data).fleet.count == 0
+
+    def test_sections_must_be_mappings(self):
+        data = config_dict(fleet=[1], sim="daily", tasks={"name": "visits"})
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == ["tasks: expected a list",
+                                        "fleet: expected a mapping",
+                                        "sim: expected a mapping"]
 
     def test_template_round_trips(self, tmp_path):
         path = tmp_path / "config.yaml"
