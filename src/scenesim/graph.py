@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     CapacityExceeded,
@@ -66,8 +66,9 @@ class PoiNode:
     is_depot: bool = False
 
 
-@dataclass(frozen=True)
-class ObjectNode:
+class ObjectNode(NamedTuple):
+    """An object attached to a path node: an immutable record, cheap to build."""
+
     id: str
     semantic_class: str
     t_spawn: float
@@ -148,6 +149,7 @@ class StaticNetwork:
         self._poi_nodes = poi_nodes
         self._adjacency = adjacency
         self._free_areas: dict[float, list] = {}
+        self._slots: dict[str, list[int]] = {}
         # (start id, goal id, speed) -> (path ids, cost) under static costs
         self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
         self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
@@ -206,6 +208,13 @@ class StaticNetwork:
             ]
             self._free_areas[agent_width] = areas
         return areas
+
+    def slots(self, object_class: str) -> list[int]:
+        """Per index: the node's slot count for ``object_class`` (0 if undeclared)."""
+        if object_class not in self._slots:
+            self._slots[object_class] = [self._path_nodes[nid].capacity.get(object_class, 0)
+                                         for nid in self.ids]
+        return self._slots[object_class]
 
     def visible(self, node_id: str, r: float) -> tuple[frozenset, frozenset]:
         """(path ids, PoI ids) strictly within ``r`` of path node ``node_id``."""
@@ -280,7 +289,7 @@ class ObjectLayer:
     _network: StaticNetwork | None
 
     def _share_static(self, source: "ObjectLayer"):
-        """Share ``source``'s static stores and network; start with no objects.
+        """Share frozen ``source``'s static stores and network; start with no objects.
 
         The static dicts are immutable after freeze, and the network only
         memoizes answers derived from them, so all are safe to share.
@@ -292,7 +301,7 @@ class ObjectLayer:
         self.access = source.access
         self.static_edges = source.static_edges
         self.depot_id = source.depot_id
-        self._network = source._network
+        self._network = source.network
         self.objects = {}
         self.objects_at = {nid: set() for nid in source.path_nodes}
         self.footprint_totals = {}
@@ -337,7 +346,7 @@ class SceneGraph(ObjectLayer):
         self.static_edges: list[Edge] = []
         self.objects_at: dict[str, set[str]] = {}
         self.footprint_totals: dict[str, float] = {}
-        self.occupancy: dict[str, Counter] = {}
+        self.occupancy: dict[str, list[int]] = {}  # class -> count per network index
         self.depot_id: str | None = None
         self._network: StaticNetwork | None = None  # created by freeze_static
 
@@ -349,7 +358,6 @@ class SceneGraph(ObjectLayer):
         self.path_nodes[node.id] = node
         self.adjacency[node.id] = []
         self.objects_at[node.id] = set()
-        self.occupancy[node.id] = Counter()
 
     def add_poi_node(self, node: PoiNode):
         self._check_mutable_static()
@@ -400,18 +408,22 @@ class SceneGraph(ObjectLayer):
 
         Replications each mutate their own copy.
         """
-        if self._network is None:
-            raise ValueError("freeze the static subgraph before copying")
         twin = SceneGraph.__new__(SceneGraph)
         twin._share_static(self)
-        twin.occupancy = {nid: Counter() for nid in self.path_nodes}
+        twin.occupancy = {}
         return twin
 
     # -- queries --------------------------------------------------------------
 
+    def occupied(self, object_class: str) -> list[int]:
+        """Per network index: the number of attached ``object_class`` objects."""
+        if object_class not in self.occupancy:
+            self.occupancy[object_class] = [0] * len(self.path_nodes)
+        return self.occupancy[object_class]
+
     def free_capacity(self, path_id: str, object_class: str) -> int:
-        node = self.path_nodes[path_id]
-        return node.capacity.get(object_class, 0) - self.occupancy[path_id][object_class]
+        i = self.network.index[path_id]
+        return self.network.slots(object_class)[i] - self.occupied(object_class)[i]
 
     def static_hash(self) -> str:
         """Stable digest of the static subgraph (nodes + edges, sorted)."""
@@ -431,18 +443,24 @@ class SceneGraph(ObjectLayer):
     # -- dynamic mutation -----------------------------------------------------
 
     def attach_object(self, obj: ObjectNode):
-        """Insert ``obj`` and its attachment edge, honoring per-class capacity."""
+        """Insert ``obj`` into the frozen graph, honoring per-class capacity."""
+        cls = obj.semantic_class
+        self._attach(obj, self.network.index.get(obj.attached_to),
+                     self.network.slots(cls), self.occupied(cls))
+
+    def _attach(self, obj: ObjectNode, i: int | None, slots: list, counts: list):
+        """The one attach path: ``i`` indexes the target (None: not a path node)."""
         self._check_fresh_id(obj.id)
-        if obj.attached_to not in self.path_nodes:
+        if i is None:
             raise UnknownId(f"attachment target {obj.attached_to!r} is not a path node")
-        if self.free_capacity(obj.attached_to, obj.semantic_class) <= 0:
+        if counts[i] >= slots[i]:
             raise CapacityExceeded(
                 f"node {obj.attached_to!r} has no free {obj.semantic_class!r} slot"
             )
         self.objects[obj.id] = obj
         self.objects_at[obj.attached_to].add(obj.id)
         self.footprint_totals.pop(obj.attached_to, None)
-        self.occupancy[obj.attached_to][obj.semantic_class] += 1
+        counts[i] += 1
 
     def remove_object(self, object_id: str) -> ObjectNode:
         """Detach and return the object ``object_id``."""
@@ -451,7 +469,7 @@ class SceneGraph(ObjectLayer):
             raise UnknownId(f"object {object_id!r} not in graph")
         self.objects_at[obj.attached_to].discard(object_id)
         self.footprint_totals.pop(obj.attached_to, None)
-        self.occupancy[obj.attached_to][obj.semantic_class] -= 1
+        self.occupancy[obj.semantic_class][self._network.index[obj.attached_to]] -= 1
         return obj
 
     # -- observation ----------------------------------------------------------

@@ -30,7 +30,7 @@ from .config import SimConfig
 from .errors import TimeTravel, Unreachable, ZeroRate
 from .graph import ObservedGraph, SceneGraph, up_to_date
 from .metrics import MetricsLedger
-from .processes import ATTACHED, DISCARDED_CAPACITY, DISCARDED_PRIVATE, instantiate_processes
+from .processes import instantiate_processes
 from .stochastic import RandomStream, next_nhpp_interarrival
 
 SPAWN = "spawn"
@@ -146,14 +146,8 @@ class SimState:
             t_end = self.t_end
         self.initialize()
         started = _time.perf_counter()
-        handlers = {
-            SPAWN: self._handle_spawn,
-            EXPIRY: self._handle_expiry,
-            TASK_ARRIVAL: self._handle_task_arrival,
-            AGENT_NODE_ENTRY: self._handle_agent_entry,
-            AGENT_NODE_EXIT: self._handle_agent_exit,
-            WAIT_RETRY: self._handle_wait_retry,
-        }
+        # each event kind is handled by the method named after it
+        handlers = {kind: getattr(self, f"_handle_{kind}") for kind in KIND_PRIORITY}
         queue, pop, trace = self._queue, heapq.heappop, self.trace
         executed = 0
         while queue and queue[0][0] <= t_end:
@@ -177,9 +171,6 @@ class SimState:
         return executed
 
     # -- shared helpers ------------------------------------------------------------
-
-    def _touch_node(self, t: float, node: str):
-        self.ledger.set_correct(t, node, up_to_date(self.belief, self.truth, node))
 
     def _merge_observation(self, agent: Agent, t: float):
         obs = observe(self.truth, agent, t)
@@ -210,20 +201,17 @@ class SimState:
         inst = self._instances_by_key[key]
         object_id = f"obj{self._object_serial}"
         self._object_serial += 1
-        outcome = inst.drain(t, self.truth, object_id, self.config.drain_search_bound)
-        status = outcome.status
-        if status == ATTACHED:
-            obj = outcome.obj
-            ledger = self.ledger
+        status, obj = inst.drain(t, self.truth, object_id, self.config.drain_search_bound)
+        ledger = self.ledger
+        if obj is None:
+            ledger.counters[status] += 1  # a discard status names its counter
+        else:
+            node = obj.attached_to
             ledger.counters["spawned"] += 1
-            ledger.on_true_arrival(t, obj.attached_to)
+            ledger.on_true_arrival(t, node)
             ledger.on_live_change(t, obj.semantic_class, +1)
-            self._touch_node(t, obj.attached_to)
+            ledger.set_correct(t, node, up_to_date(self.belief, self.truth, node))
             self.schedule(t + obj.t_lifetime, EXPIRY, object_id)
-        elif status == DISCARDED_PRIVATE:
-            self.ledger.counters["discarded_private"] += 1
-        elif status == DISCARDED_CAPACITY:
-            self.ledger.counters["discarded_capacity"] += 1
         self.schedule(t + inst.source(t), SPAWN, key)
 
     def _handle_expiry(self, t: float, object_id: str):
@@ -232,7 +220,7 @@ class SimState:
         ledger = self.ledger
         ledger.counters["expired"] += 1
         ledger.on_live_change(t, obj.semantic_class, -1)
-        self._touch_node(t, node)
+        ledger.set_correct(t, node, up_to_date(self.belief, self.truth, node))
         for agent in self.waiting_at.get(node, ()):
             self.schedule(t, WAIT_RETRY, agent.id)
 
@@ -280,7 +268,7 @@ class SimState:
         self.schedule(t + length / agent.default_velocity, AGENT_NODE_ENTRY,
                       (agent.id, next_node))
 
-    def _handle_agent_entry(self, t: float, payload):
+    def _handle_agent_node_entry(self, t: float, payload):
         agent_id, node = payload
         agent = self._agents_by_id[agent_id]
         agent.current_node = node
@@ -313,7 +301,7 @@ class SimState:
         dwell = node.segment_length / nu
         self.schedule(t + dwell, AGENT_NODE_EXIT, (agent.id, agent.current_node))
 
-    def _handle_agent_exit(self, t: float, payload):
+    def _handle_agent_node_exit(self, t: float, payload):
         agent_id, node = payload
         agent = self._agents_by_id[agent_id]
         self._merge_observation(agent, t)

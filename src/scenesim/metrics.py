@@ -296,6 +296,13 @@ def write_outputs(ledgers, graph, outdir):
                 x, y = graph.node_position(node)
                 writer.writerow([i, node, fmt(x), fmt(y), ledger.heatmap[node]])
 
+    with open(outdir / "node_gaps.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["replication", "node", "mean_gap_s"])
+        for i, ledger in enumerate(ledgers):
+            for node, gap in ledger.inter_observation_stats().items():
+                writer.writerow([i, node, fmt(gap)])
+
     with open(outdir / "tasks.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow([

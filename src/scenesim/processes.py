@@ -8,7 +8,8 @@ capacity, and draws exponential lifetimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import stochastic
 from .errors import ValidationError
@@ -18,6 +19,7 @@ from .stochastic import RandomStream, RateProfile, balanced_mean_lifetime
 
 DEFAULT_SEARCH_BOUND = 300.0
 
+# drain statuses; a discard status doubles as its ledger counter's name
 ATTACHED = "attached"
 DISCARDED_PRIVATE = "discarded_private"
 DISCARDED_CAPACITY = "discarded_capacity"
@@ -44,8 +46,7 @@ class ProcessSpec:
             )
 
 
-@dataclass
-class DrainOutcome:
+class DrainOutcome(NamedTuple):
     status: str
     obj: ObjectNode | None = None
 
@@ -70,32 +71,25 @@ class ProcessInstance:
 
         With probability 1 - sidewalk_probability the object stays on private
         ground and never enters the graph.  The capacity search runs Dijkstra
-        from the PoI's access node and gives up beyond ``search_bound`` meters
+        over network indices (in id order) from the PoI's access node, testing
+        the per-class slot arrays, and gives up beyond ``search_bound`` meters
         of network distance.  Once a node is found, the object's lifetime is
         drawn and the object is attached with it; the stream thus serves the
-        sidewalk uniform, then the lifetime, then the caller's next
-        inter-arrival.
+        sidewalk uniform, then the lifetime, then the caller's next inter-arrival.
         """
         if not stochastic.bernoulli(self.spec.sidewalk_probability, self.stream):
             return DrainOutcome(DISCARDED_PRIVATE)
-        access_node, _ = graph.access[self.poi_id]
-        target = nearest_matching_node(
-            graph.adjacency,
-            access_node,
-            lambda n: graph.free_capacity(n, self.object_class) > 0,
-            search_bound,
-        )
+        network, cls = graph.network, self.object_class
+        slots, counts = network.slots(cls), graph.occupied(cls)
+        start = network.index[graph.access[self.poi_id][0]]
+        target = nearest_matching_node(network.neighbours, start,
+                                       lambda i: counts[i] < slots[i], search_bound)
         if target is None:
             return DrainOutcome(DISCARDED_CAPACITY)
-        obj = ObjectNode(
-            id=object_id,
-            semantic_class=self.object_class,
-            t_spawn=t,
-            t_lifetime=stochastic.sample_exponential(self.lifetime_mean, self.stream),
-            footprint_area=self.spec.footprint_area,
-            attached_to=target,
-        )
-        graph.attach_object(obj)
+        obj = ObjectNode(object_id, cls, t,
+                         stochastic.sample_exponential(self.lifetime_mean, self.stream),
+                         self.spec.footprint_area, network.ids[target])
+        graph._attach(obj, target, slots, counts)
         return DrainOutcome(ATTACHED, obj)
 
 

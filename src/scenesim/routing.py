@@ -13,15 +13,15 @@ import math
 from .errors import Unreachable
 
 
-def nearest_matching_node(adjacency, start: str, predicate, bound: float) -> str | None:
+def nearest_matching_node(adjacency, start, predicate, bound: float):
     """Dijkstra from ``start`` over edge lengths; first match wins.
 
     Returns the node with the smallest network distance <= ``bound`` that
-    satisfies ``predicate`` (lowest id on distance ties), or None when the
+    satisfies ``predicate`` (lowest node on distance ties), or None when the
     search exhausts the bound.  ``start`` is tested first, before any search
     state exists; when it does not match, the search continues from its
     neighbours and never tests it again.  Nodes are tested in the order of a
-    plain Dijkstra.
+    plain Dijkstra.  Nodes are any ordered keys of ``adjacency``: ids or indices.
     """
     if bound < 0.0:  # the start itself lies beyond the bound
         return None

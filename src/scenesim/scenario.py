@@ -104,6 +104,11 @@ def _entries(data: dict, key: str, violations: list):
             violations.append(f"{key}[{i}]: expected a mapping")
 
 
+def _fractional(value) -> bool:
+    """True for a float that ``int()`` would truncate (or cannot convert)."""
+    return isinstance(value, float) and not value.is_integer()
+
+
 def scenario_from_dict(data: dict) -> SceneGraph:
     violations: list[str] = []
 
@@ -132,10 +137,11 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     for i, spec in _entries(data, "path_nodes", violations):
         field_path = f"path_nodes[{i}]"
         try:
+            capacity = spec.get("capacity", {})
             node = PathNode(
                 id=str(spec["id"]), x=float(spec["x"]), y=float(spec["y"]),
                 semantic_class=spec["class"],
-                capacity={k: int(v) for k, v in spec.get("capacity", {}).items()},
+                capacity={k: int(v) for k, v in capacity.items() if not _fractional(v)},
                 segment_length=float(spec["segment_length"]),
                 sidewalk_width=float(spec["sidewalk_width"]),
             )
@@ -146,10 +152,13 @@ def scenario_from_dict(data: dict) -> SceneGraph:
             violations.append(f"{field_path}.position: not finite")
         if node.semantic_class not in places:
             violations.append(f"{field_path}.class: undeclared {node.semantic_class!r}")
-        for cls, cap in node.capacity.items():
+        for cls, cap in capacity.items():
             if cls not in objects:
                 violations.append(f"{field_path}.capacity: undeclared class {cls!r}")
-            if cap < 0:
+            if _fractional(cap):
+                violations.append(f"{field_path}.capacity[{cls}]: expected an integer, "
+                                  f"got {cap!r}")
+            elif node.capacity[cls] < 0:
                 violations.append(f"{field_path}.capacity[{cls}]: negative")
         if node.segment_length <= 0:
             violations.append(f"{field_path}.segment_length: must be positive")
@@ -166,7 +175,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
             node = PoiNode(
                 id=str(spec["id"]), x=float(spec["x"]), y=float(spec["y"]),
                 semantic_class=spec["class"],
-                is_depot=(spec["id"] == depot_id),
+                is_depot=(str(spec["id"]) == str(depot_id)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             violations.append(f"{field_path}: {exc!r}")
@@ -249,6 +258,9 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
 
     def number(section, where, key, default, cast=float):
         value = section.get(key, default)
+        if cast is int and _fractional(value):
+            violations.append(f"{where}.{key}: expected an integer, got {value!r}")
+            return default
         try:
             return cast(value)
         except (OverflowError, TypeError, ValueError):

@@ -110,7 +110,7 @@ class TestRun:
         assert main(["run", str(scenario), str(config), "--out", str(out)]) == 0
         names = {p.name for p in out.iterdir()}
         assert {"summary.csv", "daily_trends.csv", "arrivals_by_node_hour.csv",
-                "heatmap.csv", "tasks.csv"} <= names
+                "heatmap.csv", "node_gaps.csv", "tasks.csv"} <= names
 
     def test_same_seed_byte_identical_outputs(self, workspace):
         tmp, scenario, config = workspace

@@ -25,10 +25,16 @@ def obj(oid, node, cls="car", area=1.0):
                       footprint_area=area, attached_to=node)
 
 
+def occupancy_at(graph, node, cls):
+    """The occupancy count of ``cls`` at ``node``, read from the per-index array."""
+    return graph.occupancy[cls][graph.network.index[node]]
+
+
 class TestAttachRemove:
     def test_attach_increments_occupancy(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
-        assert tiny_graph.occupancy["v0"]["car"] == 1
+        assert tiny_graph.occupancy["car"] == [1, 0, 0]
+        assert occupancy_at(tiny_graph, "v0", "car") == 1
         assert "o1" in tiny_graph.objects_at["v0"]
 
     def test_attach_at_capacity_raises(self, tiny_graph):
@@ -40,7 +46,8 @@ class TestAttachRemove:
         tiny_graph.attach_object(obj("b1", "v0", cls="bicycle"))
         tiny_graph.attach_object(obj("b2", "v0", cls="bicycle"))
         tiny_graph.attach_object(obj("b3", "v0", cls="bicycle"))
-        assert tiny_graph.occupancy["v0"]["bicycle"] == 3
+        assert tiny_graph.occupancy["bicycle"] == [3, 0, 0]
+        assert tiny_graph.free_capacity("v0", "bicycle") == 0
         assert len(tiny_graph.objects) == 3
 
     def test_duplicate_id_rejected(self, tiny_graph):
@@ -54,7 +61,7 @@ class TestAttachRemove:
         tiny_graph.remove_object("o1")
         after = (dict(tiny_graph.objects), {k: set(v) for k, v in tiny_graph.objects_at.items()})
         assert before == after
-        assert tiny_graph.occupancy["v1"]["car"] == 0
+        assert tiny_graph.occupancy["car"] == [0, 0, 0]
 
     def test_remove_twice_raises(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v1"))
@@ -66,7 +73,7 @@ class TestAttachRemove:
         tiny_graph.attach_object(obj("b1", "v1", cls="bicycle"))
         tiny_graph.attach_object(obj("b2", "v1", cls="bicycle"))
         tiny_graph.remove_object("b1")
-        assert tiny_graph.occupancy["v1"]["bicycle"] == 1
+        assert tiny_graph.occupancy["bicycle"] == [0, 1, 0]
 
     def test_static_immutable_after_freeze(self, tiny_graph):
         with pytest.raises(ValueError):
@@ -308,14 +315,18 @@ def test_footprint_totals_match_fresh_sums(ops):
 @given(placements=object_placements)
 def test_occupancy_matches_attachments(placements):
     graph = populated_line(placements)
-    for node in graph.path_nodes:
-        for cls, count in graph.occupancy[node].items():
+    for cls, counts in graph.occupancy.items():
+        assert len(counts) == len(graph.path_nodes)
+        for node in graph.path_nodes:
+            count = occupancy_at(graph, node, cls)
             attached = sum(
                 1 for oid in graph.objects_at[node]
                 if graph.objects[oid].semantic_class == cls
             )
             assert count == attached
             assert count <= graph.path_nodes[node].capacity[cls]
+    # every class that has an object has its array
+    assert {o.semantic_class for o in graph.objects.values()} <= set(graph.occupancy)
 
 
 # -- memoized sensor views against the full-scan reference -----------------------
@@ -434,8 +445,14 @@ class TestStaticNetwork:
                        for nid in tiny_graph.path_nodes)
             assert layer.footprint_totals == {}
             assert layer.footprint_totals is not tiny_graph.footprint_totals
-        assert copy.occupancy == {nid: {} for nid in tiny_graph.path_nodes}
-        assert copy.occupancy["v0"] is not tiny_graph.occupancy["v0"]
+        assert copy.occupancy == {}
+        assert copy.occupancy is not tiny_graph.occupancy
+        assert tiny_graph.occupancy["car"] == [1, 0, 0]
+        # the copy counts on its own arrays over the shared slot counts
+        copy.attach_object(obj("o2", "v0"))
+        assert copy.occupancy["car"] == [1, 0, 0]
+        assert copy.occupancy["car"] is not tiny_graph.occupancy["car"]
+        assert copy.network.slots("car") is tiny_graph.network.slots("car")
 
     def test_compiled_on_first_read(self):
         graph = grid_scenario(3, 3)

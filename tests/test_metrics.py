@@ -317,7 +317,8 @@ class TestExports:
         write_outputs(ledgers, scenario, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"summary.csv", "daily_trends.csv",
-                         "arrivals_by_node_hour.csv", "heatmap.csv", "tasks.csv"}
+                         "arrivals_by_node_hour.csv", "heatmap.csv", "tasks.csv",
+                         "node_gaps.csv"}
 
         with open(tmp_path / "summary.csv") as f:
             rows = list(csv.DictReader(f))
@@ -337,6 +338,15 @@ class TestExports:
             heat_rows = list(csv.DictReader(f))
         assert len(heat_rows) == 2 * len(scenario.path_nodes)
         assert sum(int(r["observations"]) for r in heat_rows) > 0
+
+        with open(tmp_path / "node_gaps.csv") as f:
+            gap_rows = list(csv.DictReader(f))
+        assert gap_rows and list(gap_rows[0]) == ["replication", "node", "mean_gap_s"]
+        assert gap_rows == [
+            {"replication": str(i), "node": node, "mean_gap_s": fmt(gap)}
+            for i, ledger in enumerate(ledgers)
+            for node, gap in ledger.inter_observation_stats().items()
+        ]
 
     def test_float_format_is_six_significant_digits(self):
         assert fmt(1234567.891) == "1.23457e+06"

@@ -2,20 +2,26 @@
 
 import heapq
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scenesim.errors import ValidationError
-from scenesim.graph import ObjectNode
+import scenesim.processes
+from scenesim.errors import CapacityExceeded, DuplicateId, ValidationError
+from scenesim.graph import ObjectNode, PathNode, PoiNode, SceneGraph
 from scenesim.processes import (
     ATTACHED,
     DISCARDED_CAPACITY,
     DISCARDED_PRIVATE,
+    ProcessInstance,
     ProcessSpec,
     instantiate_processes,
 )
 from scenesim.stochastic import RateProfile, RandomStream, sample_exponential
 from scenesim.synthetic import grid_scenario, line_scenario
+from test_routing import reference_nearest
 
 
 def make_spec(**overrides):
@@ -171,3 +177,120 @@ class TestLifetimes:
         draws = [inst.drain(0.0, graph, f"o{k}").obj.t_lifetime for k in range(20000)]
         assert all(d > 0 for d in draws)
         assert sum(draws) / len(draws) == pytest.approx(500.0, rel=0.03)
+
+
+# -- slot arrays against a fresh recount and the string-keyed search ------------
+
+SLOT_CLASSES = ("car", "bicycle")  # "trashcan" has no slot anywhere
+
+
+@st.composite
+def slot_cases(draw):
+    """An unfrozen grid with per-node, per-class slot counts, and an op list."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # ids unrelated to grid position, so sorted-id order is not build order
+    names = draw(st.permutations([f"n{k:02d}" for k in range(cols * rows)]))
+    graph = SceneGraph()
+    for k, nid in enumerate(names):
+        capacity = {cls: draw(st.integers(0, 2)) for cls in SLOT_CLASSES}
+        graph.add_path_node(PathNode(nid, (k % cols) * 10.0, (k // cols) * 10.0,
+                                     "sidewalk", capacity, 5.0, 2.0))
+    # equal lengths make distance ties, broken on the node id
+    lengths = st.sampled_from([10.0, 10.0, 5.0, 0.1 + 0.2])
+    for r in range(rows):
+        for c in range(cols):
+            for dc, dr in ((1, 0), (0, 1)):
+                if c + dc < cols and r + dr < rows:
+                    graph.add_adjacency_edge(names[r * cols + c],
+                                             names[(r + dr) * cols + c + dc],
+                                             draw(lengths),
+                                             directed=not draw(st.integers(0, 4)))
+    access = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    for k, nid in enumerate(access):
+        graph.add_poi_node(PoiNode(f"poi{k}", 0.0, 0.0, "housing"))
+        graph.add_access_edge(f"poi{k}", nid, 1.0)
+    classes = st.sampled_from(SLOT_CLASSES + ("trashcan",))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("drain"), st.integers(0, len(access) - 1), classes,
+                  st.sampled_from([0.0, 10.0, 25.0, math.inf])),
+        st.tuples(st.just("attach"), st.sampled_from(names), classes, st.booleans()),
+        st.tuples(st.just("remove"), st.integers(0, 60), st.none(), st.none()),
+    ), max_size=40))
+    return graph, names, ops
+
+
+def assert_slots_match_recount(graph, names):
+    recount = Counter((o.attached_to, o.semantic_class) for o in graph.objects.values())
+    assert graph.network.ids == sorted(names)
+    assert {cls for _, cls in recount} <= set(graph.occupancy)
+    for cls, counts in graph.occupancy.items():
+        assert counts == [recount[(nid, cls)] for nid in sorted(names)], cls
+    for nid in names:
+        for cls in SLOT_CLASSES + ("trashcan",):
+            slots = graph.path_nodes[nid].capacity.get(cls, 0)
+            assert graph.free_capacity(nid, cls) == slots - recount[(nid, cls)]
+    return recount
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=slot_cases())
+def test_slot_arrays_match_recount_and_reference_drain(case):
+    graph, names, ops = case
+    early = ObjectNode("early", "car", 0.0, 1.0, 1.0, names[0])
+    with pytest.raises(ValueError):  # objects attach only to a frozen graph
+        graph.attach_object(early)
+    assert graph.objects == {} and graph.occupancy == {}
+    graph.freeze_static()
+    truth = graph.dynamic_copy()
+    spec = make_spec(object_classes=frozenset(SLOT_CLASSES + ("trashcan",)))
+    stream = RandomStream(1, "slot-arrays")
+
+    tested = []
+    search = scenesim.processes.nearest_matching_node
+
+    def recorded_search(adjacency, start, predicate, bound):
+        def test(i):
+            tested.append(truth.network.ids[i])
+            return predicate(i)
+        return search(adjacency, start, test, bound)
+
+    recount = assert_slots_match_recount(truth, names)
+    for serial, (op, arg, cls, extra) in enumerate(ops):
+        if op == "drain":
+            poi = f"poi{arg}"
+            want_tested = []
+
+            def has_room(nid):
+                want_tested.append(nid)
+                return recount[(nid, cls)] < truth.path_nodes[nid].capacity.get(cls, 0)
+
+            want = reference_nearest(truth.adjacency, truth.access[poi][0], has_room, extra)
+            tested.clear()
+            inst = ProcessInstance(spec, poi, cls, stream, lifetime_mean=60.0)
+            with mock.patch.object(scenesim.processes, "nearest_matching_node",
+                                   recorded_search):
+                out = inst.drain(0.0, truth, f"o{serial}", extra)
+            assert tested == want_tested
+            if want is None:
+                assert out.status == DISCARDED_CAPACITY and out.obj is None
+            else:
+                assert out.status == ATTACHED and out.obj.attached_to == want
+                assert truth.objects[out.obj.id] is out.obj
+        elif op == "attach":
+            oid = min(truth.objects) if extra and truth.objects else f"o{serial}"
+            before = dict(truth.objects)
+            obj = ObjectNode(oid, cls, 0.0, 1.0, 1.0, arg)
+            if oid in before:
+                with pytest.raises(DuplicateId):
+                    truth.attach_object(obj)
+            elif recount[(arg, cls)] >= truth.path_nodes[arg].capacity.get(cls, 0):
+                with pytest.raises(CapacityExceeded):
+                    truth.attach_object(obj)
+            else:
+                truth.attach_object(obj)
+                before[oid] = obj
+            assert truth.objects == before
+        elif truth.objects:
+            gone = truth.remove_object(sorted(truth.objects)[arg % len(truth.objects)])
+            assert gone.id not in truth.objects
+        recount = assert_slots_match_recount(truth, names)

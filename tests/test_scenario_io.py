@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from scenesim.cli import main
 from scenesim.errors import ParseError, ValidationError
+from scenesim.kernel import run_replications
 from scenesim.scenario import (
     CONFIG_TEMPLATE,
     config_from_dict,
@@ -154,6 +156,41 @@ class TestScenarioValidation:
         assert "classes: expected a mapping" in text
         assert "poi_nodes: expected a list" in text
 
+    @pytest.mark.parametrize("value", [1.5, float("nan"), float("inf")])
+    def test_non_integral_capacity_rejected(self, value):
+        data = scenario_dict()
+        data["path_nodes"][0]["capacity"]["car"] = value
+        assert violations_of(data) == (
+            f"path_nodes[0].capacity[car]: expected an integer, got {value!r}")
+
+    def test_integral_float_capacity_loads(self):
+        data = scenario_dict()
+        data["path_nodes"][0]["capacity"]["car"] = 3.0
+        capacity = scenario_from_dict(data).path_nodes["p0"].capacity
+        assert capacity == {"car": 3} and type(capacity["car"]) is int
+
+    def test_numeric_poi_id_with_string_depot(self):
+        data = scenario_dict(depot="5")
+        data["poi_nodes"] = [
+            {"id": 5, "x": 0.0, "y": 5.0, "class": "housing"},
+            {"id": "r", "x": 10.0, "y": 5.0, "class": "retail"},
+        ]
+        data["classes"]["places"].append("retail")
+        data["edges"][1]["u"] = "5"  # edges name PoIs by string id
+        data["edges"].append({"kind": "access", "u": "r", "v": "p1", "length": 5.0})
+        graph = scenario_from_dict(data)
+        assert graph.depot_id == "5"
+        assert graph.poi_nodes["5"].is_depot
+        config = config_from_dict(config_dict(
+            tasks=[{"name": "visits", "place_classes": ["retail"],
+                    "hourly_rates": [2.0] * 24}],
+            fleet={"count": 1},
+            sim={"duration_days": 0.25, "warmup_hours": 1, "replications": 1,
+                 "seed": 3}), graph)
+        (ledger,) = run_replications(graph, config, 1, config.seed)
+        assert ledger.counters["tasks_issued"] > 0
+        assert ledger.counters["tasks_completed"] > 0
+
     def test_all_violations_reported_together(self):
         data = scenario_dict(depot=None)
         data["path_nodes"][0]["capacity"]["scooter"] = 1
@@ -240,6 +277,36 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             config_from_dict(data)
         assert exc.value.violations == [message]
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("fleet", "count", 1.5),
+        ("sim", "replications", 2.9),
+        ("sim", "seed", 9.5),
+        ("sim", "replications", float("nan")),
+        ("fleet", "count", float("inf")),
+    ])
+    def test_non_integral_counts_rejected(self, section, field, value):
+        data = config_dict()
+        data[section][field] = value
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == [
+            f"{section}.{field}: expected an integer, got {value!r}"]
+
+    def test_integral_float_counts_accepted(self):
+        data = config_dict()
+        data["fleet"]["count"] = 2.0
+        data["sim"]["replications"] = 3.0
+        cfg = config_from_dict(data)
+        assert (cfg.fleet.count, cfg.replications) == (2, 3)
+        assert type(cfg.fleet.count) is int and type(cfg.replications) is int
+
+    def test_non_integral_count_exits_two(self, tmp_path, capsys):
+        scenario, config = tmp_path / "s.json", tmp_path / "c.yaml"
+        save_scenario(line_scenario(3, pois=((1, "housing"),)), scenario)
+        config.write_text(json.dumps(config_dict(fleet={"count": 1.5})))
+        assert main(["validate", str(scenario), str(config)]) == 2
+        assert "error: fleet.count: expected an integer, got 1.5" in capsys.readouterr().err
 
     def test_empty_fleet_allowed(self):
         data = config_dict()
