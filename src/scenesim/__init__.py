@@ -23,7 +23,7 @@ from .stochastic import (
 from .processes import ProcessSpec, ProcessInstance, instantiate_processes
 from .agents import Agent, Task, node_penalty, node_velocity, observe, plan_path
 from .config import FleetConfig, SimConfig, TaskSpec
-from .kernel import SimState, measure_rtf, run_replications
+from .kernel import SimState, run_replications
 from .metrics import MetricsLedger, task_delay
 from .scenario import load_config, load_scenario, save_scenario
 

@@ -276,9 +276,9 @@ class ObjectLayer:
 
     ``footprint_totals`` maps a path node id to the sum of its objects'
     footprint areas.  Whatever changes a node's object set drops its entry,
-    and :meth:`footprint_total` re-sums it on the next read.  A re-sum over
-    an unchanged set gives the same float, so the cache never drifts the way
-    running ``+=``/``-=`` totals of non-integer areas would.
+    and :meth:`footprint_total` re-sums it with ``math.fsum`` on the next
+    read, so the total never depends on the set's hash-seeded order, and the
+    cache never drifts the way running ``+=``/``-=`` totals would.
     """
 
     path_nodes: dict[str, PathNode]
@@ -321,7 +321,7 @@ class ObjectLayer:
         return (node.x, node.y)
 
     def footprint_sum(self, path_id: str) -> float:
-        return sum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
+        return math.fsum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
 
     def footprint_total(self, path_id: str) -> float:
         """``footprint_sum(path_id)``, summed once per change of the node's objects."""

@@ -176,10 +176,6 @@ class SimState:
         obs = observe(self.truth, agent, t)
         self.belief.merge_observation(obs, t)
         self.ledger.on_merge(t, obs)
-        # a wholesale merge of a snapshot taken now makes belief equal truth
-        # at every observed node
-        for node in obs.path_nodes:
-            self.ledger.set_correct(t, node, True)
 
     def _plan(self, agent: Agent, start: str, goal: str):
         """Plan a leg on the configured planner's view.
@@ -210,7 +206,8 @@ class SimState:
             ledger.counters["spawned"] += 1
             ledger.on_true_arrival(t, node)
             ledger.on_live_change(t, obj.semantic_class, +1)
-            ledger.set_correct(t, node, up_to_date(self.belief, self.truth, node))
+            # a fresh object id cannot be believed yet, so the node is stale
+            ledger.set_correct(t, node, False)
             self.schedule(t + obj.t_lifetime, EXPIRY, object_id)
         self.schedule(t + inst.source(t), SPAWN, key)
 
@@ -348,12 +345,6 @@ class SimState:
             agent.path_index = 0
             self.idle_agents.append(agent)
             self._try_dispatch(t)
-
-
-def measure_rtf(state: SimState) -> float:
-    if state.rtf is None:
-        raise RuntimeError("run() has not completed")
-    return state.rtf
 
 
 def run_replications(scenario: SceneGraph, config: SimConfig, n: int,

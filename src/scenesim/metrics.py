@@ -1,10 +1,10 @@
 """Event-driven metric accumulation and CSV export.
 
-One ledger per replication.  Correctness of the belief is tracked as exact
-intervals from transition timestamps (never sampled); live-object counts are
-sampled on the hour from the running counters; arrival histograms fold to
-hour-of-day.  Everything before the warm-up end and after the run end is
-excluded.
+One ledger per replication.  A node is stale while its believed objects
+differ from the true ones; stale time is tracked as exact intervals from
+transition timestamps (never sampled).  Live-object counts are sampled on the
+hour from the running counters; arrival histograms fold to hour-of-day.
+Everything before the warm-up end and after the run end is excluded.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class MetricsLedger:
         self.warmup_end = warmup_end
         self.t_end = t_end
         self.object_classes = sorted(object_classes)
-        # node -> [accumulated correct seconds, last transition t, current state]
-        self._correct: dict[str, list] = {}
+        self._stale_since: dict[str, float] = {}  # stale node -> t it went stale
+        self._stale_s: dict[str, float] = {}  # node -> stale seconds in the window
         self._live = Counter()  # class -> current live count
         # (class, hour-of-day) -> [sum of sampled counts, number of samples]
         self._live_bins = defaultdict(lambda: [0, 0])
@@ -77,29 +77,28 @@ class MetricsLedger:
     def _in_window(self, t: float) -> bool:
         return self.warmup_end <= t <= self.t_end
 
-    # -- correctness intervals ------------------------------------------------
+    # -- stale intervals ------------------------------------------------------
 
     def set_correct(self, t: float, node: str, correct: bool):
-        """Record a belief-correctness transition at ``t`` for ``node``.
+        """Record whether ``node``'s belief matches the truth from ``t`` on.
 
-        Nodes start correct at t=0 (both graphs are seeded empty).
+        Nodes start correct at t=0 (both graphs are seeded empty).  Only a
+        change of state opens (correct -> stale) or closes (stale -> correct)
+        a stale interval; a call that repeats the current state does nothing.
         """
-        entry = self._correct.get(node)
-        if entry is None:
-            entry = self._correct[node] = [0.0, 0.0, True]
-        if entry[2]:
-            # add the correct seconds of the open interval, clamped to
-            # the window
-            lo = self.warmup_end if self.warmup_end > entry[1] else entry[1]
-            hi = self.t_end if self.t_end < t else t
-            if hi > lo:
-                entry[0] += hi - lo
-        entry[1] = t
-        entry[2] = correct
+        if correct:
+            since = self._stale_since.pop(node, None)
+            if since is not None:
+                self._add_stale(node, since, t)
+        elif node not in self._stale_since:
+            self._stale_since[node] = t
 
-    # finalize closes the open intervals through this alias, so a tracer
-    # that wraps ``set_correct`` still counts one call per transition
-    _close_interval = set_correct
+    def _add_stale(self, node: str, since: float, t: float):
+        """Add the stale span [since, t], clamped to the window, to ``node``."""
+        lo = self.warmup_end if self.warmup_end > since else since
+        hi = self.t_end if self.t_end < t else t
+        if hi > lo:
+            self._stale_s[node] = self._stale_s.get(node, 0.0) + (hi - lo)
 
     def up_to_date_share(self, path_node_ids) -> float:
         """Mean over path nodes of the correct-time fraction, in percent."""
@@ -111,9 +110,7 @@ class MetricsLedger:
         total = 0.0
         n = 0
         for node in path_node_ids:
-            entry = self._correct.get(node)
-            correct_time = window if entry is None else entry[0]
-            total += correct_time / window
+            total += (window - self._stale_s.get(node, 0.0)) / window
             n += 1
         if n == 0:
             raise EmptyMeasurement("no path nodes")
@@ -161,6 +158,11 @@ class MetricsLedger:
             self.true_arrivals[(node, hour_of_day(t))] += 1
 
     def on_merge(self, t: float, observation):
+        # a wholesale merge of a snapshot taken at t makes belief equal truth
+        # at every observed node, so the stale ones among them turn correct
+        stale = self._stale_since
+        for node in stale.keys() & observation.path_nodes:
+            self._add_stale(node, stale.pop(node), t)
         in_window = self._in_window(t)
         for node in observation.path_nodes:
             if in_window:
@@ -211,8 +213,8 @@ class MetricsLedger:
         if self._finalized:
             return
         self._sample_live_up_to(self.t_end)
-        for node, entry in self._correct.items():
-            self._close_interval(self.t_end, node, entry[2])
+        for node, since in self._stale_since.items():
+            self._add_stale(node, since, self.t_end)
         self._finalized = True
 
 

@@ -193,6 +193,9 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         field_path = f"edges[{i}]"
         kind = spec.get("kind")
         u, v = spec.get("u"), spec.get("v")
+        # endpoints are node ids, converted as the nodes' own ids are
+        u = u if u is None else str(u)
+        v = v if v is None else str(v)
         try:
             if kind == "adjacency":
                 graph.add_adjacency_edge(u, v, float(spec["length"]),

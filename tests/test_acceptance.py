@@ -18,7 +18,7 @@ from scenesim.agents import node_penalty, node_velocity
 from scenesim.cli import main as cli_main
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph, up_to_date
-from scenesim.kernel import EXPIRY, SPAWN, SimState, measure_rtf, run_replications
+from scenesim.kernel import EXPIRY, SPAWN, SimState, run_replications
 from scenesim.processes import ProcessSpec
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream, RateProfile, next_nhpp_interarrival
@@ -421,7 +421,7 @@ def test_12_performance(capsys):
         for name, (scenario, config) in cases.items():
             state = SimState(scenario, config, 1)
             state.run()
-            best[name] = max(best[name], measure_rtf(state))
+            best[name] = max(best[name], state.rtf)
     ratio = best["small"] / best["large"]
     report(capsys, 12, "RTF >= 50 at ~5k nodes; sub-2x drop at 2x nodes",
            best["small"] >= 50.0 and ratio < 2.0,

@@ -1,4 +1,4 @@
-"""Metric accumulation: correctness intervals, live counts, delays, exports."""
+"""Metric accumulation: stale intervals, live counts, delays, exports."""
 
 import csv
 import math
@@ -92,6 +92,17 @@ class TestCorrectnessIntervals:
         led.finalize()
         assert led.up_to_date_share(["v0", "v1"]) == pytest.approx(50.0)
 
+    def test_merge_closes_only_stale_observed_nodes(self):
+        led = self.ledger()
+        for node in ("v0", "v1"):
+            led.set_correct(100.0, node, False)
+        led.on_merge(300.0, obs(300.0, ["v0", "v2"]))
+        assert led._stale_since == {"v1": 100.0}
+        led.finalize()
+        assert led._stale_s == {"v0": 200.0, "v1": 900.0}
+        assert led.up_to_date_share(["v0", "v1", "v2"]) == pytest.approx(
+            100.0 * (800.0 + 100.0 + 1000.0) / 3000.0)
+
     def test_requires_finalize(self):
         led = self.ledger()
         with pytest.raises(RuntimeError):
@@ -151,24 +162,27 @@ class TestLiveCounts:
         assert counts[("car", 5)] == 1.0
 
 
-def reference_correct_seconds(transitions, warmup, end):
-    """node -> correct seconds in [warmup, end], by walking each node's states.
+def reference_stale_seconds(transitions, warmup, end, nodes):
+    """node -> stale seconds in [warmup, end], by walking each node's states.
 
     Every node starts correct at t=0; a transition sets its state from then
-    on.  Integral times keep every sum exact, so the order of summation does
-    not matter.
+    on.  A stale interval runs from the first stale transition after a
+    correct state to the next correct one, or to ``end``; its length clamped
+    to the window is added once, so any float times compare exactly.
     """
-    states: dict[str, list] = {}
-    for t, node, correct in transitions:
-        states.setdefault(node, [(0.0, True)]).append((t, correct))
     seconds = {}
-    for node, steps in states.items():
-        total = 0.0
-        bounds = [t for t, _ in steps[1:]] + [end]
-        for (t0, correct), t1 in zip(steps, bounds):
-            lo, hi = max(t0, warmup), min(t1, end)
-            if correct and hi > lo:
-                total += hi - lo
+    for node in nodes:
+        total, since = 0.0, None
+        for t, n, correct in transitions + [(end, node, True)]:
+            if n != node:
+                continue
+            if not correct and since is None:
+                since = t
+            elif correct and since is not None:
+                lo, hi = max(since, warmup), min(t, end)
+                if hi > lo:
+                    total += hi - lo
+                since = None
         seconds[node] = total
     return seconds
 
@@ -198,19 +212,27 @@ window_bounds = st.tuples(st.integers(0, 30), st.integers(1, 30)).map(
 class TestLedgerReference:
     @settings(max_examples=200, deadline=None)
     @given(bounds=window_bounds,
-           transitions=st.lists(st.tuples(st.integers(0, 70000),
+           transitions=st.lists(st.tuples(st.one_of(st.integers(0, 70000).map(float),
+                                                    st.floats(0.0, 70000.0)),
                                           st.sampled_from(["v0", "v1", "v2"]),
                                           st.booleans()), max_size=40))
     def test_correct_seconds(self, bounds, transitions):
-        # transitions may fall before the warm-up, on its end, and after t_end
+        # transitions may fall before the warm-up, on its end, and after
+        # t_end, and repeat a node's state; stale seconds must equal the
+        # reference's exactly, also for times that are not integral
         warmup, end = bounds
-        transitions = sorted((float(t), node, c) for t, node, c in transitions)
+        transitions = sorted(transitions)
         led = MetricsLedger(warmup, end, ["car"])
         for t, node, correct in transitions:
             led.set_correct(t, node, correct)
         led.finalize()
-        got = {node: entry[0] for node, entry in led._correct.items()}
-        assert got == reference_correct_seconds(transitions, warmup, end)
+        nodes = ["v0", "v1", "v2"]
+        got = {node: led._stale_s.get(node, 0.0) for node in nodes}
+        assert got == reference_stale_seconds(transitions, warmup, end, nodes)
+        window = end - warmup
+        for node in nodes:
+            assert led.up_to_date_share([node]) == (
+                100.0 * ((window - got[node]) / window))
 
     @settings(max_examples=200, deadline=None)
     @given(bounds=window_bounds,

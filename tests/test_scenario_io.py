@@ -176,7 +176,7 @@ class TestScenarioValidation:
             {"id": "r", "x": 10.0, "y": 5.0, "class": "retail"},
         ]
         data["classes"]["places"].append("retail")
-        data["edges"][1]["u"] = "5"  # edges name PoIs by string id
+        data["edges"][1]["u"] = 5  # endpoints convert like node ids
         data["edges"].append({"kind": "access", "u": "r", "v": "p1", "length": 5.0})
         graph = scenario_from_dict(data)
         assert graph.depot_id == "5"
