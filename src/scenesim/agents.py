@@ -154,5 +154,5 @@ def _resolve(view, node_id: str) -> str:
 
 
 def observe(truth: SceneGraph, agent: Agent, t: float) -> Observation:
-    """Noiseless induced subgraph within the agent's sensor radius."""
+    """Noiseless view of the truth within the agent's sensor radius."""
     return truth.sensor_view(agent.current_node, agent.sensor_radius, t)

@@ -87,34 +87,41 @@ class Edge:
 
 
 class Observation:
-    """Induced subgraph snapshot taken at time ``t``.
+    """View of a graph's objects on the nodes within sensor range at ``t``.
 
-    Object nodes are frozen, so sharing instances with the true graph is safe.
-    ``edges`` are the static edges between selected nodes plus one attachment
-    edge per object; they are derived from ``static_edges`` the first time
-    they are read, so observations nobody inspects never pay for them.
+    It holds the selected (path ids, PoI ids) and the ``source`` graph and
+    copies nothing.  ``objects_at`` (non-empty path node id -> its objects,
+    sorted by id) and ``edges`` (static edges between selected nodes, plus
+    one attachment edge per object) are built the first time they are read.
+    A view is valid until the source's next mutation.
     """
 
-    __slots__ = ("t", "path_nodes", "poi_nodes", "objects_at", "_edges", "_static_edges")
+    __slots__ = ("t", "path_nodes", "poi_nodes", "source", "_objects_at", "_edges")
 
     def __init__(self, t: float, path_nodes: frozenset[str], poi_nodes: frozenset[str],
-                 objects_at: dict, static_edges=()):
+                 source: "ObjectLayer"):
         self.t = t
         self.path_nodes = path_nodes
         self.poi_nodes = poi_nodes
-        self.objects_at = objects_at  # path node id -> tuple of ObjectNode
-        self._edges = None
-        self._static_edges = static_edges
+        self.source = source
+        self._objects_at = self._edges = None
+
+    @property
+    def objects_at(self) -> dict:
+        if self._objects_at is None:
+            objects, at = self.source.objects, self.source.objects_at
+            self._objects_at = {nid: tuple(objects[oid] for oid in sorted(at[nid]))
+                                for nid in self.path_nodes if at[nid]}
+        return self._objects_at
 
     @property
     def edges(self) -> tuple:
         if self._edges is None:
             selected = self.path_nodes | self.poi_nodes
-            edges = [e for e in self._static_edges
+            edges = [e for e in self.source.static_edges
                      if e.u in selected and e.v in selected]
-            for nid in self.path_nodes:
-                for obj in self.objects_at.get(nid, ()):
-                    edges.append(Edge(EDGE_ATTACHMENT, obj.id, nid))
+            for nid, objs in self.objects_at.items():
+                edges.extend(Edge(EDGE_ATTACHMENT, obj.id, nid) for obj in objs)
             self._edges = tuple(edges)
         return self._edges
 
@@ -485,29 +492,19 @@ class SceneGraph(ObjectLayer):
         if r < 0:
             raise ValueError("radius must be non-negative")
         path_sel, poi_sel = _scan(self.path_nodes, self.poi_nodes, center[0], center[1], r)
-        return self._observation(path_sel, poi_sel, t)
+        return Observation(t, path_sel, poi_sel, self)
 
     def sensor_view(self, node_id: str, r: float, t: float = 0.0) -> Observation:
         """``radius_subgraph`` centred on path node ``node_id``, memoized.
 
         The visible node sets depend only on the frozen static graph, so the
         network computes them once per (node, radius) for every dynamic copy;
-        only the objects on the visible nodes are read per call.
+        the view reads the objects on them only when asked.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
         path_sel, poi_sel = self.network.visible(node_id, r)
-        return self._observation(path_sel, poi_sel, t)
-
-    def _observation(self, path_sel: frozenset, poi_sel: frozenset, t: float) -> Observation:
-        objects, objects_at = self.objects, self.objects_at
-        observed = {
-            nid: tuple(sorted((objects[oid] for oid in objects_at[nid]),
-                              key=lambda o: o.id))
-            for nid in path_sel
-            if objects_at[nid]
-        }
-        return Observation(t, path_sel, poi_sel, observed, static_edges=self.static_edges)
+        return Observation(t, path_sel, poi_sel, self)
 
 
 class ObservedGraph(ObjectLayer):
@@ -522,35 +519,36 @@ class ObservedGraph(ObjectLayer):
         self._share_static(truth)
         self.version = 0
 
-    def merge_observation(self, obs: Observation, t: float):
+    def merge_observation(self, obs: Observation, t: float) -> list[tuple[str, int]]:
         """Replace believed object sets at every observed path node.
 
         Replacement is wholesale: stale objects vanish, newly seen ones
-        appear, nodes outside the observation are untouched.  The version
-        counter only advances when object content actually changed, so
-        planners can skip replanning after no-op merges.
+        appear, nodes outside the observation are untouched.  Returns the
+        nodes whose believed id set differed from the source's, each with
+        its count of newly believed objects; the version advances iff there
+        are any, so planners can skip replanning after no-op merges.
         """
-        for nid in obs.path_nodes:
-            if nid not in self.path_nodes:
-                raise UnknownStaticNode(f"observation covers unknown node {nid!r}")
-        changed = False
-        objects_at = self.objects_at
-        for nid in obs.path_nodes:
-            observed = obs.objects_at.get(nid, ())
+        path_nodes = obs.path_nodes
+        if not self.path_nodes.keys() >= path_nodes:
+            raise UnknownStaticNode(f"observation covers unknown node "
+                                    f"{min(path_nodes - self.path_nodes.keys())!r}")
+        source_objects, source_at = obs.source.objects, obs.source.objects_at
+        objects, objects_at = self.objects, self.objects_at
+        changed = []
+        for nid in path_nodes:
+            seen = source_at[nid]
             believed = objects_at[nid]
-            if not observed and not believed:
-                continue  # both empty: nothing to compare
-            seen = {obj.id for obj in observed}
             if seen != believed:
-                changed = True
+                changed.append((nid, len(seen - believed)))
                 for oid in believed:
-                    del self.objects[oid]
+                    del objects[oid]
+                for oid in seen:
+                    objects[oid] = source_objects[oid]
+                objects_at[nid] = set(seen)
                 self.footprint_totals.pop(nid, None)
-                for obj in observed:
-                    self.objects[obj.id] = obj
-                objects_at[nid] = seen
         if changed:
             self.version += 1
+        return changed
 
 
 def up_to_date(belief: ObservedGraph, truth: SceneGraph, node_id: str) -> bool:

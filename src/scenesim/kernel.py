@@ -141,9 +141,12 @@ class SimState:
         A run may be split into segments, ``run(t1)`` then ``run()``: the
         ledger is finalized once the clock reaches the configured end, and
         ``rtf`` is the simulated time over the wall time of all segments.
+        A ``t_end`` before the clock raises ``TimeTravel`` and changes nothing.
         """
         if t_end is None:
             t_end = self.t_end
+        if t_end < self.clock:
+            raise TimeTravel(f"run to {t_end} before clock {self.clock}")
         self.initialize()
         started = _time.perf_counter()
         # each event kind is handled by the method named after it
@@ -174,8 +177,7 @@ class SimState:
 
     def _merge_observation(self, agent: Agent, t: float):
         obs = observe(self.truth, agent, t)
-        self.belief.merge_observation(obs, t)
-        self.ledger.on_merge(t, obs)
+        self.ledger.on_merge(t, obs, self.belief.merge_observation(obs, t))
 
     def _plan(self, agent: Agent, start: str, goal: str):
         """Plan a leg on the configured planner's view.

@@ -62,20 +62,11 @@ class MetricsLedger:
         self._next_sample_t = first_hour
         self.true_arrivals = Counter()      # (node, hour-of-day) -> count
         self.observed_arrivals = Counter()  # (node, hour-of-day) -> count
-        self._seen_objects: set[str] = set()
-        self.heatmap = Counter()            # node -> merge coverage count
-        self._last_obs: dict[str, float] = {}
-        self._gap_sum = Counter()
-        self._gap_count = Counter()
+        self._coverage: dict[str, list] = {}  # node -> [observations, last t, gap sum]
         self.tasks: list = []
         self.counters = Counter()
         self.rtf: float | None = None
         self._finalized = False
-
-    # -- windowing helpers ----------------------------------------------------
-
-    def _in_window(self, t: float) -> bool:
-        return self.warmup_end <= t <= self.t_end
 
     # -- stale intervals ------------------------------------------------------
 
@@ -153,38 +144,46 @@ class MetricsLedger:
     # -- arrivals and observations ---------------------------------------------
 
     def on_true_arrival(self, t: float, node: str):
-        # _in_window, inlined: this runs on every spawn
         if self.warmup_end <= t <= self.t_end:
             self.true_arrivals[(node, hour_of_day(t))] += 1
 
-    def on_merge(self, t: float, observation):
-        # a wholesale merge of a snapshot taken at t makes belief equal truth
-        # at every observed node, so the stale ones among them turn correct
+    def on_merge(self, t: float, observation, changed):
+        """Account a merge; ``changed`` is what ``merge_observation`` returned.
+
+        Its nodes are exactly the stale observed ones, and turn correct.
+        Belief drops an object only after it expired, so every newly
+        believed object is a first sighting: an observed arrival.
+        """
         stale = self._stale_since
-        for node in stale.keys() & observation.path_nodes:
-            self._add_stale(node, stale.pop(node), t)
-        in_window = self._in_window(t)
-        for node in observation.path_nodes:
-            if in_window:
-                self.heatmap[node] += 1
-                last = self._last_obs.get(node)
-                if last is not None:
-                    self._gap_sum[node] += t - last
-                    self._gap_count[node] += 1
-                self._last_obs[node] = t
-        for node, objs in observation.objects_at.items():
-            for obj in objs:
-                if obj.id not in self._seen_objects:
-                    self._seen_objects.add(obj.id)
-                    if in_window:
-                        self.observed_arrivals[(node, hour_of_day(t))] += 1
+        in_window = self.warmup_end <= t <= self.t_end
+        for node, new in changed:
+            since = stale.pop(node, None)
+            if since is not None:
+                self._add_stale(node, since, t)
+            if new and in_window:
+                self.observed_arrivals[(node, hour_of_day(t))] += new
+        if in_window:
+            coverage = self._coverage
+            for node in observation.path_nodes:
+                cover = coverage.get(node)
+                if cover is None:
+                    coverage[node] = [1, t, 0.0]
+                else:
+                    cover[0] += 1
+                    cover[2] += t - cover[1]
+                    cover[1] = t
+
+    @property
+    def heatmap(self) -> Counter:
+        """node -> number of merges that covered it inside the window."""
+        return Counter({node: cover[0] for node, cover in self._coverage.items()})
 
     def inter_observation_stats(self) -> dict:
         """node -> mean gap between consecutive observations; needs >= 2 obs."""
         return {
-            node: self._gap_sum[node] / count
-            for node, count in sorted(self._gap_count.items())
-            if count > 0
+            node: gaps / (count - 1)
+            for node, (count, _, gaps) in sorted(self._coverage.items())
+            if count > 1
         }
 
     # -- tasks ------------------------------------------------------------------
@@ -294,9 +293,10 @@ def write_outputs(ledgers, graph, outdir):
         writer = csv.writer(f)
         writer.writerow(["replication", "node", "x", "y", "observations"])
         for i, ledger in enumerate(ledgers):
+            heatmap = ledger.heatmap
             for node in path_nodes:
                 x, y = graph.node_position(node)
-                writer.writerow([i, node, fmt(x), fmt(y), ledger.heatmap[node]])
+                writer.writerow([i, node, fmt(x), fmt(y), heatmap[node]])
 
     with open(outdir / "node_gaps.csv", "w", newline="") as f:
         writer = csv.writer(f)

@@ -147,7 +147,7 @@ class TestMerge:
     def test_unknown_static_node_rejected(self, tiny_graph):
         belief = ObservedGraph(tiny_graph)
         bogus = Observation(t=0.0, path_nodes=frozenset({"ghost"}),
-                            poi_nodes=frozenset(), objects_at={})
+                            poi_nodes=frozenset(), source=tiny_graph)
         with pytest.raises(UnknownStaticNode):
             belief.merge_observation(bogus, 0.0)
 
@@ -235,6 +235,32 @@ def test_merge_locality(placements, stale, cx, r):
     for node in graph.path_nodes:
         if node not in obs.path_nodes:
             assert belief.objects_at[node] == before[node]
+
+
+@settings(max_examples=250, deadline=None)
+@given(placements=object_placements,
+       stale=object_placements,
+       prior=st.sampled_from([None, 0.0, 25.0, float("inf")]),
+       node=st.integers(min_value=0, max_value=11),
+       r=st.floats(min_value=0, max_value=60))
+def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
+    # from any prior belief: none, or a merge of part or all of a
+    # differently populated graph sharing the same static part
+    graph = populated_line(placements)
+    belief = ObservedGraph(graph)
+    if prior is not None:
+        other = populated_line(stale)
+        belief.merge_observation(other.radius_subgraph((50, 0), prior), 0.0)
+    before = {k: set(v) for k, v in belief.objects_at.items()}
+    version = belief.version
+    obs = graph.sensor_view(sorted(graph.path_nodes)[node], r, 1.0)
+    changed = belief.merge_observation(obs, 1.0)
+    want = {nid: len(graph.objects_at[nid] - before[nid])
+            for nid in obs.path_nodes if before[nid] != graph.objects_at[nid]}
+    assert len(changed) == len(want)
+    assert dict(changed) == want
+    assert (belief.version != version) == bool(changed)
+    assert belief.version - version in (0, 1)
 
 
 @settings(max_examples=250, deadline=None)

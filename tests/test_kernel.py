@@ -430,6 +430,21 @@ class TestSplitRun:
         assert rows[0] == rows[1]
         assert csv_outputs(tmp_path / "whole") == csv_outputs(tmp_path / "split")
 
+    def test_run_before_clock_rejected(self):
+        config = golden_config("observed", 3)
+        state = SimState(grid_scenario(8, 6), config, seed=5)
+        state.run(200.0)
+        before = (state.clock, list(state._queue), state._seq, state.wall_s,
+                  state.rtf, dict(state.ledger.counters))
+        with pytest.raises(TimeTravel):
+            state.run(100.0)
+        assert (state.clock, list(state._queue), state._seq, state.wall_s,
+                state.rtf, dict(state.ledger.counters)) == before
+        with pytest.raises(TimeTravel):
+            state.schedule(150.0, SPAWN, None)
+        state.run(200.0)  # up to the clock itself is allowed and runs nothing
+        assert state.clock == 200.0
+
     def test_rtf_spans_every_segment(self):
         config = golden_config("observed", 3)
         state = SimState(grid_scenario(8, 6), config, seed=5)

@@ -2,14 +2,15 @@
 
 import csv
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenesim.agents import Task
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import DegenerateTask, EmptyMeasurement
-from scenesim.graph import Observation
+from scenesim.graph import ObjectNode, Observation, ObservedGraph
 from scenesim.kernel import SimState, run_replications
 from scenesim.metrics import (
     MetricsLedger,
@@ -34,9 +35,21 @@ def make_task(t_assigned=0.0, t_pred=100.0, t_completed=100.0):
     return task
 
 
-def obs(t, nodes, objects_at=None):
-    return Observation(t=t, path_nodes=dict.fromkeys(nodes), poi_nodes={},
-                       objects_at=objects_at or {})
+def car(oid, node):
+    return ObjectNode(id=oid, semantic_class="car", t_spawn=0.0, t_lifetime=HOUR,
+                      footprint_area=1.0, attached_to=node)
+
+
+def merge(led, truth, belief, t, nodes):
+    """Merge ``truth``'s objects on ``nodes`` into ``belief`` at t, as the kernel does."""
+    view = Observation(t, frozenset(nodes), frozenset(), truth)
+    led.on_merge(t, view, belief.merge_observation(view, t))
+
+
+def line_world(n=3):
+    """(truth, belief) over an object-free line of path nodes v0, v1, ..."""
+    truth = line_scenario(n, capacity={"car": 10})
+    return truth, ObservedGraph(truth)
 
 
 class TestTaskDelay:
@@ -94,9 +107,11 @@ class TestCorrectnessIntervals:
 
     def test_merge_closes_only_stale_observed_nodes(self):
         led = self.ledger()
+        truth, belief = line_world()
         for node in ("v0", "v1"):
+            truth.attach_object(car(f"o-{node}", node))
             led.set_correct(100.0, node, False)
-        led.on_merge(300.0, obs(300.0, ["v0", "v2"]))
+        merge(led, truth, belief, 300.0, ["v0", "v2"])
         assert led._stale_since == {"v1": 100.0}
         led.finalize()
         assert led._stale_s == {"v0": 200.0, "v1": 900.0}
@@ -255,36 +270,94 @@ class TestLedgerReference:
 class TestObservations:
     def test_heatmap_counts_every_merge(self):
         led = MetricsLedger(0.0, 1000.0, ["car"])
-        led.on_merge(10.0, obs(10.0, ["v0", "v1"]))
-        led.on_merge(20.0, obs(20.0, ["v1"]))
+        truth, belief = line_world()
+        merge(led, truth, belief, 10.0, ["v0", "v1"])
+        merge(led, truth, belief, 20.0, ["v1"])
         assert led.heatmap == {"v0": 1, "v1": 2}
 
     def test_inter_observation_mean(self):
         led = MetricsLedger(0.0, 1000.0, ["car"])
+        truth, belief = line_world()
         for t in (0.0, 100.0, 300.0):  # gaps 100 and 200
-            led.on_merge(t, obs(t, ["v0"]))
+            merge(led, truth, belief, t, ["v0"])
         assert led.inter_observation_stats() == {"v0": pytest.approx(150.0)}
 
     def test_single_observation_has_no_gap(self):
         led = MetricsLedger(0.0, 1000.0, ["car"])
-        led.on_merge(10.0, obs(10.0, ["v0"]))
+        truth, belief = line_world()
+        merge(led, truth, belief, 10.0, ["v0"])
         assert led.inter_observation_stats() == {}
 
     def test_observed_arrival_counted_once_per_object(self):
-        class FakeObj:
-            def __init__(self, oid):
-                self.id = oid
-
         led = MetricsLedger(0.0, 1000.0, ["car"])
-        led.on_merge(10.0, obs(10.0, ["v0"], {"v0": [FakeObj("a")]}))
-        led.on_merge(20.0, obs(20.0, ["v0"], {"v0": [FakeObj("a"), FakeObj("b")]}))
+        truth, belief = line_world()
+        truth.attach_object(car("a", "v0"))
+        merge(led, truth, belief, 10.0, ["v0"])
+        truth.attach_object(car("b", "v0"))
+        merge(led, truth, belief, 20.0, ["v0"])
+        merge(led, truth, belief, 30.0, ["v0", "v1"])
         assert led.observed_arrivals == {("v0", 0): 2}
 
     def test_out_of_window_ignored(self):
         led = MetricsLedger(100.0, 1000.0, ["car"])
-        led.on_merge(50.0, obs(50.0, ["v0"]))
+        truth, belief = line_world()
+        truth.attach_object(car("a", "v0"))
+        merge(led, truth, belief, 50.0, ["v0"])
         led.on_true_arrival(50.0, "v0")
         assert not led.heatmap and not led.true_arrivals
+        assert not led.observed_arrivals
+
+
+merge_ops = st.lists(st.one_of(
+    st.tuples(st.just("attach"), st.integers(0, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 30)),
+    st.tuples(st.just("merge"), st.integers(0, 3), st.sampled_from([0.0, 5.0, 15.0, 35.0])),
+), max_size=50)
+
+
+class SeenSetReference:
+    """Observed arrivals counted at each object id's first sighting in a view."""
+
+    def __init__(self, warmup, end):
+        self.warmup, self.end = warmup, end
+        self.seen = set()
+        self.observed_arrivals = Counter()
+
+    def observe(self, t, view):
+        for node, objs in view.objects_at.items():
+            for o in objs:
+                if o.id not in self.seen:
+                    self.seen.add(o.id)
+                    if self.warmup <= t <= self.end:
+                        self.observed_arrivals[(node, int(t % 86400.0 // HOUR))] += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(warmup=st.sampled_from([0.0, 1000.0, 5000.0]),
+       length=st.sampled_from([2000.0, 20000.0, 1e6]),
+       ops=merge_ops, step=st.sampled_from([300.0, 1337.5, HOUR]))
+@example(warmup=0.0, length=1e6, step=300.0,  # a node re-seen with one more object
+         ops=[("attach", 0), ("merge", 0, 5.0), ("attach", 0), ("merge", 0, 5.0)])
+def test_newly_believed_objects_are_first_sightings(warmup, length, ops, step):
+    # attaches, removals (expiries) and merges on a line; arrivals counted
+    # from what each merge newly believes equal the seen-set reference's
+    end = warmup + length
+    truth, belief = line_world(4)
+    nodes = sorted(truth.path_nodes)
+    led, ref = MetricsLedger(warmup, end, ["car"]), SeenSetReference(warmup, end)
+    for k, op in enumerate(ops):
+        t = k * step
+        if op[0] == "attach":
+            if truth.free_capacity(nodes[op[1]], "car"):
+                truth.attach_object(car(f"o{k}", nodes[op[1]]))
+        elif op[0] == "remove":
+            if truth.objects:
+                truth.remove_object(sorted(truth.objects)[op[1] % len(truth.objects)])
+        else:
+            view = truth.sensor_view(nodes[op[1]], op[2], t)
+            ref.observe(t, view)  # reads the view before the merge
+            led.on_merge(t, view, belief.merge_observation(view, t))
+    assert led.observed_arrivals == ref.observed_arrivals
 
 
 class TestDelayIdentity:
