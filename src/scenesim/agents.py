@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidGeometry, UnknownId, Unreachable
-from .graph import Observation, ObservedGraph, PathNode, SceneGraph
+from .graph import ObjectLayer, Observation, ObservedGraph, PathNode, SceneGraph
 from .routing import astar
 
 IDLE_AT_DEPOT = "idle_at_depot"
@@ -83,6 +83,30 @@ def node_penalty(node: PathNode, footprint_sum: float, agent_width: float,
     return node.segment_length / nu - node.segment_length / default_velocity
 
 
+class NodeCosts(dict):
+    """Network index -> a layer's node cost for agents of one width and speed.
+
+    An entry is filled on first read with the dwell ``segment_length / nu``
+    at the velocity the node's footprint total leaves, or inf where that is
+    0 (blocked); the layer drops it when the node's objects change.  A node
+    whose sidewalk is not wider than the agent never enters the table:
+    reading it raises ``InvalidGeometry``.
+    """
+
+    __slots__ = ("layer", "width", "speed")
+
+    def __init__(self, layer: ObjectLayer, width: float, speed: float):
+        super().__init__()
+        self.layer, self.width, self.speed = layer, width, speed
+
+    def __missing__(self, i: int) -> float:
+        nid = self.layer.network.ids[i]
+        node = self.layer.path_nodes[nid]
+        nu = node_velocity(node, self.layer.footprint_total(nid), self.width, self.speed)
+        cost = self[i] = math.inf if nu == 0.0 else node.segment_length / nu
+        return cost
+
+
 def plan_path(view, start: str, goal: str, agent: Agent,
               mode: str = PLANNER_OBSERVED) -> tuple[list[str], float]:
     """Minimum travel-time path between two path-network nodes.
@@ -96,43 +120,31 @@ def plan_path(view, start: str, goal: str, agent: Agent,
 
     The search runs on the view's compiled :class:`StaticNetwork`, whose
     indices order like the ids, so it returns what a search over the ids
-    would.  Static costs never change, so static results are memoized on the
+    would.  A node's cost is looked up by index: in observed mode in the
+    view's cost table for the agent's width and speed, which the view keeps
+    current as its objects change, in static mode in the network's per-speed
+    list.  Static costs never change, so static results are memoized on the
     network per (start, goal, speed).
     """
     start = _resolve(view, start)
     goal = _resolve(view, goal)
     v = agent.default_velocity
     net = view.network
-    ids = net.ids
-    segment = net.segment_lengths
 
     if mode == PLANNER_OBSERVED:
-        width = agent.width
-        free = net.free_areas(width)
-        totals = view.footprint_totals
-        total = view.footprint_total
-
-        def node_cost(i):
-            a_free = free[i]
-            if a_free is None:
-                raise _too_narrow(view.path_nodes[ids[i]], width)
-            footprint = totals.get(ids[i])
-            if footprint is None:
-                footprint = total(ids[i])
-            nu = (a_free - footprint) / a_free * v
-            if nu <= 0.0:  # node_velocity clamps this to 0: blocked
-                return math.inf
-            return segment[i] / nu
+        key = (agent.width, v)
+        costs = view.node_costs.get(key)
+        if costs is None:
+            costs = view.node_costs[key] = NodeCosts(view, agent.width, v)
+        node_cost = costs.__getitem__
     else:
         key = (start, goal, v)
         memo = net.static_plans.get(key)
         if memo is not None:
             return list(memo[0]), memo[1]
+        node_cost = net.static_costs(v).__getitem__
 
-        def node_cost(i):
-            return segment[i] / v
-
-    index = net.index
+    ids, index = net.ids, net.index
     for nid in (start, goal):
         if nid not in index:
             raise UnknownId(nid)

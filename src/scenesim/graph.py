@@ -155,7 +155,7 @@ class StaticNetwork:
         self._path_nodes = path_nodes
         self._poi_nodes = poi_nodes
         self._adjacency = adjacency
-        self._free_areas: dict[float, list] = {}
+        self._static_costs: dict[float, list[float]] = {}
         self._slots: dict[str, list[int]] = {}
         # (start id, goal id, speed) -> (path ids, cost) under static costs
         self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
@@ -184,11 +184,6 @@ class StaticNetwork:
         return [(nodes[nid].x, nodes[nid].y) for nid in self.ids]
 
     @cached_property
-    def segment_lengths(self) -> list[float]:
-        nodes = self._path_nodes
-        return [nodes[nid].segment_length for nid in self.ids]
-
-    @cached_property
     def edge_length(self) -> dict[tuple[str, str], float]:
         """(u, v) -> length of the shortest directed edge from u to v."""
         lengths: dict[tuple[str, str], float] = {}
@@ -198,23 +193,12 @@ class StaticNetwork:
                     lengths[(u, v)] = length
         return lengths
 
-    def free_areas(self, agent_width: float) -> list:
-        """Per index: the free area left to an agent of this width, or None.
-
-        The area is ``segment_length * (sidewalk_width - agent_width)``, the
-        velocity model's expression; it is None where the sidewalk is not
-        wider than the agent.
-        """
-        areas = self._free_areas.get(agent_width)
-        if areas is None:
+    def static_costs(self, speed: float) -> list[float]:
+        """Per index: the empty-segment dwell ``segment_length / speed``."""
+        if speed not in self._static_costs:
             nodes = self._path_nodes
-            areas = [
-                (node.segment_length * (node.sidewalk_width - agent_width)
-                 if agent_width < node.sidewalk_width else None)
-                for node in (nodes[nid] for nid in self.ids)
-            ]
-            self._free_areas[agent_width] = areas
-        return areas
+            self._static_costs[speed] = [nodes[nid].segment_length / speed for nid in self.ids]
+        return self._static_costs[speed]
 
     def slots(self, object_class: str) -> list[int]:
         """Per index: the node's slot count for ``object_class`` (0 if undeclared)."""
@@ -282,9 +266,11 @@ class ObjectLayer:
     from a source graph by reference.
 
     ``footprint_totals`` maps a path node id to the sum of its objects'
-    footprint areas.  Whatever changes a node's object set drops its entry,
-    and :meth:`footprint_total` re-sums it with ``math.fsum`` on the next
-    read, so the total never depends on the set's hash-seeded order, and the
+    footprint areas, and ``node_costs`` maps an agent's (width, speed) to
+    the planner's table of node costs by network index.  Whatever changes a
+    node's object set drops its entries (:meth:`_forget`), and the next read
+    computes them again.  :meth:`footprint_total` re-sums with ``math.fsum``,
+    so the total never depends on the set's hash-seeded order, and the
     cache never drifts the way running ``+=``/``-=`` totals would.
     """
 
@@ -293,6 +279,7 @@ class ObjectLayer:
     objects: dict[str, ObjectNode]
     objects_at: dict[str, set[str]]
     footprint_totals: dict[str, float]
+    node_costs: dict[tuple[float, float], dict[int, float]]
     _network: StaticNetwork | None
 
     def _share_static(self, source: "ObjectLayer"):
@@ -312,6 +299,7 @@ class ObjectLayer:
         self.objects = {}
         self.objects_at = {nid: set() for nid in source.path_nodes}
         self.footprint_totals = {}
+        self.node_costs = {}
 
     @property
     def network(self) -> StaticNetwork:
@@ -337,6 +325,12 @@ class ObjectLayer:
             total = self.footprint_totals[path_id] = self.footprint_sum(path_id)
         return total
 
+    def _forget(self, path_id: str, i: int):
+        """Drop what is cached from the objects at ``path_id`` (network index ``i``)."""
+        self.footprint_totals.pop(path_id, None)
+        for table in self.node_costs.values():
+            table.pop(i, None)
+
 
 class SceneGraph(ObjectLayer):
     """True world state: static infrastructure plus live objects."""
@@ -353,6 +347,7 @@ class SceneGraph(ObjectLayer):
         self.static_edges: list[Edge] = []
         self.objects_at: dict[str, set[str]] = {}
         self.footprint_totals: dict[str, float] = {}
+        self.node_costs: dict[tuple[float, float], dict[int, float]] = {}
         self.occupancy: dict[str, list[int]] = {}  # class -> count per network index
         self.depot_id: str | None = None
         self._network: StaticNetwork | None = None  # created by freeze_static
@@ -466,7 +461,7 @@ class SceneGraph(ObjectLayer):
             )
         self.objects[obj.id] = obj
         self.objects_at[obj.attached_to].add(obj.id)
-        self.footprint_totals.pop(obj.attached_to, None)
+        self._forget(obj.attached_to, i)
         counts[i] += 1
 
     def remove_object(self, object_id: str) -> ObjectNode:
@@ -474,9 +469,10 @@ class SceneGraph(ObjectLayer):
         obj = self.objects.pop(object_id, None)
         if obj is None:
             raise UnknownId(f"object {object_id!r} not in graph")
+        i = self._network.index[obj.attached_to]
         self.objects_at[obj.attached_to].discard(object_id)
-        self.footprint_totals.pop(obj.attached_to, None)
-        self.occupancy[obj.semantic_class][self._network.index[obj.attached_to]] -= 1
+        self._forget(obj.attached_to, i)
+        self.occupancy[obj.semantic_class][i] -= 1
         return obj
 
     # -- observation ----------------------------------------------------------
@@ -541,11 +537,13 @@ class ObservedGraph(ObjectLayer):
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
                 for oid in believed:
-                    del objects[oid]
+                    # a source merged earlier may have used the id elsewhere
+                    if objects[oid].attached_to == nid:
+                        del objects[oid]
                 for oid in seen:
                     objects[oid] = source_objects[oid]
                 objects_at[nid] = set(seen)
-                self.footprint_totals.pop(nid, None)
+                self._forget(nid, self._network.index[nid])
         if changed:
             self.version += 1
         return changed

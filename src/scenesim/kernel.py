@@ -219,7 +219,9 @@ class SimState:
         ledger = self.ledger
         ledger.counters["expired"] += 1
         ledger.on_live_change(t, obj.semantic_class, -1)
-        ledger.set_correct(t, node, up_to_date(self.belief, self.truth, node))
+        # a believed object that expires leaves its node stale: no need to compare
+        believed = object_id in self.belief.objects
+        ledger.set_correct(t, node, not believed and up_to_date(self.belief, self.truth, node))
         for agent in self.waiting_at.get(node, ()):
             self.schedule(t, WAIT_RETRY, agent.id)
 

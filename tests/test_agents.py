@@ -221,7 +221,8 @@ def outcome(plan, *args):
 @st.composite
 def planning_cases(draw):
     """Grids with equal edge lengths (many equal-cost routes), node ids in
-    random order, random believed footprints, blocked and narrow nodes."""
+    random order, random believed footprints, blocked and narrow nodes, and
+    the object changes to make between plans."""
     cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 5))
     n = cols * rows
     ids = draw(st.permutations([f"n{k}" for k in range(n)]))
@@ -248,19 +249,44 @@ def planning_cases(draw):
                                 max_size=4)):
         belief.merge_observation(graph.sensor_view(nid, r), 0.0)
     agent = make_agent(velocity=draw(st.sampled_from([1.0, 1.5])))
-    return graph, belief, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), agent
+    start, goal = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    areas = st.sampled_from([1.5, 3.75, 7.5, 16.0])
+    changes = draw(st.lists(st.one_of(
+        st.tuples(st.just("attach"), st.sampled_from(ids), areas),
+        st.tuples(st.just("remove"), st.integers(0, 20), st.just(0.0)),
+        st.tuples(st.just("merge"), st.sampled_from(ids), st.sampled_from([5.0, 15.0, 25.0])),
+    ), max_size=4))
+    return graph, belief, start, goal, agent, changes
+
+
+def change_objects(truth, belief, change, serial):
+    """Attach to or remove from the truth, or merge a view of it into the belief."""
+    op, arg, value = change
+    if op == "attach":
+        if truth.free_capacity(arg, "car"):
+            add_object(truth, f"c{serial}", arg, area=value)
+    elif op == "remove":
+        if truth.objects:
+            truth.remove_object(sorted(truth.objects)[arg % len(truth.objects)])
+    else:
+        belief.merge_observation(truth.sensor_view(arg, value), 0.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=planning_cases())
 def test_compiled_planner_matches_reference_search(case):
-    truth, belief, start, goal, agent = case
-    for view in (belief, truth):
-        for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
-            want = outcome(reference_plan, view, start, goal, agent, mode)
-            assert outcome(plan_path, view, start, goal, agent, mode) == want
-            # a repeat, served from the static memo in static mode
-            assert outcome(plan_path, view, start, goal, agent, mode) == want
+    truth, belief, start, goal, agent, changes = case
+    # plan again after each change: a cost table that kept an entry from
+    # before it would answer differently from the reference
+    for serial, change in enumerate([None, *changes]):
+        if change is not None:
+            change_objects(truth, belief, change, serial)
+        for view in (belief, truth):
+            for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
+                want = outcome(reference_plan, view, start, goal, agent, mode)
+                assert outcome(plan_path, view, start, goal, agent, mode) == want
+                # a repeat, served from the cost table, or the static memo
+                assert outcome(plan_path, view, start, goal, agent, mode) == want
     copy = truth.dynamic_copy()
     assert (outcome(plan_path, copy, start, goal, agent, PLANNER_STATIC)
             == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))

@@ -2,12 +2,24 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenesim.agents import Agent, observe
-from scenesim.errors import CapacityExceeded, DuplicateId, UnknownId, UnknownStaticNode
+import scenesim
+from scenesim.agents import PLANNER_OBSERVED, Agent, node_velocity, observe, plan_path
+from scenesim.errors import (
+    CapacityExceeded,
+    DuplicateId,
+    InvalidGeometry,
+    UnknownId,
+    UnknownStaticNode,
+    Unreachable,
+)
 from scenesim.graph import (
     ObjectNode,
     Observation,
@@ -159,6 +171,34 @@ class TestMerge:
         belief.merge_observation(tiny_graph.radius_subgraph((0, 0), 5.0), 2.0)
         assert belief.version == v
 
+    def test_id_reused_by_another_source_survives_any_set_order(self):
+        # the second line's o0 replaces the first's; whether v03 or v05 is
+        # rewritten first follows PYTHONHASHSEED, the result must not
+        src = Path(scenesim.__file__).resolve().parent.parent
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run([sys.executable, "-c", REUSED_ID_MERGE],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["['o0']", "['o0']", "1.0", "[]"], hash_seed
+
+
+REUSED_ID_MERGE = """
+from scenesim.graph import ObjectNode, ObservedGraph
+from scenesim.synthetic import line_scenario
+
+def line(node):
+    graph = line_scenario(12, capacity={"car": 30})
+    graph.attach_object(ObjectNode("o0", "car", 0.0, 100.0, 1.0, node))
+    return graph
+
+belief = ObservedGraph(line("v03"))
+for node in ("v03", "v05"):
+    belief.merge_observation(line(node).radius_subgraph((50, 0), float("inf")), 0.0)
+print(sorted(belief.objects_at["v05"]), sorted(belief.objects),
+      belief.footprint_total("v05"), sorted(belief.objects_at["v03"]))
+"""
+
 
 class TestUpToDate:
     def test_fresh_merge_is_up_to_date(self, tiny_graph):
@@ -264,6 +304,23 @@ def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
 
 
 @settings(max_examples=250, deadline=None)
+@given(placements=object_placements,
+       stale=object_placements,
+       first=st.tuples(st.floats(min_value=-10, max_value=120),
+                       st.sampled_from([0.0, 15.0, 40.0, float("inf")])),
+       second=st.tuples(st.floats(min_value=-10, max_value=120),
+                        st.sampled_from([0.0, 15.0, 40.0, float("inf")])))
+def test_merged_ids_are_believed_objects(placements, stale, first, second):
+    # two sources reuse the ids o0, o1, ... for different objects
+    graph = populated_line(placements)
+    belief = ObservedGraph(graph)
+    for source, (cx, r) in ((populated_line(stale), first), (graph, second)):
+        belief.merge_observation(source.radius_subgraph((cx, 0.0), r), 0.0)
+        for nid, ids in belief.objects_at.items():
+            assert ids <= belief.objects.keys(), nid
+
+
+@settings(max_examples=250, deadline=None)
 @given(placements=object_placements)
 def test_full_coverage_convergence(placements):
     graph = populated_line(placements)
@@ -312,18 +369,15 @@ footprint_ops = st.lists(st.one_of(
 ), max_size=40)
 
 
-@settings(max_examples=200, deadline=None)
-@given(ops=footprint_ops)
-def test_footprint_totals_match_fresh_sums(ops):
-    # non-integer areas: running totals would drift, the cache must not
+def footprint_states(ops):
+    """A line and its belief: yielded before the ops and after each of them."""
     graph = line_scenario(6, capacity={"car": 50})
     belief = ObservedGraph(graph)
     nodes = sorted(graph.path_nodes)
-    serial = 0
-    for op, k, value in ops:
+    yield graph, belief
+    for serial, (op, k, value) in enumerate(ops):
         if op == "attach":
             graph.attach_object(obj(f"o{serial}", nodes[k], area=value))
-            serial += 1
         elif op == "remove":
             if graph.objects:
                 graph.remove_object(sorted(graph.objects)[k % len(graph.objects)])
@@ -332,9 +386,52 @@ def test_footprint_totals_match_fresh_sums(ops):
         else:
             graph.footprint_total(nodes[k])
             belief.footprint_total(nodes[k])
+        yield graph, belief
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=footprint_ops)
+def test_footprint_totals_match_fresh_sums(ops):
+    # non-integer areas: running totals would drift, the cache must not
+    for graph, belief in footprint_states(ops):
         for layer in (graph, belief):
-            for nid in nodes:
+            for nid in graph.path_nodes:
                 assert layer.footprint_total(nid) == layer.footprint_sum(nid)
+
+
+def fresh_cost(layer, nid, agent):
+    """The velocity model's node cost from a fresh footprint sum."""
+    node = layer.path_nodes[nid]
+    nu = node_velocity(node, layer.footprint_sum(nid), agent.width, agent.default_velocity)
+    return math.inf if nu == 0.0 else node.segment_length / nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=footprint_ops)
+def test_node_costs_match_fresh_costs(ops):
+    # the planner's cost tables, filled in full after every change, must
+    # never answer from before it; widths 0.5 and 1.5 leave 15 and 5 m^2 of
+    # the 2 m sidewalk free (1.5 blocks easily), and 2.0 is too wide
+    agents = [Agent("a", "v0", speed, width, 0.0)
+              for speed, width in ((1.0, 0.5), (1.5, 1.5), (1.0, 2.0))]
+    keys = {(a.width, a.default_velocity) for a in agents}
+    for graph, belief in footprint_states(ops):
+        for layer in (graph, belief):
+            for agent in agents:  # the planner creates and reads the tables
+                try:
+                    plan_path(layer, "v0", "v5", agent, PLANNER_OBSERVED)
+                except (InvalidGeometry, Unreachable):
+                    pass
+            assert layer.node_costs.keys() == keys
+            for agent in agents:
+                table = layer.node_costs[(agent.width, agent.default_velocity)]
+                for i, nid in enumerate(layer.network.ids):
+                    if agent.width >= layer.path_nodes[nid].sidewalk_width:
+                        with pytest.raises(InvalidGeometry, match=repr(nid)):
+                            table[i]
+                        assert i not in table
+                    else:
+                        assert table[i] == fresh_cost(layer, nid, agent)
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,15 +548,16 @@ class TestStaticNetwork:
         assert net.edge_length[("a", "c")] == 12.0
         assert ("a", "b") not in net.edge_length
 
-    def test_free_areas_per_width(self, tiny_graph):
+    def test_static_costs_per_speed(self, tiny_graph):
         net = tiny_graph.network
-        assert net.free_areas(0.5) == [10.0 * 1.5] * 3
-        assert net.free_areas(2.0) == [None] * 3
-        assert net.free_areas(0.5) is net.free_areas(0.5)
+        assert net.static_costs(2.0) == [10.0 / 2.0] * 3
+        assert net.static_costs(1.5) == [10.0 / 1.5] * 3
+        assert net.static_costs(2.0) is net.static_costs(2.0)
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
         tiny_graph.footprint_total("v0")
+        plan_path(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0), PLANNER_OBSERVED)
         copy = tiny_graph.dynamic_copy()
         for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):
             for store in ("registry", "path_nodes", "poi_nodes", "adjacency",
@@ -471,6 +569,7 @@ class TestStaticNetwork:
                        for nid in tiny_graph.path_nodes)
             assert layer.footprint_totals == {}
             assert layer.footprint_totals is not tiny_graph.footprint_totals
+            assert layer.node_costs == {} and tiny_graph.node_costs
         assert copy.occupancy == {}
         assert copy.occupancy is not tiny_graph.occupancy
         assert tiny_graph.occupancy["car"] == [1, 0, 0]

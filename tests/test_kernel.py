@@ -15,7 +15,7 @@ import scenesim
 from scenesim.agents import Task, WAITING, plan_path
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
-from scenesim.graph import ObjectNode
+from scenesim.graph import ObjectNode, up_to_date
 from scenesim.kernel import (
     AGENT_NODE_ENTRY,
     AGENT_NODE_EXIT,
@@ -517,3 +517,24 @@ class TestStaleSet:
         check()
         assert len(sizes) > 1000 and max(sizes) > 5
         assert ledger.counters["tasks_completed"] > 0
+
+    def test_believed_object_expiry_marks_stale_without_comparing(self, monkeypatch):
+        # "seen" is believed at v1, "unseen" at v2 is not: only the latter's
+        # expiry needs the id sets compared, and it makes v2 correct again
+        state = SimState(line_scenario(3, capacity={"car": 9}), empty_config(), seed=1)
+        for oid, node, expires in (("seen", "v1", 100.0), ("unseen", "v2", 200.0)):
+            state.truth.attach_object(ObjectNode(oid, "car", 0.0, expires, 1.0, node))
+            state.schedule(expires, EXPIRY, oid)
+        state.belief.merge_observation(state.truth.sensor_view("v1", 1.0), 0.0)
+        state.ledger.set_correct(0.0, "v2", False)
+        compared = []
+
+        def recording(belief, truth, node):
+            compared.append(node)
+            return up_to_date(belief, truth, node)
+
+        monkeypatch.setattr("scenesim.kernel.up_to_date", recording)
+        state.run(150.0)
+        assert compared == [] and state.ledger._stale_since == {"v1": 100.0, "v2": 0.0}
+        state.run()
+        assert compared == ["v2"] and state.ledger._stale_since == {"v1": 100.0}
