@@ -62,6 +62,7 @@ class SimState:
         self.clock = 0.0
         self.warmup_end = config.warmup
         self.t_end = config.duration
+        self._search_bound = config.drain_search_bound
         self.trace = trace
         self._queue: list = []
         self._seq = 0
@@ -122,7 +123,7 @@ class SimState:
         self._initialized = True
         for inst in self.instances:
             try:
-                dt = inst.source(0.0)
+                dt = next_nhpp_interarrival(inst.spec.rate_profile, 0.0, inst.stream)
             except ZeroRate:
                 continue
             self.schedule(dt, SPAWN, (inst.spec.name, inst.poi_id, inst.object_class))
@@ -141,12 +142,14 @@ class SimState:
         A run may be split into segments, ``run(t1)`` then ``run()``: the
         ledger is finalized once the clock reaches the configured end, and
         ``rtf`` is the simulated time over the wall time of all segments.
-        A ``t_end`` before the clock raises ``TimeTravel`` and changes nothing.
+        A ``t_end`` before the clock or past the configured end raises and changes nothing.
         """
         if t_end is None:
             t_end = self.t_end
         if t_end < self.clock:
             raise TimeTravel(f"run to {t_end} before clock {self.clock}")
+        if t_end > self.t_end:
+            raise ValueError(f"run to {t_end} past the configured end {self.t_end}")
         self.initialize()
         started = _time.perf_counter()
         # each event kind is handled by the method named after it
@@ -199,7 +202,7 @@ class SimState:
         inst = self._instances_by_key[key]
         object_id = f"obj{self._object_serial}"
         self._object_serial += 1
-        status, obj = inst.drain(t, self.truth, object_id, self.config.drain_search_bound)
+        status, obj = inst.drain(t, self.truth, object_id, self._search_bound)
         ledger = self.ledger
         if obj is None:
             ledger.counters[status] += 1  # a discard status names its counter
@@ -211,7 +214,8 @@ class SimState:
             # a fresh object id cannot be believed yet, so the node is stale
             ledger.set_correct(t, node, False)
             self.schedule(t + obj.t_lifetime, EXPIRY, object_id)
-        self.schedule(t + inst.source(t), SPAWN, key)
+        self.schedule(t + next_nhpp_interarrival(inst.spec.rate_profile, t, inst.stream),
+                      SPAWN, key)
 
     def _handle_expiry(self, t: float, object_id: str):
         obj = self.truth.remove_object(object_id)

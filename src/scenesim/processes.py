@@ -1,9 +1,9 @@
 """Object lifecycle processes: spawning, capacity-based draining, expiry.
 
 One process instance exists per (matching PoI, object class) pair.  Each
-instance owns an independent random stream, samples spawn inter-arrivals from
-its rate profile, drains new objects to the nearest path node with free
-capacity, and draws exponential lifetimes.
+instance owns an independent random stream, from which the kernel samples its
+spawn inter-arrivals; it drains new objects to the nearest path node with
+free capacity, and draws exponential lifetimes.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import stochastic
 from .errors import ValidationError
 from .graph import ObjectNode, SceneGraph
 from .routing import nearest_matching_node
-from .stochastic import RandomStream, RateProfile, balanced_mean_lifetime
+from .stochastic import (RandomStream, RateProfile, balanced_mean_lifetime,
+                         bernoulli, sample_exponential)
 
 DEFAULT_SEARCH_BOUND = 300.0
 
@@ -51,6 +51,10 @@ class DrainOutcome(NamedTuple):
     obj: ObjectNode | None = None
 
 
+_PRIVATE = DrainOutcome(DISCARDED_PRIVATE)
+_FULL = DrainOutcome(DISCARDED_CAPACITY)
+
+
 @dataclass
 class ProcessInstance:
     """A spec bound to one PoI and one object class, with its own stream."""
@@ -60,10 +64,7 @@ class ProcessInstance:
     object_class: str
     stream: RandomStream
     lifetime_mean: float = 0.0
-
-    def source(self, t: float) -> float:
-        """Seconds until this instance's next spawn event."""
-        return stochastic.next_nhpp_interarrival(self.spec.rate_profile, t, self.stream)
+    _bound = None  # (graph, *the drain's inputs from it); not a field
 
     def drain(self, t: float, graph: SceneGraph, object_id: str,
               search_bound: float = DEFAULT_SEARCH_BOUND) -> DrainOutcome:
@@ -76,21 +77,27 @@ class ProcessInstance:
         of network distance.  Once a node is found, the object's lifetime is
         drawn and the object is attached with it; the stream thus serves the
         sidewalk uniform, then the lifetime, then the caller's next inter-arrival.
+        The search's inputs are bound to ``graph`` on the first drain into it.
         """
-        if not stochastic.bernoulli(self.spec.sidewalk_probability, self.stream):
-            return DrainOutcome(DISCARDED_PRIVATE)
-        network, cls = graph.network, self.object_class
-        slots, counts = network.slots(cls), graph.occupied(cls)
-        start = network.index[graph.access[self.poi_id][0]]
-        target = nearest_matching_node(network.neighbours, start,
-                                       lambda i: counts[i] < slots[i], search_bound)
+        if not bernoulli(self.spec.sidewalk_probability, self.stream):
+            return _PRIVATE
+        bound = self._bound
+        if bound is None or bound[0] is not graph:
+            network, cls = graph.network, self.object_class
+            slots, counts = network.slots(cls), graph.occupied(cls)
+            bound = self._bound = (graph, network.neighbours, network.ids, slots, counts,
+                                   network.index[graph.access[self.poi_id][0]],
+                                   lambda i: counts[i] < slots[i])
+        _, neighbours, ids, slots, counts, start, has_room = bound
+        target = nearest_matching_node(neighbours, start, has_room, search_bound)
         if target is None:
-            return DrainOutcome(DISCARDED_CAPACITY)
-        obj = ObjectNode(object_id, cls, t,
-                         stochastic.sample_exponential(self.lifetime_mean, self.stream),
-                         self.spec.footprint_area, network.ids[target])
+            return _FULL
+        # tuple.__new__ skips the named tuples' Python-level __new__
+        obj = tuple.__new__(ObjectNode, (object_id, self.object_class, t,
+                                         sample_exponential(self.lifetime_mean, self.stream),
+                                         self.spec.footprint_area, ids[target]))
         graph._attach(obj, target, slots, counts)
-        return DrainOutcome(ATTACHED, obj)
+        return tuple.__new__(DrainOutcome, (ATTACHED, obj))
 
 
 def instantiate_processes(graph: SceneGraph, specs: list[ProcessSpec],

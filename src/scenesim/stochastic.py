@@ -123,11 +123,11 @@ def next_nhpp_interarrival(profile: RateProfile, t_now: float, stream: RandomStr
     lam_max = profile.max_rate_per_second
     if lam_max <= 0:
         raise ZeroRate("all hourly rates are zero")
-    mean = 1.0 / lam_max
+    mean, per_second = 1.0 / lam_max, profile.per_second
     t = t_now
     while True:
         t += stream.exponential(mean)
-        if stream.uniform() * lam_max <= profile.rate_per_second(t):
+        if stream.uniform() * lam_max <= per_second[hour_of_day(t)]:
             dt = t - t_now
             if dt > 0.0:
                 return dt

@@ -23,7 +23,7 @@ class ScriptedStream:
     ``uniform()`` is always 0.0, so every sidewalk draw and every thinning
     candidate is accepted.  ``exponential()`` ignores the mean and replays the
     first inter-arrival, then each spawn's lifetime and next inter-arrival in
-    the order ``ProcessInstance.drain`` and ``source`` draw them; once the
+    the order ``ProcessInstance.drain`` and the kernel draw them; once the
     script is spent it returns 1e18 s, which pushes the next spawn past any
     horizon (``inf`` would not do: the rate profile cannot bin it).
     """

@@ -445,6 +445,39 @@ class TestSplitRun:
         state.run(200.0)  # up to the clock itself is allowed and runs nothing
         assert state.clock == 200.0
 
+    def test_run_past_configured_end_rejected(self):
+        # the ledger finalizes at the configured end; running on would count
+        # spawns past it and add stale spans that finalize already closed
+        config = empty_config(processes=[car_process(4.0, lifetime=HOUR)],
+                              duration=5 * HOUR)
+        scenario = line_scenario(6, pois=((2, "housing"), (4, "housing")))
+        whole = SimState(scenario, config, seed=1)
+        whole.run()
+
+        fresh = SimState(scenario, config, seed=1)
+        with pytest.raises(ValueError, match="past the configured end"):
+            fresh.run(10 * HOUR)
+        assert (fresh.clock, fresh._queue, fresh.wall_s, fresh.rtf) == (0.0, [], 0.0, None)
+        assert not fresh._initialized and not fresh.ledger.counters
+
+        split = SimState(scenario, config, seed=1)
+        split.run()
+        before = (split.clock, list(split._queue), split._seq, split.wall_s, split.rtf,
+                  dict(split.ledger._stale_since), dict(split.ledger._stale_s),
+                  dict(split.ledger.counters))
+        with pytest.raises(ValueError, match="past the configured end"):
+            split.run(10 * HOUR)
+        assert (split.clock, list(split._queue), split._seq, split.wall_s, split.rtf,
+                dict(split.ledger._stale_since), dict(split.ledger._stale_s),
+                dict(split.ledger.counters)) == before
+        split.run()  # up to the configured end itself runs nothing
+        rows = [summary_metrics(state.ledger, sorted(scenario.path_nodes))
+                for state in (whole, split)]
+        for row in rows:
+            row.pop("rtf")
+        assert rows[0] == rows[1]
+        assert 0.0 <= rows[1]["up_to_date_share_pct"] <= 100.0
+
     def test_rtf_spans_every_segment(self):
         config = golden_config("observed", 3)
         state = SimState(grid_scenario(8, 6), config, seed=5)

@@ -170,6 +170,46 @@ class TestDrain:
             assert out.obj.attached_to == best[1]
 
 
+class TestDrainBinding:
+    def test_binding_follows_the_graph(self, scripted_stream):
+        # one instance drains alternately into two copies whose occupancy
+        # differs from the start; each copy must end as if drained alone.
+        # Every draw is 60 s, so each instance's lifetimes are all equal.
+        scenario = grid_scenario(4, 4, capacity={"car": 1}, poi_every=5)
+        poi = sorted(scenario.poi_nodes)[0]
+        access = scenario.access[poi][0]
+
+        def copies():
+            first, second = scenario.dynamic_copy(), scenario.dynamic_copy()
+            for nid in (access, *(v for v, _ in scenario.adjacency[access][:2])):
+                second.attach_object(ObjectNode(f"pre-{nid}", "car", 0.0, 1.0, 8.0, nid))
+            return first, second
+
+        def drain(inst, graph, object_id):
+            out = inst.drain(0.0, graph, object_id, 25.0)
+            return out.status, out.obj and out.obj.attached_to
+
+        spec = make_spec()
+        shared = ProcessInstance(spec, poi, "car", scripted_stream([60.0] * 25, [60.0] * 24),
+                                 lifetime_mean=60.0)
+        mixed = copies()
+        got = ([], [])
+        for k in range(12):
+            for graph, seen, prefix in zip(mixed, got, "ab"):
+                seen.append(drain(shared, graph, f"{prefix}{k}"))
+        alone = copies()
+        for graph, seen, prefix in zip(alone, got, "ab"):
+            inst = ProcessInstance(spec, poi, "car", scripted_stream([60.0] * 13, [60.0] * 12),
+                                   lifetime_mean=60.0)
+            assert seen == [drain(inst, graph, f"{prefix}{k}") for k in range(12)]
+        for graph, twin in zip(mixed, alone):
+            assert graph.occupancy == twin.occupancy
+            assert graph.objects == twin.objects
+        statuses = {status for seen in got for status, _ in seen}
+        assert statuses == {ATTACHED, DISCARDED_CAPACITY}
+        assert got[0] != got[1]
+
+
 class TestLifetimes:
     def test_lifetime_mean_recovered(self):
         graph = line_scenario(3, capacity={"car": 20000}, pois=((1, "housing"),))

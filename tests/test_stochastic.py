@@ -88,6 +88,62 @@ def test_interarrivals_match_reference_thinning(rates, t0, seed):
         assert t_ours == t_ref
 
 
+class CountingScript:
+    """Serves scripted variates and counts them; 0.0 and 1.0 s once spent."""
+
+    def __init__(self, exponentials, uniforms):
+        self._exponentials, self._uniforms = iter(exponentials), iter(uniforms)
+        self.drawn = [0, 0]
+
+    def exponential(self, _mean):
+        self.drawn[0] += 1
+        return next(self._exponentials, 1.0)
+
+    def uniform(self):
+        self.drawn[1] += 1
+        return next(self._uniforms, 0.0)
+
+
+def rate_lookup_interarrival(profile, t_now, stream):
+    """Thinning that asks the profile for the rate of every candidate."""
+    lam_max = profile.max_rate_per_second
+    t = t_now
+    while True:
+        t += stream.exponential(1.0 / lam_max)
+        if stream.uniform() * lam_max <= profile.rate_per_second(t):
+            dt = t - t_now
+            if dt > 0.0:
+                return dt
+
+
+# t_now on hour and day edges, and one ulp either side of them
+EDGES = [day + hour * SECONDS_PER_HOUR for day in (0.0, 7 * SECONDS_PER_DAY)
+         for hour in (0, 1, 23, 24, 25)]
+EDGE_TIMES = sorted({t for edge in EDGES
+                     for t in (math.nextafter(edge, -math.inf), edge,
+                               math.nextafter(edge, math.inf))
+                     if t >= 0.0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=st.lists(st.sampled_from([0.0, 5e-324, 0.5, 1.0 / 3.0, 7.0, 3600.0]),
+                      min_size=24, max_size=24).filter(
+                          lambda r: max(r) / SECONDS_PER_HOUR > 0.0),
+       t_now=st.sampled_from(EDGE_TIMES),
+       exponentials=st.lists(st.one_of(
+           st.sampled_from([0.0, 5e-324, 1e-9, 1.0, SECONDS_PER_HOUR]),
+           st.floats(min_value=0.0, max_value=2 * SECONDS_PER_DAY)), max_size=8),
+       uniforms=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                         max_size=8))
+def test_thinning_bin_lookup_is_unchanged(rates, t_now, exponentials, uniforms):
+    profile = RateProfile(tuple(rates))
+    ours = CountingScript(exponentials, uniforms)
+    ref = CountingScript(exponentials, uniforms)
+    got = next_nhpp_interarrival(profile, t_now, ours)
+    assert got.hex() == rate_lookup_interarrival(profile, t_now, ref).hex()
+    assert ours.drawn == ref.drawn
+
+
 class TestNhpp:
     def test_constant_profile_mean_interarrival(self):
         # lambda = 6/h -> mean spacing 600 s, LLN within 2 %
