@@ -160,7 +160,7 @@ class StaticNetwork:
         # (start id, goal id, speed) -> (path ids, cost) under static costs
         self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
         self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
-        # radius -> (cell x, cell y) -> ([path nodes], [PoI nodes])
+        # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
         self._grids: dict[float, dict] = {}
 
     @cached_property
@@ -228,7 +228,7 @@ class StaticNetwork:
             for kind, nodes in enumerate((self._path_nodes, self._poi_nodes)):
                 for n in nodes.values():
                     cell = (math.floor(n.x / r), math.floor(n.y / r))
-                    grid.setdefault(cell, ([], []))[kind].append(n)
+                    grid.setdefault(cell, ([], []))[kind].append((n.id, n.x, n.y))
             self._grids[r] = grid  # stored only once complete
         return grid
 
@@ -246,16 +246,14 @@ class StaticNetwork:
             return None
         if x1 - x0 > 3 or y1 - y0 > 3:
             return None
-        selected = ([], [])
+        hypot, path_ids, poi_ids = math.hypot, [], []
         for ix in range(x0, x1 + 1):
             for iy in range(y0, y1 + 1):
                 cell = grid.get((ix, iy))
-                if cell is None:
-                    continue
-                for kind in (0, 1):
-                    selected[kind].extend(n.id for n in cell[kind]
-                                          if math.hypot(n.x - cx, n.y - cy) < r)
-        return frozenset(selected[0]), frozenset(selected[1])
+                if cell is not None:
+                    path_ids += [nid for nid, x, y in cell[0] if hypot(x - cx, y - cy) < r]
+                    poi_ids += [nid for nid, x, y in cell[1] if hypot(x - cx, y - cy) < r]
+        return frozenset(path_ids), frozenset(poi_ids)
 
 
 class ObjectLayer:
@@ -333,7 +331,13 @@ class ObjectLayer:
 
 
 class SceneGraph(ObjectLayer):
-    """True world state: static infrastructure plus live objects."""
+    """True world state: static infrastructure plus live objects.
+
+    A graph has at most one ``belief``.  Its two object mutations,
+    :meth:`_attach` and :meth:`remove_object`, add the node they change to
+    the belief's ``unsynced`` set, and an id the belief still holds cannot
+    be attached again, so each believed id names one object at one node.
+    """
 
     def __init__(self, registry: ClassRegistry = DEFAULT_REGISTRY):
         self.registry = registry
@@ -349,6 +353,7 @@ class SceneGraph(ObjectLayer):
         self.footprint_totals: dict[str, float] = {}
         self.node_costs: dict[tuple[float, float], dict[int, float]] = {}
         self.occupancy: dict[str, list[int]] = {}  # class -> count per network index
+        self.belief: ObservedGraph | None = None
         self.depot_id: str | None = None
         self._network: StaticNetwork | None = None  # created by freeze_static
 
@@ -404,6 +409,8 @@ class SceneGraph(ObjectLayer):
     def _check_fresh_id(self, node_id: str):
         if node_id in self.path_nodes or node_id in self.poi_nodes or node_id in self.objects:
             raise DuplicateId(f"node id {node_id!r} already in use")
+        if self.belief is not None and node_id in self.belief.objects:
+            raise DuplicateId(f"object id {node_id!r} is still believed")
 
     def dynamic_copy(self) -> "SceneGraph":
         """Fresh object-free graph sharing this graph's static stores.
@@ -413,6 +420,7 @@ class SceneGraph(ObjectLayer):
         twin = SceneGraph.__new__(SceneGraph)
         twin._share_static(self)
         twin.occupancy = {}
+        twin.belief = None
         return twin
 
     # -- queries --------------------------------------------------------------
@@ -463,6 +471,8 @@ class SceneGraph(ObjectLayer):
         self.objects_at[obj.attached_to].add(obj.id)
         self._forget(obj.attached_to, i)
         counts[i] += 1
+        if self.belief is not None:
+            self.belief.unsynced.add(obj.attached_to)
 
     def remove_object(self, object_id: str) -> ObjectNode:
         """Detach and return the object ``object_id``."""
@@ -473,6 +483,8 @@ class SceneGraph(ObjectLayer):
         self.objects_at[obj.attached_to].discard(object_id)
         self._forget(obj.attached_to, i)
         self.occupancy[obj.semantic_class][i] -= 1
+        if self.belief is not None:
+            self.belief.unsynced.add(obj.attached_to)
         return obj
 
     # -- observation ----------------------------------------------------------
@@ -506,40 +518,52 @@ class SceneGraph(ObjectLayer):
 class ObservedGraph(ObjectLayer):
     """Belief graph: shared static subgraph plus independently tracked objects.
 
-    Dynamic content changes only through :meth:`merge_observation`; the
-    ``version`` counter increments on every merge so planners can detect
-    belief changes cheaply.
+    A belief observes one ``truth`` and becomes its ``belief``.  Dynamic
+    content changes only through :meth:`merge_observation`; the ``version``
+    counter increments on every merge that changes it, so planners can
+    detect belief changes cheaply.  ``unsynced`` holds every node whose
+    believed objects may differ from the truth's: the truth adds each node
+    it mutates, and a merge removes the nodes it compares, so
+    {n : belief != truth at n} is always a subset of it.
     """
 
     def __init__(self, truth: SceneGraph):
+        if truth.belief is not None:
+            raise ValueError("the graph already has a belief")
         self._share_static(truth)
+        self.truth = truth
         self.version = 0
+        self.unsynced = {nid for nid, ids in truth.objects_at.items() if ids}
+        truth.belief = self
 
     def merge_observation(self, obs: Observation, t: float) -> list[tuple[str, int]]:
         """Replace believed object sets at every observed path node.
 
         Replacement is wholesale: stale objects vanish, newly seen ones
-        appear, nodes outside the observation are untouched.  Returns the
-        nodes whose believed id set differed from the source's, each with
-        its count of newly believed objects; the version advances iff there
-        are any, so planners can skip replanning after no-op merges.
+        appear, nodes outside the observation are untouched.  Only the
+        observed unsynced nodes are compared.  Returns the nodes whose
+        believed id set differed from the truth's, each with its count of
+        newly believed objects; the version advances iff there are any, so
+        planners can skip replanning after no-op merges.
         """
+        if obs.source is not self.truth:
+            raise ValueError("a belief merges only observations of its own truth")
         path_nodes = obs.path_nodes
         if not self.path_nodes.keys() >= path_nodes:
             raise UnknownStaticNode(f"observation covers unknown node "
                                     f"{min(path_nodes - self.path_nodes.keys())!r}")
-        source_objects, source_at = obs.source.objects, obs.source.objects_at
+        compared = self.unsynced & path_nodes
+        self.unsynced -= compared
+        source_objects, source_at = self.truth.objects, self.truth.objects_at
         objects, objects_at = self.objects, self.objects_at
         changed = []
-        for nid in path_nodes:
+        for nid in compared:
             seen = source_at[nid]
             believed = objects_at[nid]
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
                 for oid in believed:
-                    # a source merged earlier may have used the id elsewhere
-                    if objects[oid].attached_to == nid:
-                        del objects[oid]
+                    del objects[oid]
                 for oid in seen:
                     objects[oid] = source_objects[oid]
                 objects_at[nid] = set(seen)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add, sub
 from pathlib import Path
 
 from .errors import DegenerateTask, EmptyMeasurement
@@ -62,7 +64,7 @@ class MetricsLedger:
         self._next_sample_t = first_hour
         self.true_arrivals = Counter()      # (node, hour-of-day) -> count
         self.observed_arrivals = Counter()  # (node, hour-of-day) -> count
-        self._coverage: dict[str, list] = {}  # node -> [observations, last t, gap sum]
+        self._views: dict[frozenset, list[float]] = {}  # view's path nodes -> merge times
         self.tasks: list = []
         self.counters = Counter()
         self.rtf: float | None = None
@@ -152,7 +154,9 @@ class MetricsLedger:
 
         Its nodes are exactly the stale observed ones, and turn correct.
         Belief drops an object only after it expired, so every newly
-        believed object is a first sighting: an observed arrival.
+        believed object is a first sighting: an observed arrival.  Coverage
+        is logged per view: ``t`` joins the times of the view's (memoized)
+        path-node set, and the readers expand them per node.
         """
         stale = self._stale_since
         in_window = self.warmup_end <= t <= self.t_end
@@ -163,28 +167,34 @@ class MetricsLedger:
             if new and in_window:
                 self.observed_arrivals[(node, hour_of_day(t))] += new
         if in_window:
-            coverage = self._coverage
-            for node in observation.path_nodes:
-                cover = coverage.get(node)
-                if cover is None:
-                    coverage[node] = [1, t, 0.0]
-                else:
-                    cover[0] += 1
-                    cover[2] += t - cover[1]
-                    cover[1] = t
+            self._views.setdefault(observation.path_nodes, []).append(t)
+
+    def _times_by_node(self) -> dict:
+        """node -> the merge-time lists of the logged views that cover it."""
+        by_node = defaultdict(list)
+        for view, times in self._views.items():
+            for node in view:
+                by_node[node].append(times)
+        return by_node
 
     @property
     def heatmap(self) -> Counter:
         """node -> number of merges that covered it inside the window."""
-        return Counter({node: cover[0] for node, cover in self._coverage.items()})
+        return Counter({node: sum(map(len, lists))
+                        for node, lists in self._times_by_node().items()})
 
     def inter_observation_stats(self) -> dict:
-        """node -> mean gap between consecutive observations; needs >= 2 obs."""
-        return {
-            node: gaps / (count - 1)
-            for node, (count, _, gaps) in sorted(self._coverage.items())
-            if count > 1
-        }
+        """node -> mean gap between consecutive observations; needs >= 2 obs.
+
+        The gaps are summed in time order from the first, as a running sum
+        over the merges would have summed them.
+        """
+        stats = {}
+        for node, lists in sorted(self._times_by_node().items()):
+            ts = sorted(chain.from_iterable(lists))
+            if len(ts) > 1:
+                stats[node] = reduce(add, map(sub, ts[1:], ts)) / (len(ts) - 1)
+        return stats
 
     # -- tasks ------------------------------------------------------------------
 

@@ -171,9 +171,36 @@ class TestMerge:
         belief.merge_observation(tiny_graph.radius_subgraph((0, 0), 5.0), 2.0)
         assert belief.version == v
 
+    def test_foreign_source_rejected(self, tiny_graph):
+        belief = ObservedGraph(tiny_graph)
+        other = tiny_graph.dynamic_copy()
+        other.attach_object(obj("o1", "v0"))
+        with pytest.raises(ValueError, match="its own truth"):
+            belief.merge_observation(other.radius_subgraph((0, 0), 5.0), 1.0)
+        assert belief.objects == {} and belief.version == 0
+
+    def test_second_belief_rejected(self, tiny_graph):
+        belief = ObservedGraph(tiny_graph)
+        with pytest.raises(ValueError, match="already has a belief"):
+            ObservedGraph(tiny_graph)
+        assert tiny_graph.belief is belief
+
+    def test_believed_id_cannot_be_reattached(self):
+        # the three-source reuse, on one truth: o0 moves from v03 to v05
+        # while the belief still holds it at v03
+        graph = line_scenario(12, capacity={"car": 30})
+        belief = ObservedGraph(graph)
+        graph.attach_object(obj("o0", "v03"))
+        belief.merge_observation(graph.radius_subgraph((50, 0), float("inf")), 0.0)
+        graph.remove_object("o0")
+        with pytest.raises(DuplicateId, match="still believed"):
+            graph.attach_object(obj("o0", "v05"))
+        assert "o0" not in graph.objects and belief.objects_at["v03"] == {"o0"}
+
     def test_id_reused_by_another_source_survives_any_set_order(self):
-        # the second line's o0 replaces the first's; whether v03 or v05 is
-        # rewritten first follows PYTHONHASHSEED, the result must not
+        # o0 returns at v05 once the belief has dropped it, and the last
+        # merge rewrites v03 and v05; which goes first follows PYTHONHASHSEED,
+        # the result must not
         src = Path(scenesim.__file__).resolve().parent.parent
         for hash_seed in ("0", "2"):
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
@@ -187,14 +214,13 @@ REUSED_ID_MERGE = """
 from scenesim.graph import ObjectNode, ObservedGraph
 from scenesim.synthetic import line_scenario
 
-def line(node):
-    graph = line_scenario(12, capacity={"car": 30})
-    graph.attach_object(ObjectNode("o0", "car", 0.0, 100.0, 1.0, node))
-    return graph
-
-belief = ObservedGraph(line("v03"))
-for node in ("v03", "v05"):
-    belief.merge_observation(line(node).radius_subgraph((50, 0), float("inf")), 0.0)
+graph = line_scenario(12, capacity={"car": 30})
+belief = ObservedGraph(graph)
+for old, new, node in ((None, "o0", "v03"), ("o0", "s0", "v03"), ("s0", "o0", "v05")):
+    if old is not None:
+        graph.remove_object(old)
+    graph.attach_object(ObjectNode(new, "car", 0.0, 100.0, 1.0, node))
+    belief.merge_observation(graph.radius_subgraph((50, 0), float("inf")), 0.0)
 print(sorted(belief.objects_at["v05"]), sorted(belief.objects),
       belief.footprint_total("v05"), sorted(belief.objects_at["v03"]))
 """
@@ -235,12 +261,29 @@ object_placements = st.lists(
 )
 
 
-def populated_line(placements):
-    graph = line_scenario(12, capacity={"car": 30, "bicycle": 30, "trashcan": 30})
+def populated_line(placements, graph=None, prefix="o"):
+    if graph is None:
+        graph = line_scenario(12, capacity={"car": 30, "bicycle": 30, "trashcan": 30})
     nodes = sorted(graph.path_nodes)
     for i, (node_idx, cls) in enumerate(placements):
-        graph.attach_object(obj(f"o{i}", nodes[node_idx], cls=cls))
+        graph.attach_object(obj(f"{prefix}{i}", nodes[node_idx], cls=cls))
     return graph
+
+
+def relocated_line(stale, placements, *views):
+    """A line whose belief has merged ``views`` of an earlier state of it.
+
+    The line holds ``stale`` (ids s0, s1, ...) while the views, (x, radius)
+    pairs, are merged; those objects are then removed and ``placements``
+    (ids o0, o1, ...) attached.
+    """
+    graph = populated_line(stale, prefix="s")
+    belief = ObservedGraph(graph)
+    for cx, r in views:
+        belief.merge_observation(graph.radius_subgraph((cx, 0.0), r), 0.0)
+    for oid in sorted(graph.objects):
+        graph.remove_object(oid)
+    return populated_line(placements, graph), belief
 
 
 @settings(max_examples=250, deadline=None)
@@ -263,12 +306,9 @@ def test_merge_idempotent(placements, cx, r):
        cx=st.floats(min_value=-10, max_value=120),
        r=st.floats(min_value=0, max_value=60))
 def test_merge_locality(placements, stale, cx, r):
-    graph = populated_line(placements)
-    belief = ObservedGraph(graph)
     # give the belief arbitrary prior content via a full-coverage merge of
-    # a differently populated graph sharing the same static part
-    other = populated_line(stale)
-    belief.merge_observation(other.radius_subgraph((50, 0), float("inf")), 0.0)
+    # an earlier, differently populated state of the line
+    graph, belief = relocated_line(stale, placements, (50, float("inf")))
     before = {k: set(v) for k, v in belief.objects_at.items()}
     obs = graph.radius_subgraph((cx, 0.0), r)
     belief.merge_observation(obs, 1.0)
@@ -284,13 +324,10 @@ def test_merge_locality(placements, stale, cx, r):
        node=st.integers(min_value=0, max_value=11),
        r=st.floats(min_value=0, max_value=60))
 def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
-    # from any prior belief: none, or a merge of part or all of a
-    # differently populated graph sharing the same static part
-    graph = populated_line(placements)
-    belief = ObservedGraph(graph)
-    if prior is not None:
-        other = populated_line(stale)
-        belief.merge_observation(other.radius_subgraph((50, 0), prior), 0.0)
+    # from any prior belief: none, or a merge of part or all of an
+    # earlier, differently populated state of the line
+    graph, belief = relocated_line(stale, placements,
+                                   *([] if prior is None else [(50, prior)]))
     before = {k: set(v) for k, v in belief.objects_at.items()}
     version = belief.version
     obs = graph.sensor_view(sorted(graph.path_nodes)[node], r, 1.0)
@@ -311,13 +348,14 @@ def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
        second=st.tuples(st.floats(min_value=-10, max_value=120),
                         st.sampled_from([0.0, 15.0, 40.0, float("inf")])))
 def test_merged_ids_are_believed_objects(placements, stale, first, second):
-    # two sources reuse the ids o0, o1, ... for different objects
-    graph = populated_line(placements)
-    belief = ObservedGraph(graph)
-    for source, (cx, r) in ((populated_line(stale), first), (graph, second)):
-        belief.merge_observation(source.radius_subgraph((cx, 0.0), r), 0.0)
-        for nid, ids in belief.objects_at.items():
-            assert ids <= belief.objects.keys(), nid
+    # the line's objects are replaced between the two merges
+    graph, belief = relocated_line(stale, placements, first)
+    for nid, ids in belief.objects_at.items():
+        assert ids <= belief.objects.keys(), nid
+    cx, r = second
+    belief.merge_observation(graph.radius_subgraph((cx, 0.0), r), 0.0)
+    for nid, ids in belief.objects_at.items():
+        assert ids <= belief.objects.keys(), nid
 
 
 @settings(max_examples=250, deadline=None)
@@ -350,10 +388,7 @@ def test_up_to_date_within_radius_after_merge(placements, cx, r):
 def test_any_merge_leaves_observed_nodes_up_to_date(placements, stale, node, r):
     # from arbitrary prior belief; the kernel records these nodes as correct
     # after a merge without testing them
-    graph = populated_line(placements)
-    belief = ObservedGraph(graph)
-    other = populated_line(stale)
-    belief.merge_observation(other.radius_subgraph((50, 0), float("inf")), 0.0)
+    graph, belief = relocated_line(stale, placements, (50, float("inf")))
     obs = graph.sensor_view(sorted(graph.path_nodes)[node], r, 1.0)
     belief.merge_observation(obs, 1.0)
     for nid in obs.path_nodes:
@@ -370,30 +405,58 @@ footprint_ops = st.lists(st.one_of(
 
 
 def footprint_states(ops):
-    """A line and its belief: yielded before the ops and after each of them."""
+    """A line, its belief and what the op merged (None if it was no merge).
+
+    Yielded before the ops and after each of them.
+    """
     graph = line_scenario(6, capacity={"car": 50})
     belief = ObservedGraph(graph)
     nodes = sorted(graph.path_nodes)
-    yield graph, belief
+    yield graph, belief, None
     for serial, (op, k, value) in enumerate(ops):
+        changed = None
         if op == "attach":
             graph.attach_object(obj(f"o{serial}", nodes[k], area=value))
         elif op == "remove":
             if graph.objects:
                 graph.remove_object(sorted(graph.objects)[k % len(graph.objects)])
         elif op == "merge":
-            belief.merge_observation(graph.sensor_view(nodes[k], value), 0.0)
+            changed = belief.merge_observation(graph.sensor_view(nodes[k], value), 0.0)
         else:
             graph.footprint_total(nodes[k])
             belief.footprint_total(nodes[k])
-        yield graph, belief
+        yield graph, belief, changed
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=footprint_ops)
+def test_unsynced_covers_every_mismatch(ops):
+    # a merge compares only the unsynced nodes of its view, so every node
+    # where belief and truth differ must be unsynced, and each merge must
+    # return what comparing the id sets at every view node returns
+    states = footprint_states(ops)
+    graph, belief, _ = next(states)
+    nodes = sorted(graph.path_nodes)
+    before = {nid: set(ids) for nid, ids in belief.objects_at.items()}
+    for (op, k, value), (_, _, changed) in zip(ops, states):
+        if op == "merge":
+            view = graph.sensor_view(nodes[k], value).path_nodes
+            want = {nid: len(graph.objects_at[nid] - before[nid])
+                    for nid in view if before[nid] != graph.objects_at[nid]}
+            assert len(changed) == len(want)
+            assert dict(changed) == want
+        else:
+            assert changed is None
+        assert belief.unsynced >= {nid for nid in nodes
+                                   if belief.objects_at[nid] != graph.objects_at[nid]}
+        before = {nid: set(ids) for nid, ids in belief.objects_at.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops=footprint_ops)
 def test_footprint_totals_match_fresh_sums(ops):
     # non-integer areas: running totals would drift, the cache must not
-    for graph, belief in footprint_states(ops):
+    for graph, belief, _ in footprint_states(ops):
         for layer in (graph, belief):
             for nid in graph.path_nodes:
                 assert layer.footprint_total(nid) == layer.footprint_sum(nid)
@@ -415,7 +478,7 @@ def test_node_costs_match_fresh_costs(ops):
     agents = [Agent("a", "v0", speed, width, 0.0)
               for speed, width in ((1.0, 0.5), (1.5, 1.5), (1.0, 2.0))]
     keys = {(a.width, a.default_velocity) for a in agents}
-    for graph, belief in footprint_states(ops):
+    for graph, belief, _ in footprint_states(ops):
         for layer in (graph, belief):
             for agent in agents:  # the planner creates and reads the tables
                 try:

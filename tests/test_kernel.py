@@ -317,10 +317,10 @@ def golden_config(planner, agents):
         duration=12 * HOUR, warmup=HOUR)
 
 
-def output_digest(outdir) -> str:
+def output_digest(outdir, files=GOLDEN_FILES) -> str:
     """sha256 over the metric CSVs, summary.csv without its wall-clock rtf rows."""
     h = hashlib.sha256()
-    for name in GOLDEN_FILES:
+    for name in files:
         lines = (outdir / name).read_text().splitlines(keepends=True)
         if name == "summary.csv":
             lines = [l for l in lines if l.split(",")[1] != "rtf"]
@@ -351,6 +351,22 @@ class TestGoldenOutputs:
                                    base_seed=5)
         write_outputs(ledgers, scenario, tmp_path)
         assert output_digest(tmp_path) == expected
+
+    @pytest.mark.parametrize("planner, agents, expected", [
+        ("observed", 3,
+         "e3d63dbfc199669984e2dd394b795ea4cbe4b4e49459923dccb559f07d925c7e"),
+        ("static", 3,
+         "c34c8608d49b1deab518aefe059be7103832cf7684b8b969bfd49b1d263524f2"),
+        ("static", 0,
+         "59a78100892a8af735a71c28fa18e522f898700272ce26957c908e6c35b8b343"),
+    ])
+    def test_node_gaps_digest(self, tmp_path, planner, agents, expected):
+        # the inter-observation gaps, pinned apart from the files above
+        scenario = grid_scenario(8, 6)
+        ledgers = run_replications(scenario, golden_config(planner, agents), 2,
+                                   base_seed=5)
+        write_outputs(ledgers, scenario, tmp_path)
+        assert output_digest(tmp_path, ("node_gaps.csv",)) == expected
 
     def test_truth_only_spawn_paths(self, tmp_path):
         # every branch of a spawn: thinning rejects candidates off-peak, 30%
@@ -534,7 +550,8 @@ class TestStaleSet:
     def test_stale_keys_are_the_mismatched_nodes(self, planner):
         # the ledger learns of staleness only from spawns, expiries and
         # merges; before every event and after the run its stale nodes must
-        # be exactly those whose believed objects differ from the true ones
+        # be exactly those whose believed objects differ from the true ones,
+        # and the merge, which compares only unsynced nodes, must see them all
         state = SimState(grid_scenario(8, 6), golden_config(planner, 3), seed=5)
         truth, belief, ledger = state.truth, state.belief, state.ledger
         sizes = []
@@ -543,6 +560,7 @@ class TestStaleSet:
             stale = {n for n in truth.path_nodes
                      if belief.objects_at[n] != truth.objects_at[n]}
             assert ledger._stale_since.keys() == stale
+            assert ledger._stale_since.keys() <= belief.unsynced
             sizes.append(len(stale))
 
         state.trace = check

@@ -308,6 +308,64 @@ class TestObservations:
         assert not led.observed_arrivals
 
 
+class CoverageReference:
+    """Per-node merge counts and running gap sums, updated at every merge."""
+
+    def __init__(self, warmup, end):
+        self.warmup, self.end = warmup, end
+        self.coverage = {}  # node -> [observations, last t, gap sum]
+
+    def on_merge(self, t, nodes):
+        if self.warmup <= t <= self.end:
+            for node in nodes:
+                cover = self.coverage.get(node)
+                if cover is None:
+                    self.coverage[node] = [1, t, 0.0]
+                else:
+                    cover[0] += 1
+                    cover[2] += t - cover[1]
+                    cover[1] = t
+
+    def heatmap(self):
+        return {node: cover[0] for node, cover in self.coverage.items()}
+
+    def inter_observation_stats(self):
+        return {node: gaps / (count - 1)
+                for node, (count, _, gaps) in sorted(self.coverage.items()) if count > 1}
+
+
+COVERAGE_VIEWS = [frozenset(v) for v in (["v0"], ["v0", "v1"], ["v1", "v2", "v3"],
+                                         ["v0", "v1", "v2", "v3", "v4"], ["v4"])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=window_bounds,
+       merges=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 5000.0),
+                                           st.sampled_from([0.1, 0.7, 1e-3, 1337.25])),
+                                 st.integers(0, len(COVERAGE_VIEWS) - 1),
+                                 st.booleans()), max_size=60))
+def test_coverage_log_matches_running_sums(bounds, merges):
+    # times rise as the kernel's clock does, by steps that are often zero
+    # (several merges at one t) and rarely exact in binary; views repeat,
+    # also as equal sets built afresh, and merges fall before, in and after
+    # the window; both readers, read twice, must equal the reference's
+    # running sums bit for bit
+    warmup, end = bounds
+    led, ref = MetricsLedger(warmup, end, ["car"]), CoverageReference(warmup, end)
+    t = 0.0
+    for step, k, fresh in merges:
+        t += step
+        nodes = frozenset(COVERAGE_VIEWS[k]) if fresh else COVERAGE_VIEWS[k]
+        led.on_merge(t, Observation(t, nodes, frozenset(), None), [])
+        ref.on_merge(t, nodes)
+    want = ref.inter_observation_stats()
+    for _ in range(2):
+        assert dict(led.heatmap) == ref.heatmap()
+        got = led.inter_observation_stats()
+        assert list(got) == list(want)
+        assert [g.hex() for g in got.values()] == [w.hex() for w in want.values()]
+
+
 merge_ops = st.lists(st.one_of(
     st.tuples(st.just("attach"), st.integers(0, 3)),
     st.tuples(st.just("remove"), st.integers(0, 30)),
