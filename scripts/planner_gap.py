@@ -2,10 +2,16 @@
 
 Runs the same obstacle-heavy synthetic scenario with both planner modes and
 prints the mean absolute normalized prediction error per mode, replicating
-the belief-vs-truth gap experiment on a desk-scale grid.
+the belief-vs-truth gap experiment on a desk-scale grid.  Each mode's line
+also gives the wall seconds of its runs and their real-time factor
+(simulated seconds per wall second), so ``--cols``/``--rows`` give the
+planner's scaling, e.g.::
+
+    python scripts/planner_gap.py --cols 80 --rows 40 --days 1 --warmup-hours 2
 """
 
 import argparse
+import time
 
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.kernel import run_replications
@@ -44,10 +50,13 @@ def build_config(mode, *, rate_per_hour, lifetime_hours, footprint,
 
 
 def mean_delay(scenario, config, replications):
+    """(mean delay %, tasks, wall seconds) over the replications."""
+    started = time.perf_counter()
     ledgers = run_replications(scenario, config, replications, config.seed)
+    wall = time.perf_counter() - started
     delays = [l.mean_task_delay_pct() for l in ledgers]
     tasks = sum(len(l.tasks) for l in ledgers)
-    return sum(delays) / len(delays), tasks
+    return sum(delays) / len(delays), tasks, wall
 
 
 def main():
@@ -58,6 +67,8 @@ def main():
     parser.add_argument("--footprint", type=float, default=4.0)
     parser.add_argument("--task-rate", type=float, default=0.1,
                         help="tasks per hour per PoI")
+    parser.add_argument("--cols", type=int, default=20, help="grid columns")
+    parser.add_argument("--rows", type=int, default=10, help="grid rows")
     parser.add_argument("--agents", type=int, default=3)
     parser.add_argument("--sensor-radius", type=float, default=45.0)
     parser.add_argument("--days", type=float, default=4.0)
@@ -66,7 +77,7 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = build_scenario()
+    scenario = build_scenario(args.cols, args.rows)
     print(f"grid: {len(scenario.path_nodes)} path nodes, "
           f"{len(scenario.poi_nodes)} PoIs")
     results = {}
@@ -76,10 +87,13 @@ def main():
             footprint=args.footprint, task_rate=args.task_rate,
             agents=args.agents, sensor_radius=args.sensor_radius,
             days=args.days, warmup_hours=args.warmup_hours, seed=args.seed)
-        delay, tasks = mean_delay(scenario, config, args.replications)
+        delay, tasks, wall = mean_delay(scenario, config, args.replications)
         results[mode] = delay
-        print(f"{mode:>8}: mean |d| = {delay:.3f}% over {tasks} tasks")
-    print(f"   ratio: {results['static'] / results['observed']:.2f}x")
+        rtf = config.duration * args.replications / wall
+        print(f"{mode:>8}: mean |d| = {delay:.3f}% over {tasks} tasks; "
+              f"wall {wall:.2f} s, RTF {rtf:,.0f}")
+    if results["observed"]:
+        print(f"   ratio: {results['static'] / results['observed']:.2f}x")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ class Agent:
     state: str = IDLE_AT_DEPOT
     path: list = field(default_factory=list)
     path_index: int = 0
-    plan_version: int = -1
+    plan_mark: int = 0  # belief change-log length when the path was planned or confirmed
+    plan_cost: float | None = None  # the path's belief plan cost; None if not planned on it
     task: object = None
     resume_state: str = TO_TARGET  # movement phase to restore after waiting
 
@@ -118,7 +119,9 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     path therefore equals the time an agent needs to traverse it when the
     world matches the planning view.
 
-    The search runs on the view's compiled :class:`StaticNetwork`, whose
+    The path follows the goal-rooted rule of :func:`routing.astar`, so its
+    every suffix is the plan from that suffix's first node.  The search runs
+    over the in-edges of the view's compiled :class:`StaticNetwork`, whose
     indices order like the ids, so it returns what a search over the ids
     would.  A node's cost is looked up by index: in observed mode in the
     view's cost table for the agent's width and speed, which the view keeps
@@ -149,7 +152,7 @@ def plan_path(view, start: str, goal: str, agent: Agent,
         if nid not in index:
             raise UnknownId(nid)
     try:
-        path, cost = astar(net.neighbours, net.positions.__getitem__,
+        path, cost = astar(net.predecessors, net.positions.__getitem__,
                            index[start], index[goal], v, node_cost)
     except Unreachable:
         raise Unreachable(f"no path from {start!r} to {goal!r}") from None
@@ -157,6 +160,32 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     if mode != PLANNER_OBSERVED:
         net.static_plans[key] = (tuple(path), cost)
     return path, cost
+
+
+def plan_holds(agent: Agent, changes, path_nodes) -> bool:
+    """True when no logged belief change can alter the agent's en-route plan.
+
+    ``changes`` are the belief's ``(path id, shrank)`` entries since the
+    agent's ``plan_mark``.  Under the goal-rooted rule the rest of the path
+    is the plan from the current node, and it stays so while no node ahead
+    on it changes: a node off it that only gained objects got no cheaper,
+    and a node that lost some lies on no route as cheap as the committed
+    one when the straight line through it already costs more than
+    ``plan_cost``.  A path not planned on the belief always replans.
+    """
+    if agent.plan_cost is None:
+        return False
+    ahead = set(agent.path[agent.path_index + 1:])
+    here, goal = path_nodes[agent.current_node], path_nodes[agent.destination]
+    v, bound, hypot = agent.default_velocity, agent.plan_cost * (1 + 1e-9), math.hypot
+    for nid, shrank in changes:
+        if nid in ahead:
+            return False
+        if shrank:
+            x = path_nodes[nid]
+            if (hypot(here.x - x.x, here.y - x.y) + hypot(x.x - goal.x, x.y - goal.y)) / v <= bound:
+                return False
+    return True
 
 
 def _resolve(view, node_id: str) -> str:

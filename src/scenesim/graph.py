@@ -179,6 +179,15 @@ class StaticNetwork:
                 for nid in self.ids]
 
     @cached_property
+    def predecessors(self) -> list[list[tuple[int, float]]]:
+        """Per index: the in-edges (predecessor index, length), by predecessor."""
+        preds = [[] for _ in self.ids]
+        for u, nbrs in enumerate(self.neighbours):
+            for v, length in nbrs:
+                preds[v].append((u, length))
+        return preds
+
+    @cached_property
     def positions(self) -> list[tuple[float, float]]:
         nodes = self._path_nodes
         return [(nodes[nid].x, nodes[nid].y) for nid in self.ids]
@@ -520,8 +529,10 @@ class ObservedGraph(ObjectLayer):
 
     A belief observes one ``truth`` and becomes its ``belief``.  Dynamic
     content changes only through :meth:`merge_observation`; the ``version``
-    counter increments on every merge that changes it, so planners can
-    detect belief changes cheaply.  ``unsynced`` holds every node whose
+    counter increments on every merge that changes it, and ``changes`` logs
+    each node a merge rewrites as ``(path id, shrank)``, ``shrank`` telling
+    whether the believed id set lost an id (a node that only gains objects
+    can only get dearer to cross).  ``unsynced`` holds every node whose
     believed objects may differ from the truth's: the truth adds each node
     it mutates, and a merge removes the nodes it compares, so
     {n : belief != truth at n} is always a subset of it.
@@ -533,6 +544,7 @@ class ObservedGraph(ObjectLayer):
         self._share_static(truth)
         self.truth = truth
         self.version = 0
+        self.changes: list[tuple[str, bool]] = []
         self.unsynced = {nid for nid, ids in truth.objects_at.items() if ids}
         truth.belief = self
 
@@ -543,8 +555,8 @@ class ObservedGraph(ObjectLayer):
         appear, nodes outside the observation are untouched.  Only the
         observed unsynced nodes are compared.  Returns the nodes whose
         believed id set differed from the truth's, each with its count of
-        newly believed objects; the version advances iff there are any, so
-        planners can skip replanning after no-op merges.
+        newly believed objects; the version advances iff there are any, and
+        each of them is appended to ``changes``.
         """
         if obs.source is not self.truth:
             raise ValueError("a belief merges only observations of its own truth")
@@ -556,12 +568,13 @@ class ObservedGraph(ObjectLayer):
         self.unsynced -= compared
         source_objects, source_at = self.truth.objects, self.truth.objects_at
         objects, objects_at = self.objects, self.objects_at
-        changed = []
+        changed, log = [], self.changes
         for nid in compared:
             seen = source_at[nid]
             believed = objects_at[nid]
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
+                log.append((nid, not believed <= seen))
                 for oid in believed:
                     del objects[oid]
                 for oid in seen:

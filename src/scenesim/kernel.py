@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from collections import deque
+from collections import Counter, deque
 
 from .agents import (
     IDLE_AT_DEPOT,
@@ -24,6 +24,7 @@ from .agents import (
     Task,
     node_velocity,
     observe,
+    plan_holds,
     plan_path,
 )
 from .config import SimConfig
@@ -71,6 +72,9 @@ class SimState:
         self.rtf: float | None = None
         self.wall_s = 0.0  # summed wall time of all run() segments
         self._initialized = False
+        # legs planned at dispatch and at the target, en-route replans run
+        # and skipped; kept apart from ledger.counters, which outputs digest
+        self.work = Counter()
 
         self.ledger = MetricsLedger(
             config.warmup, config.duration, self.truth.registry.objects
@@ -183,18 +187,28 @@ class SimState:
         self.ledger.on_merge(t, obs, self.belief.merge_observation(obs, t))
 
     def _plan(self, agent: Agent, start: str, goal: str):
-        """Plan a leg on the configured planner's view.
+        """Plan a leg on the configured planner's view: (path, cost, belief cost).
 
         In observed mode a leg the belief blocks is planned on the static
         view instead, as the en-route replan keeps its committed path:
         physics will decide, and the agent waits where a node is truly full.
+        The belief cost is the cost when the belief planned it, else None.
         """
+        self.work["plans"] += 1
         if self.config.fleet.planner_mode == PLANNER_OBSERVED:
             try:
-                return plan_path(self.belief, start, goal, agent, PLANNER_OBSERVED)
+                path, cost = plan_path(self.belief, start, goal, agent, PLANNER_OBSERVED)
+                return path, cost, cost
             except Unreachable:
                 pass
-        return plan_path(self.truth, start, goal, agent, PLANNER_STATIC)
+        return (*plan_path(self.truth, start, goal, agent, PLANNER_STATIC), None)
+
+    def _commit(self, agent: Agent, path: list, plan_cost: float | None):
+        """Set the agent on ``path`` from its start, marked at the current belief."""
+        agent.path = path
+        agent.path_index = 0
+        agent.plan_cost = plan_cost
+        agent.plan_mark = len(self.belief.changes)
 
     # -- process events ---------------------------------------------------------------
 
@@ -250,15 +264,13 @@ class SimState:
 
     def _assign(self, t: float, agent: Agent, task: Task):
         """FIFO assignment; prediction is the round-trip cost on the planner view."""
-        path_out, cost_out = self._plan(agent, agent.current_node, task.target_poi)
-        _, cost_back = self._plan(agent, task.target_poi, agent.current_node)
+        path_out, cost_out, plan_cost = self._plan(agent, agent.current_node, task.target_poi)
+        _, cost_back, _ = self._plan(agent, task.target_poi, agent.current_node)
         task.t_assigned = t
         task.t_pred = t + cost_out + cost_back
         agent.task = task
         agent.state = TO_TARGET
-        agent.path = path_out
-        agent.path_index = 0
-        agent.plan_version = self.belief.version
+        self._commit(agent, path_out, plan_cost)
         if len(path_out) == 1:
             self._leg_complete(agent, t)
         else:
@@ -280,17 +292,22 @@ class SimState:
         agent.path_index += 1
         self._merge_observation(agent, t)
 
+        changes = self.belief.changes
         if (self.config.fleet.planner_mode == PLANNER_OBSERVED
-                and agent.plan_version != self.belief.version
+                and agent.plan_mark != len(changes)
                 and node != agent.destination):
-            try:
-                new_path, _ = plan_path(self.belief, node, agent.destination,
-                                        agent, PLANNER_OBSERVED)
-                agent.path = new_path
-                agent.path_index = 0
-            except Unreachable:
-                pass  # keep the committed path; physics will decide
-            agent.plan_version = self.belief.version
+            if plan_holds(agent, changes[agent.plan_mark:], self.truth.path_nodes):
+                # a replan would return the rest of the committed path
+                self.work["replans_skipped"] += 1
+            else:
+                self.work["replans"] += 1
+                try:
+                    agent.path, agent.plan_cost = plan_path(
+                        self.belief, node, agent.destination, agent, PLANNER_OBSERVED)
+                    agent.path_index = 0
+                except Unreachable:
+                    agent.plan_cost = None  # keep the committed path; physics will decide
+            agent.plan_mark = len(changes)
 
         self._start_dwell_or_wait(agent, t)
 
@@ -333,11 +350,9 @@ class SimState:
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:
             depot_node = self.truth.access[self.truth.depot_id][0]
-            path_back, _ = self._plan(agent, agent.current_node, depot_node)
+            path_back, _, plan_cost = self._plan(agent, agent.current_node, depot_node)
             agent.state = RETURNING
-            agent.path = path_back
-            agent.path_index = 0
-            agent.plan_version = self.belief.version
+            self._commit(agent, path_back, plan_cost)
             if len(path_back) == 1:
                 self._leg_complete(agent, t)
             else:

@@ -2,7 +2,8 @@
 
 Two users: the drain step (nearest node with free capacity, plain distance)
 and the agent planner (A* on travel time with believed obstacle penalties).
-Ties at equal cost break on lowest node id so results are platform-stable.
+The planner's answer is defined by cost-to-goal labels alone, so it does not
+depend on the order in which the search visits nodes.
 """
 
 from __future__ import annotations
@@ -47,49 +48,58 @@ def nearest_matching_node(adjacency, start, predicate, bound: float):
     return None
 
 
-def astar(adjacency, positions, start, goal, speed: float,
+def astar(in_edges, positions, start, goal, speed: float,
           node_cost) -> tuple[list, float]:
-    """Minimum travel-time path from ``start`` to ``goal``.
+    """Minimum travel-time path from ``start`` to ``goal``, rooted at the goal.
 
-    Edge cost is length/speed plus ``node_cost(target)``; targets with
-    infinite node cost are excluded.  The heuristic (straight-line distance
-    over default speed) is admissible because node costs are non-negative and
-    edge lengths are at least the straight-line displacement.  Nodes may be
-    any ordered hashable keys of ``adjacency``; ties at equal f and g break
-    on the lowest node.
+    ``in_edges[s]`` lists the edges ``(u, length)`` into ``s``.  The labels
+    are the float fixed point c(goal) = 0 and c(u) = min over edges u -> s of
+    ``length / speed + node_cost(s) + c(s)``, evaluated left to right; a
+    node of infinite cost is never entered.  The path walks from the start,
+    taking at each node the lowest successor that achieves its label, and
+    costs c(start).  So every suffix of a path is the path from its first
+    node, whatever order the search visits nodes in.
+
+    The search is A* from the goal over in-edges toward the start, with the
+    straight-line distance to the start over ``speed`` as heuristic.  That
+    is admissible because node costs are non-negative and edge lengths are
+    at least the straight-line displacement.  A node reached again with a
+    lower label is expanded again, so float rounding cannot leave a wrong
+    label behind.  A node's cost is read when the search expands it, and the
+    start's never.  Nodes may be any ordered hashable keys of ``in_edges``.
     """
     if start == goal:
         return [start], 0.0
-    gx, gy = positions(goal)
+    sx, sy = positions(start)
     hypot, inf = math.hypot, math.inf
     push, pop = heapq.heappush, heapq.heappop
-    x, y = positions(start)
-    g_score = {start: 0.0}
-    parent = {}
-    heap = [(hypot(x - gx, y - gy) / speed, 0.0, start)]
-    closed = set()
+    x, y = positions(goal)
+    label = {goal: 0.0}
+    succ = {}
+    # among equal f the start (h = 0, so the largest label) pops last, after
+    # every successor that could tie for the label of a node on its path
+    heap = [(hypot(x - sx, y - sy) / speed, 0.0, goal)]
     while heap:
-        _, g, node = pop(heap)
-        if node == goal:
+        _, c, node = pop(heap)
+        if node == start:
             path = [node]
-            while node in parent:
-                node = parent[node]
+            while node != goal:
+                node = succ[node]
                 path.append(node)
-            path.reverse()
-            return path, g
-        if node in closed:
+            return path, c
+        if c != label[node]:
+            continue  # superseded by a lower label
+        step = node_cost(node)
+        if step == inf:
             continue
-        closed.add(node)
-        for nbr, length in adjacency[node]:
-            if nbr in closed:
-                continue
-            step = node_cost(nbr)
-            if step == inf:
-                continue
-            ng = g + length / speed + step
-            if ng < g_score.get(nbr, inf):
-                g_score[nbr] = ng
-                parent[nbr] = node
-                x, y = positions(nbr)
-                push(heap, (ng + hypot(x - gx, y - gy) / speed, ng, nbr))
+        for u, length in in_edges[node]:
+            cu = length / speed + step + c
+            old = label.get(u, inf)
+            if cu < old:
+                label[u] = cu
+                succ[u] = node
+                x, y = positions(u)
+                push(heap, (cu + hypot(x - sx, y - sy) / speed, cu, u))
+            elif cu == old and node < succ[u]:
+                succ[u] = node
     raise Unreachable(f"no path from {start!r} to {goal!r}")

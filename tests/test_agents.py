@@ -13,13 +13,14 @@ from scenesim.agents import (
     node_penalty,
     node_velocity,
     observe,
+    plan_holds,
     plan_path,
 )
 from scenesim.errors import InvalidGeometry, UnknownId, Unreachable
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream
-from scenesim.synthetic import line_scenario
+from scenesim.synthetic import grid_scenario, line_scenario
 
 
 def make_agent(node="v0", velocity=1.0, width=0.5, radius=20.0):
@@ -174,6 +175,93 @@ class TestAstarOracle:
                 astar(adjacency, positions.__getitem__, src, dst, 1.0, node_cost)
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_way_edges_match_networkx_dijkstra(self, seed):
+        # undirected graphs cannot tell in-edges from out-edges: here half
+        # the edges run one way only, so a search over the wrong ones fails
+        rng = RandomStream(seed, "astar-digraph")
+        n = 5 + int(rng.uniform() * 35)
+        positions = {f"q{i:02d}": (rng.uniform() * 200, rng.uniform() * 200)
+                     for i in range(n)}
+        nodes = sorted(positions)
+        penalties = {nid: (math.inf if rng.uniform() < 0.05 else rng.uniform() * 30)
+                     for nid in nodes}
+        in_edges = {nid: [] for nid in nodes}
+        G = nx.DiGraph()
+        G.add_nodes_from(nodes)
+        edges = [(nodes[i], nodes[i + 1]) for i in range(n - 1)]
+        edges += [(nodes[int(rng.uniform() * n)], nodes[int(rng.uniform() * n)])
+                  for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                continue
+            length = math.dist(positions[u], positions[v]) * (1.0 + rng.uniform())
+            one_way = rng.uniform() < 0.5
+            if one_way and rng.uniform() < 0.5:
+                u, v = v, u
+            for a, b in ((u, v),) if one_way else ((u, v), (v, u)):
+                in_edges[b].append((a, length))
+                w = length + penalties[b]
+                if not math.isinf(w) and (not G.has_edge(a, b) or G[a][b]["weight"] > w):
+                    G.add_edge(a, b, weight=w)
+
+        src, dst = nodes[0], nodes[-1]
+        if nx.has_path(G, src, dst):
+            path, cost = astar(in_edges, positions.__getitem__, src, dst, 1.0,
+                               penalties.__getitem__)
+            assert cost == pytest.approx(nx.dijkstra_path_length(G, src, dst), abs=1e-9)
+            assert path[0] == src and path[-1] == dst
+            assert all(G.has_edge(a, b) for a, b in zip(path, path[1:]))
+        else:
+            with pytest.raises(Unreachable):
+                astar(in_edges, positions.__getitem__, src, dst, 1.0, penalties.__getitem__)
+
+
+class TestPlanHolds:
+    """The skip rule of an en-route replan, one branch per case.
+
+    The agent stands at g02 on row 0 of a 10 x 5 grid of 20 m spacing, on
+    its way to g09; at 1 m/s a plan cost of 200 s bounds the ellipse with
+    foci g02 and g09 that a freed node must lie in to matter.
+    """
+
+    @pytest.fixture
+    def setting(self):
+        agent = make_agent(node="g02")
+        agent.path = [f"g{k:02d}" for k in range(10)]
+        agent.path_index, agent.plan_cost = 2, 200.0
+        return agent, grid_scenario(10, 5).path_nodes
+
+    def test_no_change_holds(self, setting):
+        agent, nodes = setting
+        assert plan_holds(agent, [], nodes)
+
+    @pytest.mark.parametrize("shrank", [False, True])
+    def test_change_on_remaining_path_replans(self, setting, shrank):
+        agent, nodes = setting
+        assert not plan_holds(agent, [("g25", False), ("g05", shrank)], nodes)
+
+    def test_changes_behind_and_gains_off_path_hold(self, setting):
+        agent, nodes = setting
+        assert plan_holds(agent, [("g01", False), ("g02", False), ("g25", False)], nodes)
+
+    def test_shrink_inside_ellipse_replans(self, setting):
+        # g25 at (100, 40): 72.1 m + 89.4 m of straight line, under 200 s
+        agent, nodes = setting
+        assert not plan_holds(agent, [("g45", False), ("g25", True)], nodes)
+
+    def test_shrink_outside_ellipse_holds(self, setting):
+        # g45 at (100, 80): 100 m + 113.1 m of straight line, over 200 s
+        agent, nodes = setting
+        assert plan_holds(agent, [("g45", True), ("g45", False)], nodes)
+
+    def test_path_not_planned_on_the_belief_replans(self, setting):
+        # from the static fallback, or kept after the belief blocked a replan
+        agent, nodes = setting
+        agent.plan_cost = None
+        assert not plan_holds(agent, [("g45", False)], nodes)
+
+
 class TestObserve:
     def test_zero_radius_sees_nothing(self):
         graph = line_scenario(3)
@@ -198,17 +286,64 @@ class TestObserve:
 
 
 def reference_plan(view, start, goal, agent, mode):
-    """``routing.astar`` on the string-keyed graph with the model's node cost."""
+    """The goal-rooted rule by brute force on the string-keyed graph.
+
+    Iterates c(goal) = 0, c(u) = min over edges u -> s of
+    ``length / v + cost(s) + c(s)`` to its fixed point, Bellman-Ford style,
+    with the model's node costs, then walks from the start, taking at each
+    node the lowest-id successor that achieves its label.
+
+    A node too narrow for the agent raises when the search reads it.  The
+    search expands nodes in order of (label + straight line to the start
+    over v, label, id) and stops at the start, so before it reads the first
+    narrow node its labels are those of the graph where narrow nodes are
+    never entered, the labels computed here: it raises for the narrow node
+    of least key, if that key sorts below the start's.
+    """
     v = agent.default_velocity
-    if mode == PLANNER_OBSERVED:
-        def node_cost(nid):
-            node = view.path_nodes[nid]
+    costs, narrow = {}, []
+    for nid, node in view.path_nodes.items():
+        if mode == PLANNER_STATIC:
+            costs[nid] = node.segment_length / v
+        elif agent.width >= node.sidewalk_width:
+            costs[nid] = math.inf
+            narrow.append(node)
+        else:
             nu = node_velocity(node, view.footprint_sum(nid), agent.width, v)
-            return math.inf if nu == 0.0 else node.segment_length / nu
-    else:
-        def node_cost(nid):
-            return view.path_nodes[nid].segment_length / v
-    return astar(view.adjacency, view.node_position, start, goal, v, node_cost)
+            costs[nid] = math.inf if nu == 0.0 else node.segment_length / nu
+    if start == goal:
+        return [start], 0.0
+
+    label = dict.fromkeys(view.path_nodes, math.inf)
+    label[goal] = 0.0
+
+    def through(u):
+        return [(length / v + costs[s] + label[s], s)
+                for s, length in view.adjacency[u] if costs[s] < math.inf]
+
+    changed = True
+    while changed:
+        changed = False
+        for u in view.path_nodes:
+            best = min((c for c, _ in through(u)), default=math.inf)
+            if best < label[u]:
+                label[u], changed = best, True
+
+    sx, sy = view.node_position(start)
+    start_key = (label[start], label[start], start)
+    reached = [((label[n.id] + math.hypot(n.x - sx, n.y - sy) / v, label[n.id], n.id), n)
+               for n in narrow if label[n.id] < math.inf]
+    if reached:
+        key, node = min(reached, key=lambda kn: kn[0])
+        if label[start] == math.inf or key < start_key:
+            node_velocity(node, 0.0, agent.width, v)  # raises InvalidGeometry
+    if label[start] == math.inf:
+        raise Unreachable(f"no path from {start!r} to {goal!r}")
+    path = [start]
+    while path[-1] != goal:
+        u = path[-1]
+        path.append(min(s for c, s in through(u) if c == label[u]))
+    return path, label[start]
 
 
 def outcome(plan, *args):
@@ -287,6 +422,13 @@ def test_compiled_planner_matches_reference_search(case):
                 assert outcome(plan_path, view, start, goal, agent, mode) == want
                 # a repeat, served from the cost table, or the static memo
                 assert outcome(plan_path, view, start, goal, agent, mode) == want
+                if isinstance(want[0], list):
+                    # every suffix of a plan is the plan from its first node
+                    path = want[0]
+                    for k in range(1, len(path)):
+                        suffix = plan_path(view, path[k], goal, agent, mode)
+                        assert suffix == reference_plan(view, path[k], goal, agent, mode)
+                        assert suffix[0] == path[k:]
     copy = truth.dynamic_copy()
     assert (outcome(plan_path, copy, start, goal, agent, PLANNER_STATIC)
             == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))
@@ -306,7 +448,7 @@ class TestCompiledPlanner:
         agent = make_agent(width=2.0)  # every sidewalk is 2 m wide
         assert plan_path(graph, "v1", "v1", agent, PLANNER_OBSERVED) == (["v1"], 0.0)
         with pytest.raises(InvalidGeometry,
-                           match=r"^agent width 2.0 >= sidewalk width 2.0 at node 'v1'$"):
+                           match=r"^agent width 2.0 >= sidewalk width 2.0 at node 'v3'$"):
             plan_path(graph, "v0", "v3", agent, PLANNER_OBSERVED)
 
     def test_static_memo_returns_fresh_lists(self):

@@ -329,13 +329,17 @@ def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
     graph, belief = relocated_line(stale, placements,
                                    *([] if prior is None else [(50, prior)]))
     before = {k: set(v) for k, v in belief.objects_at.items()}
-    version = belief.version
+    version, logged = belief.version, len(belief.changes)
     obs = graph.sensor_view(sorted(graph.path_nodes)[node], r, 1.0)
     changed = belief.merge_observation(obs, 1.0)
     want = {nid: len(graph.objects_at[nid] - before[nid])
             for nid in obs.path_nodes if before[nid] != graph.objects_at[nid]}
     assert len(changed) == len(want)
     assert dict(changed) == want
+    # the change log gains one entry per changed node: did its id set shrink?
+    log = belief.changes[logged:]
+    assert len(log) == len(want)
+    assert dict(log) == {nid: not before[nid] <= graph.objects_at[nid] for nid in want}
     assert (belief.version != version) == bool(changed)
     assert belief.version - version in (0, 1)
 

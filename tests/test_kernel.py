@@ -339,9 +339,9 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("planner, agents, expected", [
         ("observed", 3,
-         "d1ad988d6f7e1ea0687d503a93c29c21b3931b10013f347905af540cce17622d"),
+         "e23bacde68eacb0b6004c9c9d1da046aa9dce15b9b9b32c0ac6364a1e7985136"),
         ("static", 3,
-         "57927f32df7dace11d4377ecf446b522f18f155618b4869f80a0689bbdfe694d"),
+         "f164187fc8259bfb0189f4be1c762d6c8b7f197fe0932cdae194251e1ba7a12a"),
         ("static", 0,
          "ba927eaf1675520fbf1f5618f0dacf207dfd7fd0f68233b2d20cfa8885f5d8b9"),
     ])
@@ -354,9 +354,9 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("planner, agents, expected", [
         ("observed", 3,
-         "e3d63dbfc199669984e2dd394b795ea4cbe4b4e49459923dccb559f07d925c7e"),
+         "84978b78a6e23c1c80d9c7d9fcc02f4dad5b7ba5607cf2bdc70cc62d7411a88d"),
         ("static", 3,
-         "c34c8608d49b1deab518aefe059be7103832cf7684b8b969bfd49b1d263524f2"),
+         "27c8475cb5888bf5145688154ef31e0f0a075130d35c093e372fe33f6d95c12a"),
         ("static", 0,
          "59a78100892a8af735a71c28fa18e522f898700272ce26957c908e6c35b8b343"),
     ])
@@ -367,6 +367,19 @@ class TestGoldenOutputs:
                                    base_seed=5)
         write_outputs(ledgers, scenario, tmp_path)
         assert output_digest(tmp_path, ("node_gaps.csv",)) == expected
+
+    @pytest.mark.parametrize("planner", ["observed", "static"])
+    def test_replan_skip_is_output_neutral(self, tmp_path, monkeypatch, planner):
+        # a skipped en-route replan must be one that would have returned the
+        # rest of the committed path: replanning at every grown log changes
+        # no output
+        scenario = grid_scenario(8, 6)
+        for name in ("skip", "always"):
+            if name == "always":
+                monkeypatch.setattr("scenesim.kernel.plan_holds", lambda *_: False)
+            ledgers = run_replications(scenario, golden_config(planner, 3), 2, base_seed=5)
+            write_outputs(ledgers, scenario, tmp_path / name)
+        assert csv_outputs(tmp_path / "skip") == csv_outputs(tmp_path / "always")
 
     def test_truth_only_spawn_paths(self, tmp_path):
         # every branch of a spawn: thinning rejects candidates off-peak, 30%
@@ -425,6 +438,68 @@ class TestObservedFallback:
         for ledger in ledgers:
             assert ledger._finalized
             assert ledger.counters["tasks_completed"] > 0
+
+
+class TestReplanSkip:
+    def test_work_counts_every_entry_with_a_grown_log(self):
+        # every en-route entry at which the belief's change log grew since
+        # the agent's mark is either replanned or skipped, and counted once
+        state = SimState(grid_scenario(8, 6), golden_config("observed", 3), seed=5)
+        changes, entries, grown = state.belief.changes, [], []
+        merge = state._merge_observation
+
+        def record(t, kind, payload):
+            if kind == AGENT_NODE_ENTRY:
+                agent = state._agents_by_id[payload[0]]
+                entries.append((agent, payload[1], agent.plan_mark, agent.destination))
+
+        def merging(agent, t):
+            merge(agent, t)
+            if entries and entries[-1][0] is agent:
+                _, node, mark, destination = entries.pop()
+                grown.append(mark != len(changes) and node != destination)
+
+        state.trace = record
+        state._merge_observation = merging
+        state.run()
+        work = state.work
+        assert work["replans"] > 0 and work["replans_skipped"] > 0 and work["plans"] > 0
+        assert work["replans"] + work["replans_skipped"] == sum(grown)
+        assert set(work) == {"plans", "replans", "replans_skipped"}
+        # outputs digest the ledger's counters: the work counters stay out of them
+        assert set(state.ledger.counters) == {"spawned", "expired", "tasks_issued",
+                                              "tasks_completed", "tasks_warmup",
+                                              "degenerate_tasks"}
+
+    @staticmethod
+    def blocked_line():
+        """An agent about to deliver along v0..v4 whose belief will see v3 blocked."""
+        config = empty_config(fleet=FleetConfig(count=1, sensor_radius=25.0))
+        state = SimState(line_scenario(5, capacity={"car": 9}, pois=((4, "housing"),)),
+                         config, seed=1)
+        block = ObjectNode("block", "car", 0.0, 1e9, 100.0, "v3")
+        return state, state.fleet[0], block
+
+    def test_static_fallback_path_has_no_plan_cost(self):
+        state, agent, block = self.blocked_line()
+        state.truth.attach_object(block)
+        state.belief.merge_observation(state.truth.sensor_view("v3", 1.0), 0.0)
+        state._assign(0.0, agent, Task("t0", "poi0", 0.0))
+        assert agent.path == ["v0", "v1", "v2", "v3", "v4"]
+        assert agent.plan_cost is None
+        assert agent.plan_mark == len(state.belief.changes)
+
+    def test_path_kept_after_unreachable_has_no_plan_cost(self):
+        state, agent, block = self.blocked_line()
+        state._assign(0.0, agent, Task("t0", "poi0", 0.0))
+        assert agent.plan_cost == plan_path(state.belief, "v0", "v4", agent)[1]
+        state.truth.attach_object(block)
+        # entering v1, the agent sees v3 blocked ahead: the replan fails
+        state.run(10.0 / agent.default_velocity)
+        assert agent.current_node == "v1" and state.work["replans"] == 1
+        assert agent.path == ["v0", "v1", "v2", "v3", "v4"] and agent.path_index == 1
+        assert agent.plan_cost is None
+        assert agent.plan_mark == len(state.belief.changes) > 0
 
 
 class TestSplitRun:
