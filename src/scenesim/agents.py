@@ -87,11 +87,12 @@ def node_penalty(node: PathNode, footprint_sum: float, agent_width: float,
 class NodeCosts(dict):
     """Network index -> a layer's node cost for agents of one width and speed.
 
-    An entry is filled on first read with the dwell ``segment_length / nu``
-    at the velocity the node's footprint total leaves, or inf where that is
-    0 (blocked); the layer drops it when the node's objects change.  A node
-    whose sidewalk is not wider than the agent never enters the table:
-    reading it raises ``InvalidGeometry``.
+    This is the one dwell rule: the planner reads it on the belief, the
+    kernel on the truth.  An entry is filled on first read with the dwell
+    ``segment_length / nu`` at the velocity the node's footprint sum leaves,
+    or inf where that is 0 (blocked); the layer drops it when the node's
+    objects change.  A node whose sidewalk is not wider than the agent never
+    enters the table: reading it raises ``InvalidGeometry``.
     """
 
     __slots__ = ("layer", "width", "speed")
@@ -103,9 +104,18 @@ class NodeCosts(dict):
     def __missing__(self, i: int) -> float:
         nid = self.layer.network.ids[i]
         node = self.layer.path_nodes[nid]
-        nu = node_velocity(node, self.layer.footprint_total(nid), self.width, self.speed)
+        nu = node_velocity(node, self.layer.footprint_sum(nid), self.width, self.speed)
         cost = self[i] = math.inf if nu == 0.0 else node.segment_length / nu
         return cost
+
+
+def cost_table(layer: ObjectLayer, agent: Agent) -> NodeCosts:
+    """``layer``'s node-cost table for agents of ``agent``'s width and speed."""
+    key = (agent.width, agent.default_velocity)
+    table = layer.node_costs.get(key)
+    if table is None:
+        table = layer.node_costs[key] = NodeCosts(layer, *key)
+    return table
 
 
 def plan_path(view, start: str, goal: str, agent: Agent,
@@ -135,11 +145,7 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     net = view.network
 
     if mode == PLANNER_OBSERVED:
-        key = (agent.width, v)
-        costs = view.node_costs.get(key)
-        if costs is None:
-            costs = view.node_costs[key] = NodeCosts(view, agent.width, v)
-        node_cost = costs.__getitem__
+        node_cost = cost_table(view, agent).__getitem__
     else:
         key = (start, goal, v)
         memo = net.static_plans.get(key)

@@ -272,20 +272,19 @@ class ObjectLayer:
     frozen static stores; :meth:`_share_static` is where a layer takes them
     from a source graph by reference.
 
-    ``footprint_totals`` maps a path node id to the sum of its objects'
-    footprint areas, and ``node_costs`` maps an agent's (width, speed) to
-    the planner's table of node costs by network index.  Whatever changes a
-    node's object set drops its entries (:meth:`_forget`), and the next read
-    computes them again.  :meth:`footprint_total` re-sums with ``math.fsum``,
-    so the total never depends on the set's hash-seeded order, and the
-    cache never drifts the way running ``+=``/``-=`` totals would.
+    ``node_costs`` maps an agent's (width, speed) to the layer's table of
+    node costs by network index: the planner reads it on the belief, and
+    the kernel reads it on the truth for an agent's dwell.  Whatever changes
+    a node's object set drops the node's entries (:meth:`_forget`), and the
+    next read computes them again from :meth:`footprint_sum`, which re-sums
+    with ``math.fsum``: a cost never depends on the set's hash-seeded order,
+    and never drifts the way running ``+=``/``-=`` totals would.
     """
 
     path_nodes: dict[str, PathNode]
     poi_nodes: dict[str, PoiNode]
     objects: dict[str, ObjectNode]
     objects_at: dict[str, set[str]]
-    footprint_totals: dict[str, float]
     node_costs: dict[tuple[float, float], dict[int, float]]
     _network: StaticNetwork | None
 
@@ -305,7 +304,6 @@ class ObjectLayer:
         self._network = source.network
         self.objects = {}
         self.objects_at = {nid: set() for nid in source.path_nodes}
-        self.footprint_totals = {}
         self.node_costs = {}
 
     @property
@@ -325,16 +323,8 @@ class ObjectLayer:
     def footprint_sum(self, path_id: str) -> float:
         return math.fsum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
 
-    def footprint_total(self, path_id: str) -> float:
-        """``footprint_sum(path_id)``, summed once per change of the node's objects."""
-        total = self.footprint_totals.get(path_id)
-        if total is None:
-            total = self.footprint_totals[path_id] = self.footprint_sum(path_id)
-        return total
-
-    def _forget(self, path_id: str, i: int):
-        """Drop what is cached from the objects at ``path_id`` (network index ``i``)."""
-        self.footprint_totals.pop(path_id, None)
+    def _forget(self, i: int):
+        """Drop the cost entries of the node at network index ``i``."""
         for table in self.node_costs.values():
             table.pop(i, None)
 
@@ -359,7 +349,6 @@ class SceneGraph(ObjectLayer):
         self.access: dict[str, tuple[str, float]] = {}
         self.static_edges: list[Edge] = []
         self.objects_at: dict[str, set[str]] = {}
-        self.footprint_totals: dict[str, float] = {}
         self.node_costs: dict[tuple[float, float], dict[int, float]] = {}
         self.occupancy: dict[str, list[int]] = {}  # class -> count per network index
         self.belief: ObservedGraph | None = None
@@ -478,7 +467,7 @@ class SceneGraph(ObjectLayer):
             )
         self.objects[obj.id] = obj
         self.objects_at[obj.attached_to].add(obj.id)
-        self._forget(obj.attached_to, i)
+        self._forget(i)
         counts[i] += 1
         if self.belief is not None:
             self.belief.unsynced.add(obj.attached_to)
@@ -490,7 +479,7 @@ class SceneGraph(ObjectLayer):
             raise UnknownId(f"object {object_id!r} not in graph")
         i = self._network.index[obj.attached_to]
         self.objects_at[obj.attached_to].discard(object_id)
-        self._forget(obj.attached_to, i)
+        self._forget(i)
         self.occupancy[obj.semantic_class][i] -= 1
         if self.belief is not None:
             self.belief.unsynced.add(obj.attached_to)
@@ -580,7 +569,7 @@ class ObservedGraph(ObjectLayer):
                 for oid in seen:
                     objects[oid] = source_objects[oid]
                 objects_at[nid] = set(seen)
-                self._forget(nid, self._network.index[nid])
+                self._forget(self._network.index[nid])
         if changed:
             self.version += 1
         return changed

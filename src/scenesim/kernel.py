@@ -10,6 +10,7 @@ ever happens across replications, which share nothing mutable.
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from collections import Counter, deque
 
@@ -22,7 +23,7 @@ from .agents import (
     WAITING,
     Agent,
     Task,
-    node_velocity,
+    cost_table,
     observe,
     plan_holds,
     plan_path,
@@ -312,15 +313,12 @@ class SimState:
         self._start_dwell_or_wait(agent, t)
 
     def _start_dwell_or_wait(self, agent: Agent, t: float):
-        node = self.truth.path_nodes[agent.current_node]
-        nu = node_velocity(node, self.truth.footprint_total(agent.current_node),
-                           agent.width, agent.default_velocity)
-        if nu == 0.0:
+        dwell = cost_table(self.truth, agent)[self.truth.network.index[agent.current_node]]
+        if dwell == math.inf:
             agent.resume_state = agent.state
             agent.state = WAITING
             self.waiting_at.setdefault(agent.current_node, []).append(agent)
             return
-        dwell = node.segment_length / nu
         self.schedule(t + dwell, AGENT_NODE_EXIT, (agent.id, agent.current_node))
 
     def _handle_agent_node_exit(self, t: float, payload):
@@ -336,16 +334,13 @@ class SimState:
         agent = self._agents_by_id[agent_id]
         if agent.state != WAITING:
             return
-        node = self.truth.path_nodes[agent.current_node]
-        nu = node_velocity(node, self.truth.footprint_total(agent.current_node),
-                           agent.width, agent.default_velocity)
-        if nu == 0.0:
+        i = self.truth.network.index[agent.current_node]
+        if cost_table(self.truth, agent)[i] == math.inf:
             return
         self.waiting_at[agent.current_node].remove(agent)
         agent.state = agent.resume_state
         self._merge_observation(agent, t)
-        dwell = node.segment_length / nu
-        self.schedule(t + dwell, AGENT_NODE_EXIT, (agent.id, agent.current_node))
+        self._start_dwell_or_wait(agent, t)
 
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:

@@ -259,8 +259,9 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             if name not in universe:
                 violations.append(f"{where}: undeclared class {name!r}")
 
-    def number(section, where, key, default, cast=float):
-        value = section.get(key, default)
+    def number(section, where, key, default):
+        """``section[key]`` as the type of ``default``, its value when absent."""
+        value, cast = section.get(key, default), type(default)
         if cast is int and _fractional(value):
             violations.append(f"{where}.{key}: expected an integer, got {value!r}")
             return default
@@ -268,7 +269,14 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             return cast(value)
         except (OverflowError, TypeError, ValueError):
             violations.append(f"{where}.{key}: expected a number, got {value!r}")
-            return cast(default)
+            return default
+
+    def positive(where, value, finite=False):
+        # NaN fails the comparison and is reported too
+        if not value > 0:
+            violations.append(f"{where}: must be positive")
+        elif finite and value == math.inf:
+            violations.append(f"{where}: must be finite")
 
     processes = []
     for i, spec in _entries(data, "processes", violations):
@@ -281,10 +289,12 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             check_classes(object_classes, objects, f"{where}.object_classes")
             profile = RateProfile(tuple(spec["hourly_rates"]))
             footprint = float(spec["footprint_area"])
-            if footprint <= 0:
-                violations.append(f"{where}.footprint_area: must be positive")
-            lifetime_mean = spec.get("lifetime_mean")
-            target_population = spec.get("target_population")
+            positive(f"{where}.footprint_area", footprint, finite=True)
+            # an infinite mean lifetime or population is allowed
+            means = {key: float(spec[key]) for key in ("lifetime_mean", "target_population")
+                     if spec.get(key) is not None}
+            for key, mean in means.items():
+                positive(f"{where}.{key}", mean)
             sidewalk_p = float(spec.get("sidewalk_probability", 1.0))
             if not 0.0 <= sidewalk_p <= 1.0:
                 violations.append(f"{where}.sidewalk_probability: outside [0, 1]")
@@ -295,9 +305,7 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
                 rate_profile=profile,
                 footprint_area=footprint,
                 sidewalk_probability=sidewalk_p,
-                lifetime_mean=None if lifetime_mean is None else float(lifetime_mean),
-                target_population=(None if target_population is None
-                                   else float(target_population)),
+                **means,
             ))
         except ValidationError as exc:
             violations.extend(f"{where}: {v}" for v in exc.violations)
@@ -318,35 +326,30 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 
-    fleet_data = _section(data, "fleet", violations)
+    fleet_data, default = _section(data, "fleet", violations), FleetConfig()
     fleet = FleetConfig(
-        count=number(fleet_data, "fleet", "count", 1, int),
-        default_velocity=number(fleet_data, "fleet", "default_velocity", 1.5),
-        agent_width=number(fleet_data, "fleet", "agent_width", 0.5),
-        sensor_radius=number(fleet_data, "fleet", "sensor_radius", 20.0),
-        planner_mode=fleet_data.get("planner_mode", "observed"),
+        planner_mode=fleet_data.get("planner_mode", default.planner_mode),
+        **{key: number(fleet_data, "fleet", key, getattr(default, key))
+           for key in ("count", "default_velocity", "agent_width", "sensor_radius")},
     )
     if fleet.planner_mode not in ("static", "observed"):
         violations.append(f"fleet.planner_mode: unknown {fleet.planner_mode!r}")
     if fleet.count < 0:
         violations.append("fleet.count: must be >= 0")
-    if fleet.default_velocity <= 0:
-        violations.append("fleet.default_velocity: must be positive")
-    # NaN fails the comparison and is reported too
-    if not fleet.agent_width > 0:
-        violations.append("fleet.agent_width: must be positive")
-    if fleet.sensor_radius < 0:
+    positive("fleet.default_velocity", fleet.default_velocity, finite=True)
+    positive("fleet.agent_width", fleet.agent_width, finite=True)
+    # an infinite radius sees the whole scene
+    if not fleet.sensor_radius >= 0:
         violations.append("fleet.sensor_radius: must be non-negative")
 
-    sim = _section(data, "sim", violations)
-    duration = number(sim, "sim", "duration_days", 22) * 86400.0
-    warmup = number(sim, "sim", "warmup_hours", 48) * 3600.0
-    replications = number(sim, "sim", "replications", 5, int)
+    sim, default = _section(data, "sim", violations), SimConfig()
+    duration = number(sim, "sim", "duration_days", default.duration / 86400.0) * 86400.0
+    warmup = number(sim, "sim", "warmup_hours", default.warmup / 3600.0) * 3600.0
+    replications = number(sim, "sim", "replications", default.replications)
     violations.extend(run_control_violations(duration, warmup, replications))
-    bound = number(sim, "sim", "drain_search_bound", 300.0)
-    if bound <= 0:
-        violations.append("sim.drain_search_bound: must be positive")
-    seed = number(sim, "sim", "seed", 1, int)
+    bound = number(sim, "sim", "drain_search_bound", default.drain_search_bound)
+    positive("sim.drain_search_bound", bound)
+    seed = number(sim, "sim", "seed", default.seed)
 
     if violations:
         raise ValidationError(violations)

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenesim
-from scenesim.agents import PLANNER_OBSERVED, Agent, node_velocity, observe, plan_path
+from scenesim.agents import (
+    PLANNER_OBSERVED,
+    Agent,
+    cost_table,
+    node_velocity,
+    observe,
+    plan_path,
+)
 from scenesim.errors import (
     CapacityExceeded,
     DuplicateId,
@@ -222,7 +229,7 @@ for old, new, node in ((None, "o0", "v03"), ("o0", "s0", "v03"), ("s0", "o0", "v
     graph.attach_object(ObjectNode(new, "car", 0.0, 100.0, 1.0, node))
     belief.merge_observation(graph.radius_subgraph((50, 0), float("inf")), 0.0)
 print(sorted(belief.objects_at["v05"]), sorted(belief.objects),
-      belief.footprint_total("v05"), sorted(belief.objects_at["v03"]))
+      belief.footprint_sum("v05"), sorted(belief.objects_at["v03"]))
 """
 
 
@@ -408,6 +415,9 @@ footprint_ops = st.lists(st.one_of(
 ), max_size=40)
 
 
+READER = Agent("reader", "v0", 1.0, 0.5, 0.0)
+
+
 def footprint_states(ops):
     """A line, its belief and what the op merged (None if it was no merge).
 
@@ -427,8 +437,8 @@ def footprint_states(ops):
         elif op == "merge":
             changed = belief.merge_observation(graph.sensor_view(nodes[k], value), 0.0)
         else:
-            graph.footprint_total(nodes[k])
-            belief.footprint_total(nodes[k])
+            for layer in (graph, belief):
+                cost_table(layer, READER)[k]  # network index k is nodes[k]
         yield graph, belief, changed
 
 
@@ -454,16 +464,6 @@ def test_unsynced_covers_every_mismatch(ops):
         assert belief.unsynced >= {nid for nid in nodes
                                    if belief.objects_at[nid] != graph.objects_at[nid]}
         before = {nid: set(ids) for nid, ids in belief.objects_at.items()}
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=footprint_ops)
-def test_footprint_totals_match_fresh_sums(ops):
-    # non-integer areas: running totals would drift, the cache must not
-    for graph, belief, _ in footprint_states(ops):
-        for layer in (graph, belief):
-            for nid in graph.path_nodes:
-                assert layer.footprint_total(nid) == layer.footprint_sum(nid)
 
 
 def fresh_cost(layer, nid, agent):
@@ -623,7 +623,6 @@ class TestStaticNetwork:
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
-        tiny_graph.footprint_total("v0")
         plan_path(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0), PLANNER_OBSERVED)
         copy = tiny_graph.dynamic_copy()
         for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):
@@ -634,8 +633,6 @@ class TestStaticNetwork:
             assert layer.objects_at == {nid: set() for nid in tiny_graph.path_nodes}
             assert all(layer.objects_at[nid] is not tiny_graph.objects_at[nid]
                        for nid in tiny_graph.path_nodes)
-            assert layer.footprint_totals == {}
-            assert layer.footprint_totals is not tiny_graph.footprint_totals
             assert layer.node_costs == {} and tiny_graph.node_costs
         assert copy.occupancy == {}
         assert copy.occupancy is not tiny_graph.occupancy

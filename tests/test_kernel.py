@@ -214,6 +214,25 @@ class TestTasks:
             for task in state.ledger.tasks:
                 assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
 
+    def test_agents_pay_what_the_planner_charges(self):
+        # obstacles with fractional areas slow the route; with the belief
+        # synced to a truth that never changes, each dwell an agent pays
+        # must be the node cost the planner charged
+        scenario = line_scenario(6, pois=((5, "housing"),))
+        state = SimState(scenario, self.task_config(), seed=3)
+        for oid, area, node in (("o0", 1.1, "v2"), ("o1", 0.7, "v4")):
+            state.truth.attach_object(ObjectNode(oid, "car", 0.0, 1e9, area, node))
+        state.belief.merge_observation(
+            state.truth.radius_subgraph((0.0, 0.0), math.inf), 0.0)
+        state.run()
+        agent = state.fleet[0]
+        free = sum(plan_path(state.truth, a, b, agent, "static")[1]
+                   for a, b in (("v0", "poi0"), ("poi0", "v0")))
+        assert state.ledger.tasks, "no completed tasks"
+        for task in state.ledger.tasks:
+            assert task.t_pred - task.t_assigned > free * (1 + 1e-9)
+            assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
+
     def test_tasks_queue_when_fleet_busy(self):
         scenario = line_scenario(12, pois=((11, "housing"),))
         state = SimState(scenario, self.task_config(rate=60.0, duration=HOUR),

@@ -1,10 +1,13 @@
 """Scenario JSON and run-config YAML: round trips and validation."""
 
 import json
+import math
 
 import pytest
+import yaml
 
 from scenesim.cli import main
+from scenesim.config import SimConfig
 from scenesim.errors import ParseError, ValidationError
 from scenesim.kernel import run_replications
 from scenesim.scenario import (
@@ -268,6 +271,12 @@ class TestConfig:
         ("agent_width", -1.0, "fleet.agent_width: must be positive"),
         ("agent_width", 0.0, "fleet.agent_width: must be positive"),
         ("agent_width", float("nan"), "fleet.agent_width: must be positive"),
+        ("agent_width", float("inf"), "fleet.agent_width: must be finite"),
+        ("default_velocity", 0.0, "fleet.default_velocity: must be positive"),
+        ("default_velocity", float("nan"), "fleet.default_velocity: must be positive"),
+        ("default_velocity", float("inf"), "fleet.default_velocity: must be finite"),
+        ("sensor_radius", -1.0, "fleet.sensor_radius: must be non-negative"),
+        ("sensor_radius", float("nan"), "fleet.sensor_radius: must be non-negative"),
         ("count", -3, "fleet.count: must be >= 0"),
         ("count", "three", "fleet.count: expected a number, got 'three'"),
     ])
@@ -277,6 +286,53 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             config_from_dict(data)
         assert exc.value.violations == [message]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("processes[0].footprint_area", 0.0, "must be positive"),
+        ("processes[0].footprint_area", float("nan"), "must be positive"),
+        ("processes[0].footprint_area", float("inf"), "must be finite"),
+        ("processes[0].lifetime_mean", -5.0, "must be positive"),
+        ("processes[0].lifetime_mean", float("nan"), "must be positive"),
+        ("processes[0].target_population", 0.0, "must be positive"),
+        ("processes[0].target_population", float("nan"), "must be positive"),
+        ("sim.drain_search_bound", 0.0, "must be positive"),
+        ("sim.drain_search_bound", -1.0, "must be positive"),
+        ("sim.drain_search_bound", float("nan"), "must be positive"),
+    ])
+    def test_bad_process_and_sim_values(self, field, value, message):
+        data = config_dict()
+        section, key = field.split(".")
+        target = data["processes"][0] if section == "processes[0]" else data[section]
+        if key == "target_population":
+            del target["lifetime_mean"]  # exactly one of the two may be set
+        target[key] = value
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == [f"{field}: {message}"]
+
+    def test_infinite_means_radius_and_bound_accepted(self):
+        data = config_dict(fleet={"sensor_radius": float("inf")},
+                           sim={"drain_search_bound": float("inf")})
+        data["processes"][0]["lifetime_mean"] = float("inf")
+        data["processes"].append(dict(data["processes"][0], name="more", lifetime_mean=None,
+                                      target_population=float("inf")))
+        cfg = config_from_dict(data)
+        assert cfg.fleet.sensor_radius == cfg.drain_search_bound == math.inf
+        assert cfg.processes[0].lifetime_mean == cfg.processes[1].target_population == math.inf
+
+    def test_nan_lifetime_exits_two(self, tmp_path, capsys):
+        scenario, config = tmp_path / "s.json", tmp_path / "c.yaml"
+        save_scenario(line_scenario(3, pois=((1, "housing"),)), scenario)
+        data = config_dict()
+        data["processes"][0]["lifetime_mean"] = float("nan")
+        config.write_text(yaml.safe_dump(data))
+        assert ".nan" in config.read_text()
+        assert main(["validate", str(scenario), str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error: processes[0].lifetime_mean: must be positive" in err
+
+    def test_defaults_come_from_the_dataclasses(self):
+        assert config_from_dict({}) == SimConfig()
 
     @pytest.mark.parametrize("section, field, value", [
         ("fleet", "count", 1.5),
