@@ -158,7 +158,7 @@ def plan_path(view, start: str, goal: str, agent: Agent,
         if nid not in index:
             raise UnknownId(nid)
     try:
-        path, cost = astar(net.predecessors, net.positions.__getitem__,
+        path, cost = astar(net.predecessors, net.bound_positions.__getitem__,
                            index[start], index[goal], v, node_cost)
     except Unreachable:
         raise Unreachable(f"no path from {start!r} to {goal!r}") from None
@@ -168,28 +168,30 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     return path, cost
 
 
-def plan_holds(agent: Agent, changes, path_nodes) -> bool:
+def plan_holds(agent: Agent, changes, network) -> bool:
     """True when no logged belief change can alter the agent's en-route plan.
 
     ``changes`` are the belief's ``(path id, shrank)`` entries since the
     agent's ``plan_mark``.  Under the goal-rooted rule the rest of the path
     is the plan from the current node, and it stays so while no node ahead
     on it changes: a node off it that only gained objects got no cheaper,
-    and a node that lost some lies on no route as cheap as the committed
-    one when the straight line through it already costs more than
-    ``plan_cost``.  A path not planned on the belief always replans.
+    and a node x that lost some lies on no route as cheap as the committed
+    one when ``kappa * (|cur - x| + |x - goal|) / v``, the network's lower
+    bound on any route through it (see :attr:`StaticNetwork.kappa`), already
+    exceeds ``plan_cost``.  A path not planned on the belief always replans.
     """
     if agent.plan_cost is None:
         return False
     ahead = set(agent.path[agent.path_index + 1:])
-    here, goal = path_nodes[agent.current_node], path_nodes[agent.destination]
-    v, bound, hypot = agent.default_velocity, agent.plan_cost * (1 + 1e-9), math.hypot
+    pos, index, dist = network.positions, network.index, math.dist
+    here, goal = pos[index[agent.current_node]], pos[index[agent.destination]]
+    k, v, bound = network.kappa, agent.default_velocity, agent.plan_cost * (1 + 1e-9)
     for nid, shrank in changes:
         if nid in ahead:
             return False
         if shrank:
-            x = path_nodes[nid]
-            if (hypot(here.x - x.x, here.y - x.y) + hypot(x.x - goal.x, x.y - goal.y)) / v <= bound:
+            x = pos[index[nid]]
+            if k * (dist(here, x) + dist(x, goal)) / v <= bound:
                 return False
     return True
 

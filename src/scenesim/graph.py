@@ -21,6 +21,7 @@ from .errors import (
     UnknownId,
     UnknownStaticNode,
 )
+from .routing import least_cost_per_metre
 
 EDGE_ADJACENCY = "adjacency"
 EDGE_ACCESS = "access"
@@ -191,6 +192,25 @@ class StaticNetwork:
     def positions(self) -> list[tuple[float, float]]:
         nodes = self._path_nodes
         return [(nodes[nid].x, nodes[nid].y) for nid in self.ids]
+
+    @cached_property
+    def kappa(self) -> float:
+        """:func:`routing.least_cost_per_metre` of the out-edges, over empty-segment dwells.
+
+        Obstacles only slow an agent, so no node cost at speed v is below
+        ``segment_length / v``, on the truth or on any belief.
+        """
+        nodes = self._path_nodes
+        return least_cost_per_metre(
+            ((u, s, length) for u, nbrs in enumerate(self.neighbours) for s, length in nbrs),
+            self.positions, [nodes[nid].segment_length for nid in self.ids])
+
+    @cached_property
+    def bound_positions(self) -> list[tuple[float, float]]:
+        """Per index: the position times ``kappa``, the planner's A* heuristic input."""
+        # taken from node 0, so rounding scales with the network's extent
+        k, (x0, y0) = self.kappa, self.positions[0]
+        return [(k * (x - x0), k * (y - y0)) for x, y in self.positions]
 
     @cached_property
     def edge_length(self) -> dict[tuple[str, str], float]:
@@ -377,8 +397,9 @@ class SceneGraph(ObjectLayer):
         self._check_mutable_static()
         if u not in self.path_nodes or v not in self.path_nodes:
             raise UnknownId(f"adjacency edge {u!r}-{v!r} references unknown path node")
-        if length <= 0:
-            raise ValueError(f"edge {u!r}-{v!r} has non-positive length")
+        if not 0 < length < math.inf:  # NaN fails too
+            raise ValueError(f"edge {u!r}-{v!r} length: must be positive and finite, "
+                             f"got {length!r}")
         self.adjacency[u].append((v, length))
         if not directed:
             self.adjacency[v].append((u, length))
@@ -390,8 +411,9 @@ class SceneGraph(ObjectLayer):
             raise UnknownId(f"access edge {poi_id!r}-{path_id!r} references unknown node")
         if poi_id in self.access:
             raise DuplicateId(f"poi {poi_id!r} already has an access edge")
-        if length <= 0:
-            raise ValueError(f"access edge {poi_id!r}-{path_id!r} has non-positive length")
+        if not 0 < length < math.inf:
+            raise ValueError(f"access edge {poi_id!r}-{path_id!r} length: must be positive "
+                             f"and finite, got {length!r}")
         self.access[poi_id] = (path_id, length)
         self.static_edges.append(Edge(EDGE_ACCESS, poi_id, path_id, False, length))
 

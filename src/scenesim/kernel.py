@@ -297,7 +297,7 @@ class SimState:
         if (self.config.fleet.planner_mode == PLANNER_OBSERVED
                 and agent.plan_mark != len(changes)
                 and node != agent.destination):
-            if plan_holds(agent, changes[agent.plan_mark:], self.truth.path_nodes):
+            if plan_holds(agent, changes[agent.plan_mark:], self.truth.network):
                 # a replan would return the rest of the committed path
                 self.work["replans_skipped"] += 1
             else:

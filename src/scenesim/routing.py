@@ -48,6 +48,25 @@ def nearest_matching_node(adjacency, start, predicate, bound: float):
     return None
 
 
+def least_cost_per_metre(edges, positions, dwell) -> float:
+    """kappa: a lower bound on any path's cost per metre of straight line, times speed.
+
+    ``edges`` yields ``(u, s, length)`` for every edge u -> s; ``positions``
+    and ``dwell`` are indexed by node, and ``dwell[s] / speed`` is at most
+    any cost of node s.  Entering s by that edge then costs at least
+    ``(length + dwell[s]) / speed``, so by the triangle inequality a path
+    costs at least kappa * its straight-line displacement / speed, where
+    kappa is the least ``(length + dwell[s]) / |u - s|`` over the edges whose
+    ends lie apart, shaved by a relative 1e-9 against float rounding.  It is
+    0 when no edge's ends lie apart or the least ratio overflows, which
+    leaves A* a plain Dijkstra.
+    """
+    ratios = [(length + dwell[s]) / d for u, s, length in edges
+              if (d := math.dist(positions[u], positions[s])) > 0.0]
+    kappa = min(ratios, default=0.0) * (1 - 1e-9)
+    return kappa if kappa < math.inf else 0.0
+
+
 def astar(in_edges, positions, start, goal, speed: float,
           node_cost) -> tuple[list, float]:
     """Minimum travel-time path from ``start`` to ``goal``, rooted at the goal.
@@ -61,12 +80,17 @@ def astar(in_edges, positions, start, goal, speed: float,
     node, whatever order the search visits nodes in.
 
     The search is A* from the goal over in-edges toward the start, with the
-    straight-line distance to the start over ``speed`` as heuristic.  That
-    is admissible because node costs are non-negative and edge lengths are
-    at least the straight-line displacement.  A node reached again with a
-    lower label is expanded again, so float rounding cannot leave a wrong
-    label behind.  A node's cost is read when the search expands it, and the
-    start's never.  Nodes may be any ordered hashable keys of ``in_edges``.
+    straight-line distance between ``positions`` of a node and of the start,
+    over ``speed``, as heuristic.  Positions are scaled by the graph's
+    :func:`least_cost_per_metre` kappa, which makes the heuristic a lower
+    bound on the cost from the start whatever the edge lengths (unscaled
+    positions are the case kappa = 1: edges at least as long as the straight
+    line).  The shave in kappa puts every successor that could tie for the
+    label of a node on the path strictly below the start's key, so the start
+    still pops after them.  A node reached again with a lower label is
+    expanded again, so float rounding cannot leave a wrong label behind.  A
+    node's cost is read when the search expands it, and the start's never.
+    Nodes may be any ordered hashable keys of ``in_edges``.
     """
     if start == goal:
         return [start], 0.0

@@ -160,10 +160,9 @@ def scenario_from_dict(data: dict) -> SceneGraph:
                                   f"got {cap!r}")
             elif node.capacity[cls] < 0:
                 violations.append(f"{field_path}.capacity[{cls}]: negative")
-        if node.segment_length <= 0:
-            violations.append(f"{field_path}.segment_length: must be positive")
-        if node.sidewalk_width <= 0:
-            violations.append(f"{field_path}.sidewalk_width: must be positive")
+        for name in ("segment_length", "sidewalk_width"):
+            if not 0 < getattr(node, name) < math.inf:  # NaN fails too
+                violations.append(f"{field_path}.{name}: must be positive and finite")
         try:
             graph.add_path_node(node)
         except Exception as exc:

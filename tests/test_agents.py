@@ -1,6 +1,7 @@
 """Travel-cost model, planner optimality, observation, task assignment."""
 
 import math
+import os
 
 import networkx as nx
 import pytest
@@ -18,9 +19,17 @@ from scenesim.agents import (
 )
 from scenesim.errors import InvalidGeometry, UnknownId, Unreachable
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
-from scenesim.routing import astar
+from scenesim.routing import astar, least_cost_per_metre
 from scenesim.stochastic import RandomStream
 from scenesim.synthetic import grid_scenario, line_scenario
+
+# Hypothesis examples per planner property and seeds per oracle; a longer CI
+# step sets this to run every one of them at that count
+EXAMPLES = os.environ.get("SCENESIM_PLANNER_EXAMPLES")
+
+
+def examples(default: int) -> int:
+    return int(EXAMPLES) if EXAMPLES else default
 
 
 def make_agent(node="v0", velocity=1.0, width=0.5, radius=20.0):
@@ -126,9 +135,39 @@ class TestPlanPath:
         for u, v in zip(path, path[1:]):
             assert any(n == v for n, _ in graph.adjacency[u])
 
+    @pytest.mark.parametrize("mode", [PLANNER_OBSERVED, PLANNER_STATIC])
+    def test_edges_shorter_than_their_straight_line(self, mode):
+        # a plain straight-line heuristic puts f at 414 s and returns the
+        # 102 s route through m; the network's kappa keeps the bound below 22
+        graph = short_edge_scenario()
+        want = reference_plan(graph, "a", "b", make_agent(node="a"), mode)
+        assert want == (["a", "f", "b"], 22.0)
+        assert plan_path(graph, "a", "b", make_agent(node="a"), mode) == want
+        belief = ObservedGraph(graph)
+        assert plan_path(belief, "a", "b", make_agent(node="a"), mode) == want
+
+
+def short_edge_scenario():
+    """From a (0, 0) to b (100, 0): 50 + 50 m via m (50, 0) costs 102 s at
+    1 m/s with 1 m segments, 10 + 10 m via f (50, 400) costs 22 s."""
+    graph = SceneGraph()
+    for nid, (x, y) in {"a": (0, 0), "m": (50, 0), "b": (100, 0), "f": (50, 400)}.items():
+        graph.add_path_node(PathNode(nid, x, y, "sidewalk", {"car": 5}, 1.0, 2.0))
+    for u, v, length in (("a", "m", 50.0), ("m", "b", 50.0), ("a", "f", 10.0), ("f", "b", 10.0)):
+        graph.add_adjacency_edge(u, v, length)
+    graph.freeze_static()
+    return graph
+
+
+def kappa_positions(in_edges, positions, dwell):
+    """Positions times the graph's kappa, as the planner hands them to astar."""
+    k = least_cost_per_metre(((u, s, length) for s, ins in in_edges.items()
+                              for u, length in ins), positions, dwell)
+    return {nid: (k * x, k * y) for nid, (x, y) in positions.items()}
+
 
 class TestAstarOracle:
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(examples(20)))
     def test_random_graphs_match_networkx_dijkstra(self, seed):
         rng = RandomStream(seed, "astar-oracle")
         n = 5 + int(rng.uniform() * 45)
@@ -139,8 +178,8 @@ class TestAstarOracle:
         G = nx.DiGraph()
         penalties = {nid: (math.inf if rng.uniform() < 0.05 else rng.uniform() * 30)
                      for nid in nodes}
-        # random connected-ish graph: chain plus random chords; edge length
-        # >= straight-line distance keeps the heuristic admissible
+        # random connected-ish graph: chain plus random chords; some edges
+        # are shorter than the straight line, which kappa must absorb
         edges = [(nodes[i], nodes[i + 1]) for i in range(n - 1)]
         edges += [
             (nodes[int(rng.uniform() * n)], nodes[int(rng.uniform() * n)])
@@ -150,7 +189,7 @@ class TestAstarOracle:
             if u == v:
                 continue
             dist = math.dist(positions[u], positions[v])
-            length = dist * (1.0 + rng.uniform())
+            length = dist * (0.25 + 1.75 * rng.uniform())
             adjacency[u].append((v, length))
             adjacency[v].append((u, length))
             for a, b in ((u, v), (v, u)):
@@ -161,6 +200,7 @@ class TestAstarOracle:
         def node_cost(nid):
             return penalties[nid]
 
+        positions = kappa_positions(adjacency, positions, penalties)
         src, dst = nodes[0], nodes[-1]
         try:
             expected = nx.dijkstra_path_length(G, src, dst)
@@ -175,7 +215,7 @@ class TestAstarOracle:
                 astar(adjacency, positions.__getitem__, src, dst, 1.0, node_cost)
 
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(examples(12)))
     def test_one_way_edges_match_networkx_dijkstra(self, seed):
         # undirected graphs cannot tell in-edges from out-edges: here half
         # the edges run one way only, so a search over the wrong ones fails
@@ -195,7 +235,7 @@ class TestAstarOracle:
         for u, v in edges:
             if u == v:
                 continue
-            length = math.dist(positions[u], positions[v]) * (1.0 + rng.uniform())
+            length = math.dist(positions[u], positions[v]) * (0.25 + 1.75 * rng.uniform())
             one_way = rng.uniform() < 0.5
             if one_way and rng.uniform() < 0.5:
                 u, v = v, u
@@ -205,6 +245,7 @@ class TestAstarOracle:
                 if not math.isinf(w) and (not G.has_edge(a, b) or G[a][b]["weight"] > w):
                     G.add_edge(a, b, weight=w)
 
+        positions = kappa_positions(in_edges, positions, penalties)
         src, dst = nodes[0], nodes[-1]
         if nx.has_path(G, src, dst):
             path, cost = astar(in_edges, positions.__getitem__, src, dst, 1.0,
@@ -221,45 +262,63 @@ class TestPlanHolds:
     """The skip rule of an en-route replan, one branch per case.
 
     The agent stands at g02 on row 0 of a 10 x 5 grid of 20 m spacing, on
-    its way to g09; at 1 m/s a plan cost of 200 s bounds the ellipse with
-    foci g02 and g09 that a freed node must lie in to matter.
+    its way to g09.  Entering a node costs at least 20 m of edge plus its
+    10 m segment, so kappa is 1.5 and at 1 m/s the row ahead costs 210 s
+    when empty.  A plan cost of 250 s (40 s of believed dwell on the row)
+    bounds the ellipse with foci g02 and g09 that a freed node must lie in
+    to matter: 250 / 1.5 = 166.7 m of straight line through it.
     """
 
     @pytest.fixture
     def setting(self):
         agent = make_agent(node="g02")
         agent.path = [f"g{k:02d}" for k in range(10)]
-        agent.path_index, agent.plan_cost = 2, 200.0
-        return agent, grid_scenario(10, 5).path_nodes
+        agent.path_index, agent.plan_cost = 2, 250.0
+        return agent, grid_scenario(10, 5).network
 
     def test_no_change_holds(self, setting):
-        agent, nodes = setting
-        assert plan_holds(agent, [], nodes)
+        agent, net = setting
+        assert plan_holds(agent, [], net)
 
     @pytest.mark.parametrize("shrank", [False, True])
     def test_change_on_remaining_path_replans(self, setting, shrank):
-        agent, nodes = setting
-        assert not plan_holds(agent, [("g25", False), ("g05", shrank)], nodes)
+        agent, net = setting
+        assert not plan_holds(agent, [("g25", False), ("g05", shrank)], net)
 
     def test_changes_behind_and_gains_off_path_hold(self, setting):
-        agent, nodes = setting
-        assert plan_holds(agent, [("g01", False), ("g02", False), ("g25", False)], nodes)
+        agent, net = setting
+        assert plan_holds(agent, [("g01", False), ("g02", False), ("g25", False)], net)
 
     def test_shrink_inside_ellipse_replans(self, setting):
-        # g25 at (100, 40): 72.1 m + 89.4 m of straight line, under 200 s
-        agent, nodes = setting
-        assert not plan_holds(agent, [("g45", False), ("g25", True)], nodes)
+        # g25 at (100, 40): 1.5 * (72.1 m + 89.4 m) of straight line, 242 s
+        agent, net = setting
+        assert not plan_holds(agent, [("g45", False), ("g25", True)], net)
 
     def test_shrink_outside_ellipse_holds(self, setting):
-        # g45 at (100, 80): 100 m + 113.1 m of straight line, over 200 s
-        agent, nodes = setting
-        assert plan_holds(agent, [("g45", True), ("g45", False)], nodes)
+        # g40 at (0, 80): 89.4 m + 197.0 m, over 250 s even at 1 s per metre
+        agent, net = setting
+        assert plan_holds(agent, [("g40", True), ("g45", False)], net)
+
+    def test_shrink_between_straight_line_and_kappa_ellipse_holds(self, setting):
+        # g45 at (100, 80): 100 m + 113.1 m costs 213 s at 1 s per metre,
+        # inside the plain straight-line ellipse, but 320 s at kappa
+        agent, net = setting
+        assert plan_holds(agent, [("g45", True), ("g45", False)], net)
 
     def test_path_not_planned_on_the_belief_replans(self, setting):
         # from the static fallback, or kept after the belief blocked a replan
-        agent, nodes = setting
+        agent, net = setting
         agent.plan_cost = None
-        assert not plan_holds(agent, [("g45", False)], nodes)
+        assert not plan_holds(agent, [("g45", False)], net)
+
+    def test_short_edge_puts_a_far_node_inside_the_ellipse(self):
+        # planned via m at 102 s while f was believed blocked; f lies 806 m
+        # of straight line off, but its 10 m edges make the route 22 s
+        graph = short_edge_scenario()
+        agent = make_agent(node="a")
+        agent.path, agent.plan_cost = ["a", "m", "b"], 102.0
+        assert not plan_holds(agent, [("f", True)], graph.network)
+        assert plan_holds(agent, [("f", False)], graph.network)
 
 
 class TestObserve:
@@ -294,11 +353,12 @@ def reference_plan(view, start, goal, agent, mode):
     node the lowest-id successor that achieves its label.
 
     A node too narrow for the agent raises when the search reads it.  The
-    search expands nodes in order of (label + straight line to the start
-    over v, label, id) and stops at the start, so before it reads the first
-    narrow node its labels are those of the graph where narrow nodes are
-    never entered, the labels computed here: it raises for the narrow node
-    of least key, if that key sorts below the start's.
+    search expands nodes in order of (label + kappa * straight line to the
+    start over v, label, id), the line taken between the network's
+    kappa-scaled positions, and stops at the start, so before it reads the
+    first narrow node its labels are those of the graph where narrow nodes
+    are never entered, the labels computed here: it raises for the narrow
+    node of least key, if that key sorts below the start's.
     """
     v = agent.default_velocity
     costs, narrow = {}, []
@@ -329,9 +389,12 @@ def reference_plan(view, start, goal, agent, mode):
             if best < label[u]:
                 label[u], changed = best, True
 
-    sx, sy = view.node_position(start)
+    net = view.network
+    scaled = {nid: net.bound_positions[i] for nid, i in net.index.items()}
+    sx, sy = scaled[start]
     start_key = (label[start], label[start], start)
-    reached = [((label[n.id] + math.hypot(n.x - sx, n.y - sy) / v, label[n.id], n.id), n)
+    reached = [((label[n.id] + math.hypot(scaled[n.id][0] - sx, scaled[n.id][1] - sy) / v,
+                 label[n.id], n.id), n)
                for n in narrow if label[n.id] < math.inf]
     if reached:
         key, node = min(reached, key=lambda kn: kn[0])
@@ -355,9 +418,10 @@ def outcome(plan, *args):
 
 @st.composite
 def planning_cases(draw):
-    """Grids with equal edge lengths (many equal-cost routes), node ids in
-    random order, random believed footprints, blocked and narrow nodes, and
-    the object changes to make between plans."""
+    """Grids with equal edge lengths (many equal-cost routes), some down
+    edges shorter than their straight line, node ids in random order, random
+    believed footprints, blocked and narrow nodes, and the object changes to
+    make between plans."""
     cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 5))
     n = cols * rows
     ids = draw(st.permutations([f"n{k}" for k in range(n)]))
@@ -373,7 +437,8 @@ def planning_cases(draw):
             graph.add_adjacency_edge(ids[k], ids[right], 10.0,
                                      directed=draw(st.booleans()) and draw(st.booleans()))
         if down < n:
-            graph.add_adjacency_edge(ids[k], ids[down], draw(st.sampled_from([10.0, 12.0])))
+            # a 2 m edge between rows 10 m apart is shorter than its straight line
+            graph.add_adjacency_edge(ids[k], ids[down], draw(st.sampled_from([10.0, 12.0, 2.0])))
     graph.freeze_static()
     for k, nid in enumerate(draw(st.lists(st.sampled_from(ids), max_size=12))):
         area = draw(st.sampled_from([1.5, 3.75, 7.5, 16.0]))
@@ -407,7 +472,7 @@ def change_objects(truth, belief, change, serial):
         belief.merge_observation(truth.sensor_view(arg, value), 0.0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(case=planning_cases())
 def test_compiled_planner_matches_reference_search(case):
     truth, belief, start, goal, agent, changes = case

@@ -76,6 +76,16 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["segment_length", "sidewalk_width"])
+    def test_non_finite_geometry_exits_two(self, workspace, capsys, field):
+        _, scenario, _ = workspace
+        data = json.loads(scenario.read_text())
+        data["path_nodes"][0][field] = float("nan")
+        scenario.write_text(json.dumps(data))  # written as the NaN token
+        assert main(["validate", str(scenario)]) == 2
+        assert (f"error: path_nodes[0].{field}: must be positive and finite\n"
+                in capsys.readouterr().err)
+
     def test_unparseable_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -98,6 +98,18 @@ class TestAttachRemove:
         with pytest.raises(ValueError):
             tiny_graph.add_path_node(PathNode("x", 0, 0, "sidewalk", {}, 1.0, 2.0))
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
+    def test_edge_lengths_must_be_positive_and_finite(self, length):
+        graph = SceneGraph()
+        for nid in ("u", "v"):
+            graph.add_path_node(PathNode(nid, 0, 0, "sidewalk", {}, 1.0, 2.0))
+        graph.add_poi_node(PoiNode("p", 0, 0, "housing"))
+        with pytest.raises(ValueError, match=r"^edge 'u'-'v' length: must be positive"):
+            graph.add_adjacency_edge("u", "v", length)
+        with pytest.raises(ValueError, match=r"^access edge 'p'-'u' length: must be positive"):
+            graph.add_access_edge("p", "u", length)
+        assert graph.adjacency == {"u": [], "v": []} and not graph.access
+
     def test_static_hash_constant_under_object_churn(self, tiny_graph):
         h0 = tiny_graph.static_hash()
         tiny_graph.attach_object(obj("o1", "v0"))
@@ -614,6 +626,31 @@ class TestStaticNetwork:
         assert net.edge_length[("c", "a")] == 11.0
         assert net.edge_length[("a", "c")] == 12.0
         assert ("a", "b") not in net.edge_length
+
+    def test_kappa_is_the_least_cost_per_metre(self):
+        graph = SceneGraph()
+        for nid, x in (("b", 0.0), ("c", 10.0), ("a", 20.0), ("z", 20.0)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {}, 4.0, 2.0))
+        graph.add_adjacency_edge("b", "c", 10.0)
+        graph.add_adjacency_edge("c", "a", 11.0, directed=True)
+        graph.add_adjacency_edge("a", "z", 0.5)  # its ends coincide: no bound
+        graph.freeze_static()
+        net = graph.network
+        # b - c: (10 m + the entered node's 4 m segment) / 10 m beats c -> a's 1.5
+        k = 1.4 * (1 - 1e-9)
+        assert net.kappa == k
+        # scaled from node 0, a at x = 20
+        assert net.bound_positions == [(0.0, 0.0), (k * -20.0, 0.0), (k * -10.0, 0.0),
+                                       (0.0, 0.0)]
+
+    def test_kappa_without_a_moving_edge_is_zero(self):
+        graph = SceneGraph()
+        for nid in ("u", "v"):
+            graph.add_path_node(PathNode(nid, 5.0, 5.0, "sidewalk", {}, 4.0, 2.0))
+        graph.add_adjacency_edge("u", "v", 1.0)
+        graph.freeze_static()
+        assert graph.network.kappa == 0.0
+        assert graph.network.bound_positions == [(0.0, 0.0), (0.0, 0.0)]
 
     def test_static_costs_per_speed(self, tiny_graph):
         net = tiny_graph.network

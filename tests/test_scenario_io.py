@@ -146,6 +146,23 @@ class TestScenarioValidation:
         text = violations_of(data)
         assert "segment_length" in text and "sidewalk_width" in text
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field,message", [
+        ("segment_length", "path_nodes[0].segment_length: must be positive and finite"),
+        ("sidewalk_width", "path_nodes[0].sidewalk_width: must be positive and finite"),
+        ("adjacency", "edges[0]: edge 'p0'-'p1' length: must be positive and finite, got "),
+        ("access", "edges[1]: access edge 'd'-'p0' length: must be positive and finite, got "),
+    ])
+    def test_non_finite_geometry_rejected(self, field, message, value):
+        # NaN passes a `<= 0` test; the planner's heuristic is derived from these
+        data = scenario_dict()
+        if field in ("adjacency", "access"):
+            data["edges"][0 if field == "adjacency" else 1]["length"] = value
+            message += repr(value)
+        else:
+            data["path_nodes"][0][field] = value
+        assert message in violations_of(data).splitlines()
+
     def test_entries_must_be_mappings(self):
         data = scenario_dict()
         data["path_nodes"][1]["capacity"] = ["car"]
