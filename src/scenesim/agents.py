@@ -202,6 +202,6 @@ def _resolve(view, node_id: str) -> str:
     return node_id
 
 
-def observe(truth: SceneGraph, agent: Agent, t: float) -> Observation:
-    """Noiseless view of the truth within the agent's sensor radius."""
-    return truth.sensor_view(agent.current_node, agent.sensor_radius, t)
+def observe(truth: SceneGraph, agent: Agent) -> Observation:
+    """Noiseless view of the truth within the agent's sensor radius (memoized)."""
+    return truth.network.visible(agent.current_node, agent.sensor_radius)

@@ -25,7 +25,6 @@ from .routing import least_cost_per_metre
 
 EDGE_ADJACENCY = "adjacency"
 EDGE_ACCESS = "access"
-EDGE_ATTACHMENT = "attachment"
 
 
 @dataclass(frozen=True)
@@ -87,49 +86,20 @@ class Edge:
     length: float | None = None
 
 
-class Observation:
-    """View of a graph's objects on the nodes within sensor range at ``t``.
+class Observation(NamedTuple):
+    """The path ids and PoI ids strictly within a sensor radius of a point.
 
-    It holds the selected (path ids, PoI ids) and the ``source`` graph and
-    copies nothing.  ``objects_at`` (non-empty path node id -> its objects,
-    sorted by id) and ``edges`` (static edges between selected nodes, plus
-    one attachment edge per object) are built the first time they are read.
-    A view is valid until the source's next mutation.
+    A view names nodes and holds no objects.  It depends only on the frozen
+    static graph, so one record serves every graph over it for the whole run.
     """
 
-    __slots__ = ("t", "path_nodes", "poi_nodes", "source", "_objects_at", "_edges")
-
-    def __init__(self, t: float, path_nodes: frozenset[str], poi_nodes: frozenset[str],
-                 source: "ObjectLayer"):
-        self.t = t
-        self.path_nodes = path_nodes
-        self.poi_nodes = poi_nodes
-        self.source = source
-        self._objects_at = self._edges = None
-
-    @property
-    def objects_at(self) -> dict:
-        if self._objects_at is None:
-            objects, at = self.source.objects, self.source.objects_at
-            self._objects_at = {nid: tuple(objects[oid] for oid in sorted(at[nid]))
-                                for nid in self.path_nodes if at[nid]}
-        return self._objects_at
-
-    @property
-    def edges(self) -> tuple:
-        if self._edges is None:
-            selected = self.path_nodes | self.poi_nodes
-            edges = [e for e in self.source.static_edges
-                     if e.u in selected and e.v in selected]
-            for nid, objs in self.objects_at.items():
-                edges.extend(Edge(EDGE_ATTACHMENT, obj.id, nid) for obj in objs)
-            self._edges = tuple(edges)
-        return self._edges
+    path_nodes: frozenset[str]
+    poi_nodes: frozenset[str]
 
 
-def _scan(path_nodes, poi_nodes, cx: float, cy: float, r: float):
-    """(path ids, PoI ids) strictly within distance r of (cx, cy), by full scan."""
-    return (
+def _scan(path_nodes, poi_nodes, cx: float, cy: float, r: float) -> Observation:
+    """The view strictly within distance r of (cx, cy), by full scan."""
+    return Observation(
         frozenset(nid for nid, n in path_nodes.items() if math.hypot(n.x - cx, n.y - cy) < r),
         frozenset(nid for nid, n in poi_nodes.items() if math.hypot(n.x - cx, n.y - cy) < r),
     )
@@ -145,11 +115,11 @@ class StaticNetwork:
     static stores; constructing the network only keeps references.
 
     Sensor views are memoized the same way: :meth:`visible` maps (path node
-    id, radius) to the (path ids, PoI ids) strictly within the radius of that
-    node.  A miss is answered from a uniform grid of cell side r built on the
-    first miss for that radius, whose neighbouring cells hold every
-    candidate.  A zero or non-finite radius, or one too small for the
-    coordinates' precision, falls back to the full scan.
+    id, radius) to that node's :class:`Observation`, the one record every
+    graph gets for the run.  A miss is answered from a uniform grid of cell
+    side r built on the first miss for that radius, whose neighbouring cells
+    hold every candidate.  A zero or non-finite radius, or one too small for
+    the coordinates' precision, falls back to the full scan.
     """
 
     def __init__(self, path_nodes: dict, poi_nodes: dict, adjacency: dict):
@@ -160,7 +130,7 @@ class StaticNetwork:
         self._slots: dict[str, list[int]] = {}
         # (start id, goal id, speed) -> (path ids, cost) under static costs
         self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
-        self._visible: dict[tuple[str, float], tuple[frozenset, frozenset]] = {}
+        self._visible: dict[tuple[str, float], Observation] = {}
         # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
         self._grids: dict[float, dict] = {}
 
@@ -236,11 +206,13 @@ class StaticNetwork:
                                          for nid in self.ids]
         return self._slots[object_class]
 
-    def visible(self, node_id: str, r: float) -> tuple[frozenset, frozenset]:
-        """(path ids, PoI ids) strictly within ``r`` of path node ``node_id``."""
+    def visible(self, node_id: str, r: float) -> Observation:
+        """The view strictly within ``r`` of path node ``node_id``, memoized."""
         key = (node_id, r)
         hit = self._visible.get(key)
         if hit is None:
+            if r < 0:
+                raise ValueError("radius must be non-negative")
             node = self._path_nodes.get(node_id)
             if node is None:
                 raise UnknownId(f"{node_id!r} is not a path node")
@@ -282,7 +254,7 @@ class StaticNetwork:
                 if cell is not None:
                     path_ids += [nid for nid, x, y in cell[0] if hypot(x - cx, y - cy) < r]
                     poi_ids += [nid for nid, x, y in cell[1] if hypot(x - cx, y - cy) < r]
-        return frozenset(path_ids), frozenset(poi_ids)
+        return Observation(frozenset(path_ids), frozenset(poi_ids))
 
 
 class ObjectLayer:
@@ -418,8 +390,13 @@ class SceneGraph(ObjectLayer):
         self.static_edges.append(Edge(EDGE_ACCESS, poi_id, path_id, False, length))
 
     def freeze_static(self):
-        """Lock the static subgraph; only objects may change afterwards."""
+        """Lock the static subgraph, whose path nodes need positive, finite geometry."""
         if self._network is None:
+            for node in self.path_nodes.values():
+                for name in ("segment_length", "sidewalk_width"):
+                    if not 0 < getattr(node, name) < math.inf:  # NaN fails too
+                        raise ValueError(f"path node {node.id!r} {name}: must be positive "
+                                         f"and finite, got {getattr(node, name)!r}")
             self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.adjacency)
 
     def _check_mutable_static(self):
@@ -509,44 +486,31 @@ class SceneGraph(ObjectLayer):
 
     # -- observation ----------------------------------------------------------
 
-    def radius_subgraph(self, center: tuple[float, float], r: float, t: float = 0.0) -> Observation:
-        """Induced subgraph over nodes strictly within Euclidean distance r.
+    def radius_subgraph(self, center: tuple[float, float], r: float) -> Observation:
+        """The view of the nodes strictly within Euclidean distance r of ``center``.
 
-        Object positions are their attachment node's position; an edge is
-        included only when both endpoints are selected.  This is the full-scan
-        reference for arbitrary centres; :meth:`sensor_view` answers the same
-        query for a path node from the network's memoized views.
+        This is the full-scan reference for arbitrary centres;
+        :meth:`StaticNetwork.visible` answers the same query for a path node
+        from the network's memoized views.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        path_sel, poi_sel = _scan(self.path_nodes, self.poi_nodes, center[0], center[1], r)
-        return Observation(t, path_sel, poi_sel, self)
-
-    def sensor_view(self, node_id: str, r: float, t: float = 0.0) -> Observation:
-        """``radius_subgraph`` centred on path node ``node_id``, memoized.
-
-        The visible node sets depend only on the frozen static graph, so the
-        network computes them once per (node, radius) for every dynamic copy;
-        the view reads the objects on them only when asked.
-        """
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        path_sel, poi_sel = self.network.visible(node_id, r)
-        return Observation(t, path_sel, poi_sel, self)
+        return _scan(self.path_nodes, self.poi_nodes, center[0], center[1], r)
 
 
 class ObservedGraph(ObjectLayer):
     """Belief graph: shared static subgraph plus independently tracked objects.
 
     A belief observes one ``truth`` and becomes its ``belief``.  Dynamic
-    content changes only through :meth:`merge_observation`; the ``version``
-    counter increments on every merge that changes it, and ``changes`` logs
-    each node a merge rewrites as ``(path id, shrank)``, ``shrank`` telling
-    whether the believed id set lost an id (a node that only gains objects
-    can only get dearer to cross).  ``unsynced`` holds every node whose
-    believed objects may differ from the truth's: the truth adds each node
-    it mutates, and a merge removes the nodes it compares, so
-    {n : belief != truth at n} is always a subset of it.
+    content changes only through :meth:`merge_observation`, which reads the
+    objects from that truth; the ``version`` counter increments on every
+    merge that changes it, and ``changes`` logs each node a merge rewrites
+    as ``(path id, shrank)``, ``shrank`` telling whether the believed id set
+    lost an id (a node that only gains objects can only get dearer to
+    cross).  ``unsynced`` holds every node whose believed objects may differ
+    from the truth's: the truth adds each node it mutates, and a merge
+    removes the nodes it compares, so {n : belief != truth at n} is always a
+    subset of it.
     """
 
     def __init__(self, truth: SceneGraph):
@@ -559,29 +523,28 @@ class ObservedGraph(ObjectLayer):
         self.unsynced = {nid for nid, ids in truth.objects_at.items() if ids}
         truth.belief = self
 
-    def merge_observation(self, obs: Observation, t: float) -> list[tuple[str, int]]:
-        """Replace believed object sets at every observed path node.
+    def merge_observation(self, obs: Observation) -> list[tuple[str, int]]:
+        """Replace believed object sets at every observed path node by the truth's.
 
         Replacement is wholesale: stale objects vanish, newly seen ones
-        appear, nodes outside the observation are untouched.  Only the
-        observed unsynced nodes are compared.  Returns the nodes whose
-        believed id set differed from the truth's, each with its count of
-        newly believed objects; the version advances iff there are any, and
-        each of them is appended to ``changes``.
+        appear, nodes outside the observation are untouched.  The view names
+        nodes only, so the objects come from the belief's own ``truth``, and
+        only the observed unsynced nodes are compared.  Returns the nodes
+        whose believed id set differed from the truth's, each with its count
+        of newly believed objects; the version advances iff there are any,
+        and each of them is appended to ``changes``.
         """
-        if obs.source is not self.truth:
-            raise ValueError("a belief merges only observations of its own truth")
         path_nodes = obs.path_nodes
         if not self.path_nodes.keys() >= path_nodes:
             raise UnknownStaticNode(f"observation covers unknown node "
                                     f"{min(path_nodes - self.path_nodes.keys())!r}")
         compared = self.unsynced & path_nodes
         self.unsynced -= compared
-        source_objects, source_at = self.truth.objects, self.truth.objects_at
+        truth_objects, truth_at = self.truth.objects, self.truth.objects_at
         objects, objects_at = self.objects, self.objects_at
         changed, log = [], self.changes
         for nid in compared:
-            seen = source_at[nid]
+            seen = truth_at[nid]
             believed = objects_at[nid]
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
@@ -589,7 +552,7 @@ class ObservedGraph(ObjectLayer):
                 for oid in believed:
                     del objects[oid]
                 for oid in seen:
-                    objects[oid] = source_objects[oid]
+                    objects[oid] = truth_objects[oid]
                 objects_at[nid] = set(seen)
                 self._forget(self._network.index[nid])
         if changed:

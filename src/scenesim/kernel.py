@@ -184,8 +184,8 @@ class SimState:
     # -- shared helpers ------------------------------------------------------------
 
     def _merge_observation(self, agent: Agent, t: float):
-        obs = observe(self.truth, agent, t)
-        self.ledger.on_merge(t, obs, self.belief.merge_observation(obs, t))
+        obs = observe(self.truth, agent)
+        self.ledger.on_merge(t, obs, self.belief.merge_observation(obs))
 
     def _plan(self, agent: Agent, start: str, goal: str):
         """Plan a leg on the configured planner's view: (path, cost, belief cost).

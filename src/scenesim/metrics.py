@@ -32,11 +32,7 @@ def fmt(value) -> str:
 
 def task_delay(task) -> float:
     """Normalized prediction error |t_pred - t_true| / t_true (durations)."""
-    true_duration = task.t_completed - task.t_assigned
-    if true_duration <= 0:
-        raise DegenerateTask(f"task {task.id!r} completed in zero time")
-    pred_duration = task.t_pred - task.t_assigned
-    return abs(pred_duration - true_duration) / true_duration
+    return abs(signed_task_delay(task))
 
 
 def signed_task_delay(task) -> float:

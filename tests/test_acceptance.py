@@ -169,18 +169,18 @@ def test_05_merge_properties(capsys):
         belief = ObservedGraph(truth)
         center = truth.node_position(node_ids[int(rng.uniform() * len(node_ids))])
         radius = rng.uniform() * 40.0
-        obs = truth.radius_subgraph(center, radius, 0.0)
+        obs = truth.radius_subgraph(center, radius)
 
-        belief.merge_observation(obs, 0.0)
+        belief.merge_observation(obs)
         snapshot = {n: frozenset(belief.objects_at[n]) for n in node_ids}
-        belief.merge_observation(obs, 0.0)
+        belief.merge_observation(obs)
         after = {n: frozenset(belief.objects_at[n]) for n in node_ids}
         idempotent = snapshot == after
         local = all(not snapshot[n] for n in node_ids if n not in obs.path_nodes)
         seen_ok = all(up_to_date(belief, truth, n) for n in obs.path_nodes)
 
-        full = truth.radius_subgraph(center, math.inf, 0.0)
-        belief.merge_observation(full, 1.0)
+        full = truth.radius_subgraph(center, math.inf)
+        belief.merge_observation(full)
         converged = all(up_to_date(belief, truth, n) for n in node_ids)
 
         cases += 1

@@ -104,7 +104,7 @@ class TestPlanPath:
 
         # ~30 s penalty at m: free area 15 m^2, 11.25 m^2 occupied -> nu=0.25
         add_object(graph, "o1", "m", area=11.25)
-        belief.merge_observation(graph.radius_subgraph((50, 0), 1.0), 0.0)
+        belief.merge_observation(graph.radius_subgraph((50, 0), 1.0))
         path, _ = plan_path(belief, "a", "b", agent, PLANNER_OBSERVED)
         assert path == ["a", "d1", "d2", "b"]
 
@@ -112,7 +112,7 @@ class TestPlanPath:
         graph = line_scenario(3, capacity={"car": 9})
         add_object(graph, "o1", "v1", area=100.0)  # saturates the 15 m^2 free area
         belief = ObservedGraph(graph)
-        belief.merge_observation(graph.radius_subgraph((10, 0), 1.0), 0.0)
+        belief.merge_observation(graph.radius_subgraph((10, 0), 1.0))
         with pytest.raises(Unreachable):
             plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
 
@@ -325,20 +325,23 @@ class TestObserve:
     def test_zero_radius_sees_nothing(self):
         graph = line_scenario(3)
         agent = make_agent(radius=0.0)
-        obs = observe(graph, agent, 0.0)
+        obs = observe(graph, agent)
         assert not obs.path_nodes
 
     def test_object_at_own_node_observed(self):
         graph = line_scenario(3)
         add_object(graph, "o1", "v0")
-        obs = observe(graph, make_agent(radius=5.0), 0.0)
-        assert [o.id for o in obs.objects_at["v0"]] == ["o1"]
+        obs = observe(graph, make_agent(radius=5.0))
+        belief = ObservedGraph(graph)
+        assert belief.merge_observation(obs) == [("v0", 1)]
 
     def test_object_beyond_range_not_observed(self):
         graph = line_scenario(5)
         add_object(graph, "o1", "v4")  # 40 m away, radius 20
-        obs = observe(graph, make_agent(radius=20.0), 0.0)
-        assert "v4" not in obs.objects_at and "v4" not in obs.path_nodes
+        obs = observe(graph, make_agent(radius=20.0))
+        assert "v4" not in obs.path_nodes
+        belief = ObservedGraph(graph)
+        assert belief.merge_observation(obs) == [] and not belief.objects
 
 
 # -- the compiled planner against the reference search on string ids -------------
@@ -447,7 +450,7 @@ def planning_cases(draw):
     for nid, r in draw(st.lists(st.tuples(st.sampled_from(ids),
                                           st.sampled_from([5.0, 15.0, 25.0])),
                                 max_size=4)):
-        belief.merge_observation(graph.sensor_view(nid, r), 0.0)
+        belief.merge_observation(graph.network.visible(nid, r))
     agent = make_agent(velocity=draw(st.sampled_from([1.0, 1.5])))
     start, goal = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
     areas = st.sampled_from([1.5, 3.75, 7.5, 16.0])
@@ -469,7 +472,7 @@ def change_objects(truth, belief, change, serial):
         if truth.objects:
             truth.remove_object(sorted(truth.objects)[arg % len(truth.objects)])
     else:
-        belief.merge_observation(truth.sensor_view(arg, value), 0.0)
+        belief.merge_observation(truth.network.visible(arg, value))
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -504,7 +507,7 @@ class TestCompiledPlanner:
         graph = line_scenario(3, capacity={"car": 9})
         add_object(graph, "o1", "v1", area=100.0)
         belief = ObservedGraph(graph)
-        belief.merge_observation(graph.sensor_view("v1", 1.0), 0.0)
+        belief.merge_observation(graph.network.visible("v1", 1.0))
         with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v2'$"):
             plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
 

@@ -223,7 +223,7 @@ class TestTasks:
         for oid, area, node in (("o0", 1.1, "v2"), ("o1", 0.7, "v4")):
             state.truth.attach_object(ObjectNode(oid, "car", 0.0, 1e9, area, node))
         state.belief.merge_observation(
-            state.truth.radius_subgraph((0.0, 0.0), math.inf), 0.0)
+            state.truth.radius_subgraph((0.0, 0.0), math.inf))
         state.run()
         agent = state.fleet[0]
         free = sum(plan_path(state.truth, a, b, agent, "static")[1]
@@ -502,7 +502,7 @@ class TestReplanSkip:
     def test_static_fallback_path_has_no_plan_cost(self):
         state, agent, block = self.blocked_line()
         state.truth.attach_object(block)
-        state.belief.merge_observation(state.truth.sensor_view("v3", 1.0), 0.0)
+        state.belief.merge_observation(state.truth.network.visible("v3", 1.0))
         state._assign(0.0, agent, Task("t0", "poi0", 0.0))
         assert agent.path == ["v0", "v1", "v2", "v3", "v4"]
         assert agent.plan_cost is None
@@ -670,7 +670,7 @@ class TestStaleSet:
         for oid, node, expires in (("seen", "v1", 100.0), ("unseen", "v2", 200.0)):
             state.truth.attach_object(ObjectNode(oid, "car", 0.0, expires, 1.0, node))
             state.schedule(expires, EXPIRY, oid)
-        state.belief.merge_observation(state.truth.sensor_view("v1", 1.0), 0.0)
+        state.belief.merge_observation(state.truth.network.visible("v1", 1.0))
         state.ledger.set_correct(0.0, "v2", False)
         compared = []
 

@@ -42,8 +42,8 @@ def car(oid, node):
 
 def merge(led, truth, belief, t, nodes):
     """Merge ``truth``'s objects on ``nodes`` into ``belief`` at t, as the kernel does."""
-    view = Observation(t, frozenset(nodes), frozenset(), truth)
-    led.on_merge(t, view, belief.merge_observation(view, t))
+    view = Observation(frozenset(nodes), frozenset())
+    led.on_merge(t, view, belief.merge_observation(view))
 
 
 def line_world(n=3):
@@ -65,6 +65,18 @@ class TestTaskDelay:
     def test_relative_to_assignment_not_issue_time(self):
         task = make_task(t_assigned=50.0, t_pred=150.0, t_completed=250.0)
         assert task_delay(task) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("t_assigned,t_pred,t_completed", [
+        (0.0, 100.0, 110.0), (0.0, 150.0, 110.0), (0.1, 0.2, 0.3), (0.1, 0.7, 0.3),
+        (3.0, 1e-300, 7.0), (1.5, 5e15, 3.0)])
+    def test_delay_is_the_absolute_signed_delay_bit_for_bit(self, t_assigned, t_pred,
+                                                           t_completed):
+        task = make_task(t_assigned, t_pred, t_completed)
+        true_duration = t_completed - t_assigned
+        # the unsigned formula, and IEEE division is sign-symmetric
+        want = abs((t_pred - t_assigned) - true_duration) / true_duration
+        assert task_delay(task).hex() == want.hex()
+        assert task_delay(task).hex() == abs(signed_task_delay(task)).hex()
 
     def test_zero_duration_raises(self):
         with pytest.raises(DegenerateTask):
@@ -356,7 +368,7 @@ def test_coverage_log_matches_running_sums(bounds, merges):
     for step, k, fresh in merges:
         t += step
         nodes = frozenset(COVERAGE_VIEWS[k]) if fresh else COVERAGE_VIEWS[k]
-        led.on_merge(t, Observation(t, nodes, frozenset(), None), [])
+        led.on_merge(t, Observation(nodes, frozenset()), [])
         ref.on_merge(t, nodes)
     want = ref.inter_observation_stats()
     for _ in range(2):
@@ -381,11 +393,11 @@ class SeenSetReference:
         self.seen = set()
         self.observed_arrivals = Counter()
 
-    def observe(self, t, view):
-        for node, objs in view.objects_at.items():
-            for o in objs:
-                if o.id not in self.seen:
-                    self.seen.add(o.id)
+    def observe(self, t, view, truth):
+        for node in view.path_nodes:
+            for oid in truth.objects_at[node]:
+                if oid not in self.seen:
+                    self.seen.add(oid)
                     if self.warmup <= t <= self.end:
                         self.observed_arrivals[(node, int(t % 86400.0 // HOUR))] += 1
 
@@ -412,9 +424,9 @@ def test_newly_believed_objects_are_first_sightings(warmup, length, ops, step):
             if truth.objects:
                 truth.remove_object(sorted(truth.objects)[op[1] % len(truth.objects)])
         else:
-            view = truth.sensor_view(nodes[op[1]], op[2], t)
-            ref.observe(t, view)  # reads the view before the merge
-            led.on_merge(t, view, belief.merge_observation(view, t))
+            view = truth.network.visible(nodes[op[1]], op[2])
+            ref.observe(t, view, truth)  # reads the truth before the merge
+            led.on_merge(t, view, belief.merge_observation(view))
     assert led.observed_arrivals == ref.observed_arrivals
 
 
