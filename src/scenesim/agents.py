@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidGeometry, UnknownId, Unreachable
+from .errors import UnknownId, Unreachable
 from .graph import ObjectLayer, Observation, ObservedGraph, PathNode, SceneGraph
 from .routing import astar
 
@@ -54,45 +54,42 @@ class Task:
     t_completed: float | None = None
 
 
-def _too_narrow(node: PathNode, agent_width: float) -> InvalidGeometry:
-    return InvalidGeometry(
-        f"agent width {agent_width} >= sidewalk width {node.sidewalk_width} "
-        f"at node {node.id!r}"
-    )
-
-
 def node_velocity(node: PathNode, footprint_sum: float, agent_width: float,
                   default_velocity: float) -> float:
     """Agent velocity over the node's segment under the linear density model.
 
     The free area not swept by the agent is l_s * (b_s - b_agent); occupied
     footprint shrinks it linearly and the velocity clamps at zero when
-    obstacles fill the free area.
+    obstacles fill the free area.  A sidewalk not wider than the agent has
+    no free area at all: the velocity is zero, as on a full segment.
     """
     if agent_width >= node.sidewalk_width:
-        raise _too_narrow(node, agent_width)
+        return 0.0
     a_free = node.segment_length * (node.sidewalk_width - agent_width)
     return max((a_free - footprint_sum) / a_free * default_velocity, 0.0)
+
+
+def dwell_time(node: PathNode, footprint_sum: float, agent_width: float,
+               default_velocity: float) -> float:
+    """Time to cross the node's segment, ``segment_length / nu``; inf when blocked."""
+    nu = node_velocity(node, footprint_sum, agent_width, default_velocity)
+    return math.inf if nu == 0.0 else node.segment_length / nu
 
 
 def node_penalty(node: PathNode, footprint_sum: float, agent_width: float,
                  default_velocity: float) -> float:
     """Additional traversal time caused by obstacles; inf when blocked."""
-    nu = node_velocity(node, footprint_sum, agent_width, default_velocity)
-    if nu == 0.0:
-        return math.inf
-    return node.segment_length / nu - node.segment_length / default_velocity
+    return (dwell_time(node, footprint_sum, agent_width, default_velocity)
+            - node.segment_length / default_velocity)
 
 
 class NodeCosts(dict):
     """Network index -> a layer's node cost for agents of one width and speed.
 
     This is the one dwell rule: the planner reads it on the belief, the
-    kernel on the truth.  An entry is filled on first read with the dwell
-    ``segment_length / nu`` at the velocity the node's footprint sum leaves,
-    or inf where that is 0 (blocked); the layer drops it when the node's
-    objects change.  A node whose sidewalk is not wider than the agent never
-    enters the table: reading it raises ``InvalidGeometry``.
+    kernel on the truth.  An entry is filled on first read with the
+    :func:`dwell_time` at the node's footprint sum, inf where the node is
+    blocked; the layer drops it when the node's objects change.
     """
 
     __slots__ = ("layer", "width", "speed")
@@ -103,9 +100,8 @@ class NodeCosts(dict):
 
     def __missing__(self, i: int) -> float:
         nid = self.layer.network.ids[i]
-        node = self.layer.path_nodes[nid]
-        nu = node_velocity(node, self.layer.footprint_sum(nid), self.width, self.speed)
-        cost = self[i] = math.inf if nu == 0.0 else node.segment_length / nu
+        cost = self[i] = dwell_time(self.layer.path_nodes[nid], self.layer.footprint_sum(nid),
+                                    self.width, self.speed)
         return cost
 
 
@@ -123,11 +119,10 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     """Minimum travel-time path between two path-network nodes.
 
     PoI endpoints resolve through their access edge.  Per-edge cost is
-    length/velocity plus the full dwell at the target node; in observed mode
-    the dwell uses the believed obstacle footprint (nodes believed blocked are
-    excluded), in static mode it is the empty-segment dwell.  The cost of a
-    path therefore equals the time an agent needs to traverse it when the
-    world matches the planning view.
+    length/velocity plus the full dwell at the target node, from the believed
+    footprint in observed mode and an empty segment in static mode; a blocked
+    node is never entered.  The cost of a path therefore equals the time an
+    agent needs to traverse it when the world matches the planning view.
 
     The path follows the goal-rooted rule of :func:`routing.astar`, so its
     every suffix is the plan from that suffix's first node.  The search runs
@@ -135,9 +130,10 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     indices order like the ids, so it returns what a search over the ids
     would.  A node's cost is looked up by index: in observed mode in the
     view's cost table for the agent's width and speed, which the view keeps
-    current as its objects change, in static mode in the network's per-speed
-    list.  Static costs never change, so static results are memoized on the
-    network per (start, goal, speed).
+    current as its objects change, in static mode in the network's list of
+    :func:`dwell_time` on empty segments for that width and speed.  Static
+    costs never change, so static results are memoized on the network per
+    (start, goal, width, speed).
     """
     start = _resolve(view, start)
     goal = _resolve(view, goal)
@@ -147,11 +143,16 @@ def plan_path(view, start: str, goal: str, agent: Agent,
     if mode == PLANNER_OBSERVED:
         node_cost = cost_table(view, agent).__getitem__
     else:
-        key = (start, goal, v)
+        agent_key = (agent.width, v)
+        key = (start, goal, *agent_key)
         memo = net.static_plans.get(key)
         if memo is not None:
             return list(memo[0]), memo[1]
-        node_cost = net.static_costs(v).__getitem__
+        costs = net.static_costs.get(agent_key)
+        if costs is None:
+            costs = net.static_costs[agent_key] = [
+                dwell_time(view.path_nodes[nid], 0.0, *agent_key) for nid in net.ids]
+        node_cost = costs.__getitem__
 
     ids, index = net.ids, net.index
     for nid in (start, goal):

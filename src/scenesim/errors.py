@@ -37,10 +37,6 @@ class InvalidProbability(ScenesimError):
     """Probability outside [0, 1]."""
 
 
-class InvalidGeometry(ScenesimError):
-    """Agent width incompatible with sidewalk geometry."""
-
-
 class Unreachable(ScenesimError):
     """No path exists between the requested endpoints."""
 

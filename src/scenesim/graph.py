@@ -126,10 +126,11 @@ class StaticNetwork:
         self._path_nodes = path_nodes
         self._poi_nodes = poi_nodes
         self._adjacency = adjacency
-        self._static_costs: dict[float, list[float]] = {}
         self._slots: dict[str, list[int]] = {}
-        # (start id, goal id, speed) -> (path ids, cost) under static costs
-        self.static_plans: dict[tuple[str, str, float], tuple[tuple, float]] = {}
+        # static planner memos: agent (width, speed) -> per-index empty-segment
+        # node costs, and (start id, goal id, width, speed) -> (path ids, cost)
+        self.static_costs: dict[tuple[float, float], list[float]] = {}
+        self.static_plans: dict[tuple[str, str, float, float], tuple[tuple, float]] = {}
         self._visible: dict[tuple[str, float], Observation] = {}
         # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
         self._grids: dict[float, dict] = {}
@@ -191,13 +192,6 @@ class StaticNetwork:
                 if length < lengths.get((u, v), math.inf):
                     lengths[(u, v)] = length
         return lengths
-
-    def static_costs(self, speed: float) -> list[float]:
-        """Per index: the empty-segment dwell ``segment_length / speed``."""
-        if speed not in self._static_costs:
-            nodes = self._path_nodes
-            self._static_costs[speed] = [nodes[nid].segment_length / speed for nid in self.ids]
-        return self._static_costs[speed]
 
     def slots(self, object_class: str) -> list[int]:
         """Per index: the node's slot count for ``object_class`` (0 if undeclared)."""
@@ -390,8 +384,13 @@ class SceneGraph(ObjectLayer):
         self.static_edges.append(Edge(EDGE_ACCESS, poi_id, path_id, False, length))
 
     def freeze_static(self):
-        """Lock the static subgraph, whose path nodes need positive, finite geometry."""
+        """Lock the static subgraph: finite positions, positive and finite path geometry."""
         if self._network is None:
+            for kind, nodes in (("path node", self.path_nodes), ("PoI", self.poi_nodes)):
+                for node in nodes.values():
+                    if not (math.isfinite(node.x) and math.isfinite(node.y)):
+                        raise ValueError(f"{kind} {node.id!r} position: must be finite, "
+                                         f"got {(node.x, node.y)!r}")
             for node in self.path_nodes.values():
                 for name in ("segment_length", "sidewalk_width"):
                     if not 0 < getattr(node, name) < math.inf:  # NaN fails too

@@ -179,6 +179,8 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             violations.append(f"{field_path}: {exc!r}")
             continue
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            violations.append(f"{field_path}.position: not finite")
         if node.semantic_class not in places:
             violations.append(f"{field_path}.class: undeclared {node.semantic_class!r}")
         elif node.semantic_class == "sidewalk":

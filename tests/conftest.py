@@ -13,6 +13,28 @@ def tiny_graph():
     )
 
 
+@pytest.fixture
+def narrow_detour():
+    """Route a-b-c through a 0.4 m sidewalk at b, detour a-d-e-c of 10, 20, 10 m.
+
+    Every segment is 5 m long and every other sidewalk 2 m wide; the depot
+    sits at a and a housing PoI at c, each 3 m off the path.
+    """
+    graph = SceneGraph()
+    for nid, x, y, width in (("a", 0, 0, 2.0), ("b", 10, 0, 0.4), ("c", 20, 0, 2.0),
+                             ("d", 0, 10, 2.0), ("e", 20, 10, 2.0)):
+        graph.add_path_node(PathNode(nid, x, y, "sidewalk", {"car": 1}, 5.0, width))
+    for u, v, length in (("a", "b", 10.0), ("b", "c", 10.0),
+                         ("a", "d", 10.0), ("d", "e", 20.0), ("e", "c", 10.0)):
+        graph.add_adjacency_edge(u, v, length)
+    graph.add_poi_node(PoiNode("depot", -2.0, 2.0, "work", is_depot=True))
+    graph.add_poi_node(PoiNode("home", 22.0, -2.0, "housing"))
+    graph.add_access_edge("depot", "a", 3.0)
+    graph.add_access_edge("home", "c", 3.0)
+    graph.freeze_static()
+    return graph
+
+
 def build_line(n, capacity=None, pois=(), **kwargs):
     return line_scenario(n, capacity=capacity, pois=pois, **kwargs)
 

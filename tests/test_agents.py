@@ -17,7 +17,7 @@ from scenesim.agents import (
     plan_holds,
     plan_path,
 )
-from scenesim.errors import InvalidGeometry, UnknownId, Unreachable
+from scenesim.errors import UnknownId, Unreachable
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar, least_cost_per_metre
 from scenesim.stochastic import RandomStream
@@ -61,9 +61,11 @@ class TestPenalty:
         penalties = [node_penalty(pnode(), a, 0.5, 1.0) for a in (0.0, 3.0, 7.5, 12.0)]
         assert penalties == sorted(penalties)
 
-    def test_wide_agent_rejected(self):
-        with pytest.raises(InvalidGeometry):
-            node_penalty(pnode(b_s=2.0), 0.0, 2.0, 1.0)
+    def test_wide_agent_blocked(self):
+        # no free area is left beside the agent: blocked even when empty
+        for width in (2.0, 2.5):
+            assert node_velocity(pnode(b_s=2.0), 0.0, width, 1.0) == 0.0
+            assert node_penalty(pnode(b_s=2.0), 0.0, width, 1.0) == math.inf
 
 
 def add_object(graph, oid, node, area=1.0, cls="car"):
@@ -352,25 +354,17 @@ def reference_plan(view, start, goal, agent, mode):
 
     Iterates c(goal) = 0, c(u) = min over edges u -> s of
     ``length / v + cost(s) + c(s)`` to its fixed point, Bellman-Ford style,
-    with the model's node costs, then walks from the start, taking at each
+    with the model's node costs (inf in either mode where the sidewalk is
+    not wider than the agent), then walks from the start, taking at each
     node the lowest-id successor that achieves its label.
-
-    A node too narrow for the agent raises when the search reads it.  The
-    search expands nodes in order of (label + kappa * straight line to the
-    start over v, label, id), the line taken between the network's
-    kappa-scaled positions, and stops at the start, so before it reads the
-    first narrow node its labels are those of the graph where narrow nodes
-    are never entered, the labels computed here: it raises for the narrow
-    node of least key, if that key sorts below the start's.
     """
     v = agent.default_velocity
-    costs, narrow = {}, []
+    costs = {}
     for nid, node in view.path_nodes.items():
-        if mode == PLANNER_STATIC:
-            costs[nid] = node.segment_length / v
-        elif agent.width >= node.sidewalk_width:
+        if agent.width >= node.sidewalk_width:
             costs[nid] = math.inf
-            narrow.append(node)
+        elif mode == PLANNER_STATIC:
+            costs[nid] = node.segment_length / v
         else:
             nu = node_velocity(node, view.footprint_sum(nid), agent.width, v)
             costs[nid] = math.inf if nu == 0.0 else node.segment_length / nu
@@ -392,17 +386,6 @@ def reference_plan(view, start, goal, agent, mode):
             if best < label[u]:
                 label[u], changed = best, True
 
-    net = view.network
-    scaled = {nid: net.bound_positions[i] for nid, i in net.index.items()}
-    sx, sy = scaled[start]
-    start_key = (label[start], label[start], start)
-    reached = [((label[n.id] + math.hypot(scaled[n.id][0] - sx, scaled[n.id][1] - sy) / v,
-                 label[n.id], n.id), n)
-               for n in narrow if label[n.id] < math.inf]
-    if reached:
-        key, node = min(reached, key=lambda kn: kn[0])
-        if label[start] == math.inf or key < start_key:
-            node_velocity(node, 0.0, agent.width, v)  # raises InvalidGeometry
     if label[start] == math.inf:
         raise Unreachable(f"no path from {start!r} to {goal!r}")
     path = [start]
@@ -415,7 +398,7 @@ def reference_plan(view, start, goal, agent, mode):
 def outcome(plan, *args):
     try:
         return plan(*args)
-    except (Unreachable, InvalidGeometry) as exc:
+    except Unreachable as exc:
         return type(exc), str(exc)
 
 
@@ -511,13 +494,23 @@ class TestCompiledPlanner:
         with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v2'$"):
             plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
 
-    def test_narrow_node_raises_only_when_evaluated(self):
+    def test_narrow_goal_is_unreachable(self):
         graph = line_scenario(4)
         agent = make_agent(width=2.0)  # every sidewalk is 2 m wide
-        assert plan_path(graph, "v1", "v1", agent, PLANNER_OBSERVED) == (["v1"], 0.0)
-        with pytest.raises(InvalidGeometry,
-                           match=r"^agent width 2.0 >= sidewalk width 2.0 at node 'v3'$"):
-            plan_path(graph, "v0", "v3", agent, PLANNER_OBSERVED)
+        for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
+            assert plan_path(graph, "v1", "v1", agent, mode) == (["v1"], 0.0)
+            with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v3'$"):
+                plan_path(graph, "v0", "v3", agent, mode)
+
+    @pytest.mark.parametrize("mode", [PLANNER_OBSERVED, PLANNER_STATIC])
+    def test_narrow_node_is_detoured(self, narrow_detour, mode):
+        # a-b-c would cost 30 s, but b's 0.4 m sidewalk blocks a 0.5 m agent
+        agent = make_agent(node="a")
+        for view in (narrow_detour, ObservedGraph(narrow_detour)):
+            assert plan_path(view, "a", "c", agent, mode) == (["a", "d", "e", "c"], 55.0)
+        # a narrower agent still takes the short route
+        assert plan_path(narrow_detour, "a", "c", make_agent(node="a", width=0.3),
+                         mode) == (["a", "b", "c"], 30.0)
 
     def test_static_memo_returns_fresh_lists(self):
         graph = line_scenario(4)

@@ -186,15 +186,15 @@ class TestRun:
             assert all(set(r) == {"t", "kind", "payload"} for r in records)
 
     def test_failed_event_exits_one(self, workspace, capsys):
-        # a 3 m agent cannot use the grid's 2 m sidewalks: the first task fails
+        # a 3 m agent cannot use the grid's 2 m sidewalks: every node is
+        # blocked to it, so the first task's target is unreachable
         tmp, scenario, config = workspace
         config.write_text(CONFIG_YAML.replace("  count: 1\n",
                                               "  count: 1\n  agent_width: 3.0\n"))
         assert main(["run", str(scenario), str(config), "--out", str(tmp / "o")]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(r"error: event #\d+ \(task_arrival at t=.*\) failed: "
-                            r"agent width 3\.0 >= sidewalk width 2\.0 at node 'g\d+'",
-                            line)
+                            r"no path from 'g\d+' to 'g\d+'", line)
 
     def test_unwritable_output_exits_one(self, workspace, capsys):
         tmp, scenario, config = workspace

@@ -1,8 +1,10 @@
 """Scene graph ops: attach/remove, radius queries, merge, up_to_date."""
 
 import functools
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import scenesim
 from scenesim.agents import (
     PLANNER_OBSERVED,
+    PLANNER_STATIC,
     Agent,
     cost_table,
     node_velocity,
@@ -22,7 +25,6 @@ from scenesim.agents import (
 from scenesim.errors import (
     CapacityExceeded,
     DuplicateId,
-    InvalidGeometry,
     UnknownId,
     UnknownStaticNode,
     Unreachable,
@@ -489,7 +491,8 @@ def fresh_cost(layer, nid, agent):
 def test_node_costs_match_fresh_costs(ops):
     # the planner's cost tables, filled in full after every change, must
     # never answer from before it; widths 0.5 and 1.5 leave 15 and 5 m^2 of
-    # the 2 m sidewalk free (1.5 blocks easily), and 2.0 is too wide
+    # the 2 m sidewalk free (1.5 blocks easily), and 2.0 leaves none, so
+    # every node of its table is blocked
     agents = [Agent("a", "v0", speed, width, 0.0)
               for speed, width in ((1.0, 0.5), (1.5, 1.5), (1.0, 2.0))]
     keys = {(a.width, a.default_velocity) for a in agents}
@@ -498,16 +501,14 @@ def test_node_costs_match_fresh_costs(ops):
             for agent in agents:  # the planner creates and reads the tables
                 try:
                     plan_path(layer, "v0", "v5", agent, PLANNER_OBSERVED)
-                except (InvalidGeometry, Unreachable):
+                except Unreachable:
                     pass
             assert layer.node_costs.keys() == keys
             for agent in agents:
                 table = layer.node_costs[(agent.width, agent.default_velocity)]
                 for i, nid in enumerate(layer.network.ids):
                     if agent.width >= layer.path_nodes[nid].sidewalk_width:
-                        with pytest.raises(InvalidGeometry, match=repr(nid)):
-                            table[i]
-                        assert i not in table
+                        assert table[i] == math.inf
                     else:
                         assert table[i] == fresh_cost(layer, nid, agent)
 
@@ -656,10 +657,15 @@ class TestStaticNetwork:
         assert graph.network.bound_positions == [(0.0, 0.0), (0.0, 0.0)]
 
     def test_static_costs_per_speed(self, tiny_graph):
+        # kept per agent (width, speed): a sidewalk not wider than the agent
+        # blocks, whatever the speed
         net = tiny_graph.network
-        assert net.static_costs(2.0) == [10.0 / 2.0] * 3
-        assert net.static_costs(1.5) == [10.0 / 1.5] * 3
-        assert net.static_costs(2.0) is net.static_costs(2.0)
+        for width, speed in ((0.5, 2.0), (0.5, 1.5), (2.0, 2.0)):
+            plan_path(tiny_graph, "v0", "v0", Agent("a", "v0", speed, width, 0.0),
+                      PLANNER_STATIC)
+        assert net.static_costs == {(0.5, 2.0): [10.0 / 2.0] * 3,
+                                    (0.5, 1.5): [10.0 / 1.5] * 3,
+                                    (2.0, 2.0): [math.inf] * 3}
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
@@ -689,20 +695,37 @@ class TestStaticNetwork:
         graph.network.neighbours
         assert "neighbours" in vars(graph.dynamic_copy().network)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["segment_length", "sidewalk_width"])
+    @pytest.mark.parametrize("field, value", [
+        *itertools.product(["segment_length", "sidewalk_width"],
+                           [0.0, -1.0, float("nan"), float("inf")]),
+        *itertools.product(["x", "y", "poi.x", "poi.y"],
+                           [float("nan"), float("inf"), -float("inf")]),
+    ])
     def test_freeze_rejects_bad_node_geometry(self, field, value):
         # a graph built in code is checked too: a NaN segment would zero
-        # kappa and surface as a misleading Unreachable
+        # kappa and surface as a misleading Unreachable, and a NaN position
+        # breaks A*'s heap order into a wrong plan or the sensor grid
+        kind, _, name = field.rpartition(".")
         graph = SceneGraph()
         for nid, x in (("a", 0.0), ("b", 10.0), ("c", 20.0)):
-            bad = {field: value} if nid == "b" else {}
-            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {}, **{
+            bad = {name: value} if nid == "b" and not kind else {}
+            graph.add_path_node(PathNode(**{
+                "id": nid, "x": x, "y": 0.0, "semantic_class": "sidewalk", "capacity": {},
                 "segment_length": 4.0, "sidewalk_width": 2.0, **bad}))
         graph.add_adjacency_edge("a", "b", 10.0)
         graph.add_adjacency_edge("b", "c", 10.0)
-        with pytest.raises(ValueError, match=rf"^path node 'b' {field}: must be positive "
-                                             rf"and finite, got {value!r}$"):
+        graph.add_poi_node(PoiNode(**{"id": "p", "x": 10.0, "y": 3.0,
+                                      "semantic_class": "housing",
+                                      **({name: value} if kind else {})}))
+        graph.add_access_edge("p", "b", 3.0)
+        node = "PoI 'p'" if kind else "path node 'b'"
+        if name in ("x", "y"):
+            x, y = 10.0, (3.0 if kind else 0.0)  # p's or b's position
+            position = (value, y) if name == "x" else (x, value)
+            message = f"{node} position: must be finite, got {position!r}"
+        else:
+            message = f"{node} {name}: must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph.freeze_static()
         with pytest.raises(ValueError, match="freeze the static subgraph first"):
             graph.network

@@ -233,6 +233,27 @@ class TestTasks:
             assert task.t_pred - task.t_assigned > free * (1 + 1e-9)
             assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["static", "observed"])
+    def test_narrow_node_is_detoured(self, narrow_detour, mode):
+        # the short route a-b-c crosses b's 0.4 m sidewalk, too narrow for
+        # the 0.5 m agent: every leg takes the detour and the run completes
+        entered = []
+
+        def trace(t, kind, payload):
+            if kind == AGENT_NODE_ENTRY:
+                entered.append(payload[1])
+
+        fleet = FleetConfig(count=1, planner_mode=mode)
+        state = SimState(narrow_detour, self.task_config(fleet=fleet), seed=3, trace=trace)
+        state.run()
+        assert state.ledger.tasks, "no completed tasks"
+        assert "b" not in entered and "d" in entered
+        for task in state.ledger.tasks:
+            # out a-d-e-c and back c-e-d-a: 40 m of edges and three 5 m segments each
+            leg = 55.0 / fleet.default_velocity
+            assert task.t_pred - task.t_assigned == pytest.approx(2 * leg)
+            assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
+
     def test_tasks_queue_when_fleet_busy(self):
         scenario = line_scenario(12, pois=((11, "housing"),))
         state = SimState(scenario, self.task_config(rate=60.0, duration=HOUR),

@@ -152,6 +152,11 @@ class TestScenarioValidation:
         ("sidewalk_width", "path_nodes[0].sidewalk_width: must be positive and finite"),
         ("adjacency", "edges[0]: edge 'p0'-'p1' length: must be positive and finite, got "),
         ("access", "edges[1]: access edge 'd'-'p0' length: must be positive and finite, got "),
+        ("x", "path_nodes[0].position: not finite"),
+        ("y", "path_nodes[0].position: not finite"),
+        # a NaN PoI position used to pass and fail the first observe
+        ("poi_nodes.x", "poi_nodes[0].position: not finite"),
+        ("poi_nodes.y", "poi_nodes[0].position: not finite"),
     ])
     def test_non_finite_geometry_rejected(self, field, message, value):
         # NaN passes a `<= 0` test; the planner's heuristic is derived from these
@@ -160,7 +165,8 @@ class TestScenarioValidation:
             data["edges"][0 if field == "adjacency" else 1]["length"] = value
             message += repr(value)
         else:
-            data["path_nodes"][0][field] = value
+            kind, _, name = field.rpartition(".")
+            data[kind or "path_nodes"][0][name] = value
         lines = violations_of(data).splitlines()
         assert message in lines
         if field not in ("adjacency", "access"):
