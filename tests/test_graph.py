@@ -1,6 +1,7 @@
 """Scene graph ops: attach/remove, radius queries, merge, up_to_date."""
 
 import functools
+import inspect
 import itertools
 import math
 import os
@@ -30,6 +31,7 @@ from scenesim.errors import (
     Unreachable,
 )
 from scenesim.graph import (
+    Edge,
     ObjectNode,
     Observation,
     ObservedGraph,
@@ -118,6 +120,46 @@ class TestAttachRemove:
         assert tiny_graph.static_hash() == h0
         tiny_graph.remove_object("o1")
         assert tiny_graph.static_hash() == h0
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, fields", [
+        (PathNode, ["id", "x", "y", "semantic_class", "capacity", "segment_length",
+                    "sidewalk_width"]),
+        (PoiNode, ["id", "x", "y", "semantic_class", ("is_depot", False)]),
+        (Edge, ["kind", "u", "v", ("directed", False), ("length", None)]),
+    ])
+    def test_fields_order_and_defaults(self, record, fields):
+        # static_hash hashes the reprs, so the names and their order are part
+        # of every digest; a bare name is a required field
+        required = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in inspect.signature(record).parameters.values()] == [
+            f if isinstance(f, tuple) else (f, required) for f in fields]
+
+    @pytest.mark.parametrize("record, kwargs", [
+        (PathNode, dict(id="n", x=1.0, y=2.0, semantic_class="sidewalk",
+                        capacity={"car": 2}, segment_length=10.0, sidewalk_width=2.0)),
+        (PoiNode, dict(id="p", x=1.0, y=2.0, semantic_class="housing")),
+        (Edge, dict(kind="adjacency", u="a", v="b", length=5.0)),
+    ])
+    def test_built_by_keyword_and_immutable(self, record, kwargs):
+        built = record(**kwargs)
+        for name, value in kwargs.items():
+            assert getattr(built, name) == value
+        assert repr(built).startswith(f"{record.__name__}(")
+        for name in inspect.signature(record).parameters:
+            with pytest.raises(AttributeError):
+                setattr(built, name, None)
+
+    def test_reprs(self):
+        assert repr(PoiNode("p", 1.0, 2.0, "housing")) == (
+            "PoiNode(id='p', x=1.0, y=2.0, semantic_class='housing', is_depot=False)")
+        assert repr(Edge("access", "p", "a", False, 3.0)) == (
+            "Edge(kind='access', u='p', v='a', directed=False, length=3.0)")
+
+    def test_static_hash_pinned(self):
+        assert grid_scenario(10, 6).static_hash() == (
+            "65bbd19a467bb72fa762bf4f74d2bf24f12d34521094f4ca8737f373f243e6e8")
 
 
 class TestRadiusSubgraph:

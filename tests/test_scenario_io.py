@@ -220,6 +220,134 @@ class TestScenarioValidation:
         assert ledger.counters["tasks_issued"] > 0
         assert ledger.counters["tasks_completed"] > 0
 
+    def test_every_violation_kind_reported_exactly(self):
+        # one fault of each kind the loader reports, in the order it reports them
+        def node(nid, x=0.0, cls="sidewalk", capacity=None, seg=10.0, width=2.0):
+            return {"id": nid, "x": x, "y": 0.0, "class": cls,
+                    "capacity": {"car": 1} if capacity is None else capacity,
+                    "segment_length": seg, "sidewalk_width": width}
+
+        def poi(pid, x=0.0, cls="housing", **flags):
+            return {"id": pid, "x": x, "y": 5.0, "class": cls, **flags}
+
+        def edge(kind, u, v, length=10.0, **extra):
+            return {"kind": kind, "u": u, "v": v, "length": length, **extra}
+
+        nan = float("nan")
+        data = scenario_dict(
+            depot="nowhere",
+            classes={"places": ["sidewalk", "housing"], "objects": ["car", "housing"]},
+            path_nodes=[
+                node("p0", capacity={"car": 1.5}),
+                node("p1", x=10.0, capacity={"car": -1, "scooter": 1}),
+                5,
+                {k: v for k, v in node("p3").items() if k != "x"},
+                node("p4", x="abc"),
+                node("p5", capacity=["car"]),
+                node("p6", x=20.0, seg=0.0, width=nan),
+                node("p7", x=math.inf),
+                node("p8", x=30.0, cls="harbor"),
+                node("p0", x=40.0),
+                node(9, x=99.0),
+            ],
+            poi_nodes=[
+                poi("d", is_depot=True),
+                poi("e", 10.0, is_depot=True),
+                poi("q", 20.0, cls="sidewalk"),
+                poi("r", 30.0, cls="harbor"),
+                poi("s", nan),
+                poi("p1", 10.0),
+                poi("t", 40.0),
+                7,
+                {"id": "u", "y": 5.0, "class": "housing"},
+            ],
+            edges=[
+                edge("adjacency", "p0", "p1"),
+                edge("bridge", "p0", "p1"),
+                edge("adjacency", "p0", "zz"),
+                edge("adjacency", "p1", "p6", -1.0),
+                edge("adjacency", "p1", "p6", "abc"),
+                {"kind": "adjacency", "u": "p1", "v": "p6"},
+                {"kind": "adjacency", "v": "p6", "length": 10.0},
+                edge("adjacency", "p1", "p6", directed=True),
+                edge("adjacency", "p6", "p7"),
+                edge("adjacency", "p7", "p8"),
+                edge("access", "d", "p0", 5.0),
+                edge("access", "d", "p1", 5.0),
+                edge("access", "e", "p1", nan),
+                edge("access", "zz", "p0", 5.0),
+                edge("access", "q", "p8", 5.0),
+                edge("access", "r", "p8", 5.0),
+                edge("access", "s", "p8", 5.0),
+                "p0-p1",
+            ],
+        )
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations == [
+            "classes: place/object overlap ['housing']",
+            "poi_nodes[7]: expected a mapping",
+            "depot: multiple depots declared: ['d', 'e']",
+            "depot: 'nowhere' is not a PoI node",
+            "path_nodes[0].capacity[car]: expected an integer, got 1.5",
+            "path_nodes[1].capacity[car]: negative",
+            "path_nodes[1].capacity: undeclared class 'scooter'",
+            "path_nodes[2]: expected a mapping",
+            "path_nodes[3]: KeyError('x')",
+            "path_nodes[4]: ValueError(\"could not convert string to float: 'abc'\")",
+            "path_nodes[5]: AttributeError(\"'list' object has no attribute 'items'\")",
+            "path_nodes[6].segment_length: must be positive and finite",
+            "path_nodes[6].sidewalk_width: must be positive and finite",
+            "path_nodes[7].position: not finite",
+            "path_nodes[8].class: undeclared 'harbor'",
+            "path_nodes[9]: node id 'p0' already in use",
+            "poi_nodes[2].class: PoI may not be a sidewalk",
+            "poi_nodes[3].class: undeclared 'harbor'",
+            "poi_nodes[4].position: not finite",
+            "poi_nodes[5]: node id 'p1' already in use",
+            "poi_nodes[8]: KeyError('x')",
+            "edges[1].kind: unknown 'bridge'",
+            "edges[2]: adjacency edge 'p0'-'zz' references unknown path node",
+            "edges[3]: edge 'p1'-'p6' length: must be positive and finite, got -1.0",
+            "edges[4]: could not convert string to float: 'abc'",
+            "edges[5]: 'length'",
+            "edges[6]: adjacency edge None-'p6' references unknown path node",
+            "edges[11]: poi 'd' already has an access edge",
+            "edges[12]: access edge 'e'-'p1' length: must be positive and finite, got nan",
+            "edges[13]: access edge 'zz'-'p0' references unknown node",
+            "edges[17]: expected a mapping",
+            "poi 'e': missing access edge",
+            "poi 't': missing access edge",
+            "path network is not connected",  # node '9' has no edge
+        ]
+
+    @pytest.mark.parametrize("overrides, violations", [
+        ({"depot": None}, ["depot: no depot declared"]),
+        ({"classes": ["sidewalk"], "path_nodes": "p0", "poi_nodes": {"id": "d"},
+          "edges": 5},
+         ["classes: expected a mapping", "poi_nodes: expected a list",
+          "depot: 'd' is not a PoI node", "path_nodes: expected a list",
+          "edges: expected a list"]),
+    ])
+    def test_section_faults_reported_exactly(self, overrides, violations):
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(scenario_dict(**overrides))
+        assert exc.value.violations == violations
+
+    @pytest.mark.parametrize("u, v", [("p1", "p2"), ("p2", "p1")])
+    def test_one_directed_edge_connects(self, u, v):
+        # weak connectivity: a directed edge joins its ends either way round
+        data = scenario_dict()
+        data["path_nodes"].append(
+            {"id": "p2", "x": 20.0, "y": 0.0, "class": "sidewalk",
+             "capacity": {}, "segment_length": 10.0, "sidewalk_width": 2.0})
+        data["edges"].append({"kind": "adjacency", "u": u, "v": v, "length": 10.0,
+                              "directed": True})
+        graph = scenario_from_dict(data)
+        assert graph.adjacency["p2"] == ([("p1", 10.0)] if u == "p2" else [])
+        del data["edges"][-1]
+        assert violations_of(data) == "path network is not connected"
+
     def test_all_violations_reported_together(self):
         data = scenario_dict(depot=None)
         data["path_nodes"][0]["capacity"]["scooter"] = 1
