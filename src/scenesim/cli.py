@@ -158,6 +158,10 @@ def cmd_run(args) -> int:
 
     ledgers = run_replications(graph, config, config.replications, config.seed,
                                trace_factory=trace_factory)
+    for i, ledger in enumerate(ledgers):
+        if dropped := ledger.counters["tasks_unreachable"]:
+            print(f"warning: replication {i}: dropped {dropped} task(s) the fleet cannot reach",
+                  file=sys.stderr)
     write_outputs(ledgers, graph, outdir)
     print(f"wrote metrics for {len(ledgers)} replication(s) to {outdir}")
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,8 +46,7 @@ DEFAULT_REGISTRY = ClassRegistry(
 )
 
 
-@dataclass(frozen=True)
-class PathNode:
+class PathNode(NamedTuple):
     id: str
     x: float
     y: float
@@ -57,8 +56,7 @@ class PathNode:
     sidewalk_width: float
 
 
-@dataclass(frozen=True)
-class PoiNode:
+class PoiNode(NamedTuple):
     id: str
     x: float
     y: float
@@ -77,8 +75,7 @@ class ObjectNode(NamedTuple):
     attached_to: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: str
     u: str
     v: str
@@ -369,7 +366,9 @@ class SceneGraph(ObjectLayer):
         self.adjacency[u].append((v, length))
         if not directed:
             self.adjacency[v].append((u, length))
-        self.static_edges.append(Edge(EDGE_ADJACENCY, u, v, directed, length))
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        edge = (EDGE_ADJACENCY, u, v, directed, length)
+        self.static_edges.append(tuple.__new__(Edge, edge))
 
     def add_access_edge(self, poi_id: str, path_id: str, length: float):
         self._check_mutable_static()
@@ -381,7 +380,8 @@ class SceneGraph(ObjectLayer):
             raise ValueError(f"access edge {poi_id!r}-{path_id!r} length: must be positive "
                              f"and finite, got {length!r}")
         self.access[poi_id] = (path_id, length)
-        self.static_edges.append(Edge(EDGE_ACCESS, poi_id, path_id, False, length))
+        edge = (EDGE_ACCESS, poi_id, path_id, False, length)
+        self.static_edges.append(tuple.__new__(Edge, edge))
 
     def freeze_static(self):
         """Lock the static subgraph: finite positions, positive and finite path geometry."""
@@ -437,8 +437,7 @@ class SceneGraph(ObjectLayer):
         for nid in sorted(self.path_nodes):
             node = self.path_nodes[nid]
             # canonicalize the capacity mapping: dict repr is insertion-ordered
-            node = replace(node, capacity={k: node.capacity[k]
-                                           for k in sorted(node.capacity)})
+            node = node._replace(capacity={k: node.capacity[k] for k in sorted(node.capacity)})
             h.update(repr(node).encode())
         for nid in sorted(self.poi_nodes):
             h.update(repr(self.poi_nodes[nid]).encode())

@@ -265,8 +265,13 @@ class SimState:
 
     def _assign(self, t: float, agent: Agent, task: Task):
         """FIFO assignment; prediction is the round-trip cost on the planner view."""
-        path_out, cost_out, plan_cost = self._plan(agent, agent.current_node, task.target_poi)
-        _, cost_back, _ = self._plan(agent, task.target_poi, agent.current_node)
+        try:
+            path_out, cost_out, plan_cost = self._plan(agent, agent.current_node, task.target_poi)
+            _, cost_back, _ = self._plan(agent, task.target_poi, agent.current_node)
+        except Unreachable:  # no route there or back: drop the task, keep the agent first
+            self.ledger.counters["tasks_unreachable"] += 1
+            self.idle_agents.appendleft(agent)
+            return
         task.t_assigned = t
         task.t_pred = t + cost_out + cost_back
         agent.task = task

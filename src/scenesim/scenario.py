@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from pathlib import Path
 
 import yaml
@@ -88,11 +87,7 @@ def _section(data: dict, key: str, violations: list) -> dict:
 
 
 def _entries(data: dict, key: str, violations: list):
-    """Yield (index, mapping) per entry listed under ``data[key]``.
-
-    Anything else is a violation.  Entries are yielded, not collected, so a
-    large scenario's load allocates no list of pairs.
-    """
+    """Yield (index, mapping) per entry under ``data[key]``; anything else is a violation."""
     entries = data.get(key) or []
     if not isinstance(entries, list):
         violations.append(f"{key}: expected a list")
@@ -111,16 +106,16 @@ def _fractional(value) -> bool:
 
 def scenario_from_dict(data: dict) -> SceneGraph:
     violations: list[str] = []
+    report = violations.append
 
     classes = _section(data, "classes", violations)
     places = set(classes.get("places", ()))
     objects = set(classes.get("objects", ()))
     overlap = places & objects
     if overlap:
-        violations.append(f"classes: place/object overlap {sorted(overlap)}")
+        report(f"classes: place/object overlap {sorted(overlap)}")
         objects -= overlap
-    registry = ClassRegistry(frozenset(places), frozenset(objects))
-    graph = SceneGraph(registry)
+    graph = SceneGraph(ClassRegistry(frozenset(places), frozenset(objects)))
 
     pois = list(_entries(data, "poi_nodes", violations))
     flagged = [str(p.get("id")) for _, p in pois if p.get("is_depot")]
@@ -128,92 +123,88 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     if depot_id is None and len(flagged) == 1:
         depot_id = flagged[0]
     if len(flagged) > 1:
-        violations.append(f"depot: multiple depots declared: {flagged}")
+        report(f"depot: multiple depots declared: {flagged}")
     if depot_id is None:
-        violations.append("depot: no depot declared")
+        report("depot: no depot declared")
     elif not any(str(p.get("id")) == str(depot_id) for _, p in pois):
-        violations.append(f"depot: {depot_id!r} is not a PoI node")
+        report(f"depot: {depot_id!r} is not a PoI node")
+
+    # An entry is parsed whole before it is checked, so a field that does not
+    # parse is its one violation; field paths are formatted only to report one.
+    isfinite, inf = math.isfinite, math.inf
+
+    def placed(where: str, i: int, x: float, y: float, cls) -> bool:
+        """Report a node's non-finite position or undeclared class; False for the latter."""
+        if not (isfinite(x) and isfinite(y)):
+            report(f"{where}[{i}].position: not finite")
+        if cls in places:
+            return True
+        report(f"{where}[{i}].class: undeclared {cls!r}")
+        return False
 
     for i, spec in _entries(data, "path_nodes", violations):
-        field_path = f"path_nodes[{i}]"
         try:
-            capacity = spec.get("capacity", {})
-            node = PathNode(
-                id=str(spec["id"]), x=float(spec["x"]), y=float(spec["y"]),
-                semantic_class=spec["class"],
-                capacity={k: int(v) for k, v in capacity.items() if not _fractional(v)},
-                segment_length=float(spec["segment_length"]),
-                sidewalk_width=float(spec["sidewalk_width"]),
-            )
+            nid, x, y, cls = str(spec["id"]), float(spec["x"]), float(spec["y"]), spec["class"]
+            given = spec.get("capacity", {})
+            # a fractional count is left out here and reported below
+            capacity = {k: int(v) for k, v in given.items() if not _fractional(v)}
+            segment, width = float(spec["segment_length"]), float(spec["sidewalk_width"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            violations.append(f"{field_path}: {exc!r}")
+            report(f"path_nodes[{i}]: {exc!r}")
             continue
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            violations.append(f"{field_path}.position: not finite")
-        if node.semantic_class not in places:
-            violations.append(f"{field_path}.class: undeclared {node.semantic_class!r}")
-        for cls, cap in capacity.items():
-            if cls not in objects:
-                violations.append(f"{field_path}.capacity: undeclared class {cls!r}")
-            if _fractional(cap):
-                violations.append(f"{field_path}.capacity[{cls}]: expected an integer, "
-                                  f"got {cap!r}")
-            elif node.capacity[cls] < 0:
-                violations.append(f"{field_path}.capacity[{cls}]: negative")
-        for name in ("segment_length", "sidewalk_width"):
-            if not 0 < getattr(node, name) < math.inf:  # NaN fails too
-                violations.append(f"{field_path}.{name}: must be positive and finite")
+        placed("path_nodes", i, x, y, cls)
+        for k, v in given.items():
+            if k not in objects:
+                report(f"path_nodes[{i}].capacity: undeclared class {k!r}")
+            if k not in capacity:
+                report(f"path_nodes[{i}].capacity[{k}]: expected an integer, got {v!r}")
+            elif capacity[k] < 0:
+                report(f"path_nodes[{i}].capacity[{k}]: negative")
+        if not 0 < segment < inf:  # NaN fails too
+            report(f"path_nodes[{i}].segment_length: must be positive and finite")
+        if not 0 < width < inf:
+            report(f"path_nodes[{i}].sidewalk_width: must be positive and finite")
         try:
-            graph.add_path_node(node)
+            graph.add_path_node(PathNode(nid, x, y, cls, capacity, segment, width))
         except Exception as exc:
-            violations.append(f"{field_path}: {exc}")
+            report(f"path_nodes[{i}]: {exc}")
 
+    depot = str(depot_id)
     for i, spec in pois:
-        field_path = f"poi_nodes[{i}]"
         try:
-            node = PoiNode(
-                id=str(spec["id"]), x=float(spec["x"]), y=float(spec["y"]),
-                semantic_class=spec["class"],
-                is_depot=(str(spec["id"]) == str(depot_id)),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            violations.append(f"{field_path}: {exc!r}")
+            pid, x, y, cls = str(spec["id"]), float(spec["x"]), float(spec["y"]), spec["class"]
+        except (KeyError, TypeError, ValueError) as exc:
+            report(f"poi_nodes[{i}]: {exc!r}")
             continue
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            violations.append(f"{field_path}.position: not finite")
-        if node.semantic_class not in places:
-            violations.append(f"{field_path}.class: undeclared {node.semantic_class!r}")
-        elif node.semantic_class == "sidewalk":
-            violations.append(f"{field_path}.class: PoI may not be a sidewalk")
+        if placed("poi_nodes", i, x, y, cls) and cls == "sidewalk":
+            report(f"poi_nodes[{i}].class: PoI may not be a sidewalk")
         try:
-            graph.add_poi_node(node)
+            graph.add_poi_node(PoiNode(pid, x, y, cls, pid == depot))
         except Exception as exc:
-            violations.append(f"{field_path}: {exc}")
+            report(f"poi_nodes[{i}]: {exc}")
 
+    add_adjacency, add_access = graph.add_adjacency_edge, graph.add_access_edge
     for i, spec in _entries(data, "edges", violations):
-        field_path = f"edges[{i}]"
-        kind = spec.get("kind")
-        u, v = spec.get("u"), spec.get("v")
+        kind, u, v = spec.get("kind"), spec.get("u"), spec.get("v")
         # endpoints are node ids, converted as the nodes' own ids are
         u = u if u is None else str(u)
         v = v if v is None else str(v)
         try:
             if kind == "adjacency":
-                graph.add_adjacency_edge(u, v, float(spec["length"]),
-                                         bool(spec.get("directed", False)))
+                add_adjacency(u, v, float(spec["length"]), bool(spec.get("directed", False)))
             elif kind == "access":
-                graph.add_access_edge(u, v, float(spec["length"]))
+                add_access(u, v, float(spec["length"]))
             else:
-                violations.append(f"{field_path}.kind: unknown {kind!r}")
+                report(f"edges[{i}].kind: unknown {kind!r}")
         except Exception as exc:
-            violations.append(f"{field_path}: {exc}")
+            report(f"edges[{i}]: {exc}")
 
     for poi_id in graph.poi_nodes:
         if poi_id not in graph.access:
-            violations.append(f"poi {poi_id!r}: missing access edge")
+            report(f"poi {poi_id!r}: missing access edge")
 
     if graph.path_nodes and not _path_network_connected(graph):
-        violations.append("path network is not connected")
+        report("path network is not connected")
 
     if violations:
         raise ValidationError(violations)
@@ -222,22 +213,21 @@ def scenario_from_dict(data: dict) -> SceneGraph:
 
 
 def _path_network_connected(graph: SceneGraph) -> bool:
-    # weak connectivity: directed edges treated as traversable both ways
-    undirected: dict[str, set] = {nid: set() for nid in graph.path_nodes}
+    """Weak connectivity: a directed edge joins its ends both ways."""
+    adjacency = graph.adjacency
+    reverse: dict[str, list[tuple[str, float]]] = {}
     for edge in graph.static_edges:
-        if edge.kind == "adjacency":
-            undirected[edge.u].add(edge.v)
-            undirected[edge.v].add(edge.u)
-    start = next(iter(graph.path_nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nbr in undirected[node]:
+        if edge.directed:  # only adjacency edges are directed
+            reverse.setdefault(edge.v, []).append((edge.u, edge.length))
+    start = next(iter(adjacency))
+    seen, stack = {start}, [start]
+    while stack:
+        node = stack.pop()
+        for nbr, _ in adjacency[node] + reverse.get(node, []):
             if nbr not in seen:
                 seen.add(nbr)
-                queue.append(nbr)
-    return len(seen) == len(graph.path_nodes)
+                stack.append(nbr)
+    return len(seen) == len(adjacency)
 
 
 # -- config -----------------------------------------------------------------------

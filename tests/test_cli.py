@@ -11,7 +11,8 @@ import pytest
 
 import scenesim
 from scenesim.cli import main
-from scenesim.kernel import run_replications
+from scenesim.errors import ZeroRate
+from scenesim.kernel import SimState, run_replications
 from scenesim.scenario import load_config, load_scenario, save_scenario
 from scenesim.synthetic import grid_scenario
 
@@ -185,16 +186,33 @@ class TestRun:
             assert len(records) == expected[i] > 0
             assert all(set(r) == {"t", "kind", "payload"} for r in records)
 
-    def test_failed_event_exits_one(self, workspace, capsys):
-        # a 3 m agent cannot use the grid's 2 m sidewalks: every node is
-        # blocked to it, so the first task's target is unreachable
+    def test_failed_event_exits_one(self, workspace, capsys, monkeypatch):
+        # an event handler's simulator error ends the run, naming the event
+        def fail(state, t, payload):
+            raise ZeroRate("no arrivals left")
+
+        monkeypatch.setattr(SimState, "_handle_task_arrival", fail)
         tmp, scenario, config = workspace
-        config.write_text(CONFIG_YAML.replace("  count: 1\n",
-                                              "  count: 1\n  agent_width: 3.0\n"))
         assert main(["run", str(scenario), str(config), "--out", str(tmp / "o")]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(r"error: event #\d+ \(task_arrival at t=.*\) failed: "
-                            r"no path from 'g\d+' to 'g\d+'", line)
+                            r"no arrivals left", line)
+
+    def test_unreachable_tasks_are_dropped_with_a_warning(self, workspace, capsys):
+        # a 3 m agent cannot use the grid's 2 m sidewalks: every node is
+        # blocked to it, so every task is dropped and the run completes
+        tmp, scenario, config = workspace
+        config.write_text(CONFIG_YAML.replace("  count: 1\n",
+                                              "  count: 1\n  agent_width: 3.0\n"))
+        out = tmp / "o"
+        assert main(["run", str(scenario), str(config), "--out", str(out),
+                     "--replications", "2"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [re.sub(r"\d+ task", "N task", line) for line in err] == [
+            f"warning: replication {i}: dropped N task(s) the fleet cannot reach"
+            for i in range(2)]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert "0,tasks_completed,0" in rows and "1,tasks_completed,0" in rows
 
     def test_unwritable_output_exits_one(self, workspace, capsys):
         tmp, scenario, config = workspace

@@ -15,7 +15,7 @@ import scenesim
 from scenesim.agents import Task, WAITING, plan_path
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
-from scenesim.graph import ObjectNode, up_to_date
+from scenesim.graph import ObjectNode, PathNode, PoiNode, SceneGraph, up_to_date
 from scenesim.kernel import (
     AGENT_NODE_ENTRY,
     AGENT_NODE_EXIT,
@@ -197,6 +197,7 @@ class TestTasks:
         state.run()
         c = state.ledger.counters
         assert c["tasks_completed"] > 10
+        assert "tasks_unreachable" not in c  # absent when zero: no digest moves
         assert state.fleet[0].current_node == "v0"
         assert len(state.idle_agents) == 1
 
@@ -253,6 +254,33 @@ class TestTasks:
             leg = 55.0 / fleet.default_velocity
             assert task.t_pred - task.t_assigned == pytest.approx(2 * leg)
             assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["static", "observed"])
+    def test_unreachable_task_is_dropped(self, mode):
+        # line a-b-c whose last sidewalk, c, is narrower than the 0.5 m
+        # agents: a task at c's PoI is dropped and counted, and the agent
+        # that drew it takes the next task
+        graph = SceneGraph()
+        for nid, x, width in (("a", 0.0, 2.0), ("b", 10.0, 2.0), ("c", 20.0, 0.4)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {"car": 1}, 5.0, width))
+        graph.add_adjacency_edge("a", "b", 10.0)
+        graph.add_adjacency_edge("b", "c", 10.0)
+        for pid, x, node, cls in (("depot", 0.0, "a", "work"), ("near", 10.0, "b", "housing"),
+                                  ("far", 20.0, "c", "housing")):
+            graph.add_poi_node(PoiNode(pid, x, 3.0, cls, is_depot=pid == "depot"))
+            graph.add_access_edge(pid, node, 3.0)
+        graph.freeze_static()
+        fleet = FleetConfig(count=2, planner_mode=mode)
+        state = SimState(graph, self.task_config(fleet=fleet), seed=3)
+        first, second = state.fleet
+        state.task_queue.extend([Task("t0", "far", 0.0), Task("t1", "near", 0.0)])
+        state._try_dispatch(0.0)
+        assert state.ledger.counters["tasks_unreachable"] == 1
+        assert first.task.id == "t1" and list(state.idle_agents) == [second]
+        state.run()
+        c = state.ledger.counters
+        assert c["tasks_unreachable"] > 1 and c["tasks_completed"] > 1
+        assert {task.target_poi for task in state.ledger.tasks} == {"near"}
 
     def test_tasks_queue_when_fleet_busy(self):
         scenario = line_scenario(12, pois=((11, "housing"),))
