@@ -149,7 +149,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
             # a fractional count is left out here and reported below
             capacity = {k: int(v) for k, v in given.items() if not _fractional(v)}
             segment, width = float(spec["segment_length"]), float(spec["sidewalk_width"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"path_nodes[{i}]: {exc!r}")
             continue
         placed("path_nodes", i, x, y, cls)
@@ -173,7 +173,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     for i, spec in pois:
         try:
             pid, x, y, cls = str(spec["id"]), float(spec["x"]), float(spec["y"]), spec["class"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"poi_nodes[{i}]: {exc!r}")
             continue
         if placed("poi_nodes", i, x, y, cls) and cls == "sidewalk":

@@ -334,6 +334,20 @@ class TestScenarioValidation:
             scenario_from_dict(scenario_dict(**overrides))
         assert exc.value.violations == violations
 
+    @pytest.mark.parametrize("kind, field", [
+        ("path_nodes", "x"), ("path_nodes", "segment_length"), ("poi_nodes", "y"),
+        ("edges", "length"),
+    ])
+    def test_integer_too_large_for_a_float(self, kind, field):
+        # a JSON integer of 400 digits parses, but float() overflows on it
+        data = scenario_dict()
+        data[kind][0][field] = 10 ** 400
+        message = "OverflowError('int too large to convert to float')"
+        if kind == "edges":
+            message = "int too large to convert to float"
+        # the failed entry's edges and connectivity are reported after it
+        assert violations_of(data).splitlines()[0] == f"{kind}[0]: {message}"
+
     @pytest.mark.parametrize("u, v", [("p1", "p2"), ("p2", "p1")])
     def test_one_directed_edge_connects(self, u, v):
         # weak connectivity: a directed edge joins its ends either way round
