@@ -124,15 +124,15 @@ def cmd_validate(args) -> int:
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "replications", None) is not None:
+    if args.replications is not None:
         config.replications = args.replications
     if args.seed is not None:
         config.seed = args.seed
     if args.days is not None:
         config.duration = args.days * 86400.0
-    if getattr(args, "warmup_hours", None) is not None:
+    if args.warmup_hours is not None:
         config.warmup = args.warmup_hours * 3600.0
-    if getattr(args, "planner", None) is not None:
+    if args.planner is not None:
         config.fleet = dataclasses.replace(config.fleet, planner_mode=args.planner)
     _check_run_control(config)
     return config
@@ -197,17 +197,11 @@ class TraceWriter:
 
     def __call__(self, t, kind, payload):
         self._file.write(json.dumps(
-            {"t": round(t, 9), "kind": kind, "payload": _payload_repr(payload)}
+            {"t": round(t, 9), "kind": kind, "payload": payload}
         ) + "\n")
 
     def close(self):
         self._file.close()
-
-
-def _payload_repr(payload):
-    if isinstance(payload, tuple):
-        return list(payload)
-    return payload
 
 
 if __name__ == "__main__":

@@ -180,16 +180,6 @@ class StaticNetwork:
         k, (x0, y0) = self.kappa, self.positions[0]
         return [(k * (x - x0), k * (y - y0)) for x, y in self.positions]
 
-    @cached_property
-    def edge_length(self) -> dict[tuple[str, str], float]:
-        """(u, v) -> length of the shortest directed edge from u to v."""
-        lengths: dict[tuple[str, str], float] = {}
-        for u, nbrs in self._adjacency.items():
-            for v, length in nbrs:
-                if length < lengths.get((u, v), math.inf):
-                    lengths[(u, v)] = length
-        return lengths
-
     def slots(self, object_class: str) -> list[int]:
         """Per index: the node's slot count for ``object_class`` (0 if undeclared)."""
         if object_class not in self._slots:

@@ -13,6 +13,7 @@ import heapq
 import math
 import time as _time
 from collections import Counter, deque
+from typing import NamedTuple
 
 from .agents import (
     IDLE_AT_DEPOT,
@@ -28,7 +29,7 @@ from .agents import (
     plan_holds,
     plan_path,
 )
-from .config import SimConfig
+from .config import SimConfig, TaskSpec
 from .errors import TimeTravel, Unreachable, ZeroRate
 from .graph import ObservedGraph, SceneGraph, up_to_date
 from .metrics import MetricsLedger
@@ -52,17 +53,22 @@ KIND_PRIORITY = {
 }
 
 
+class TaskSource(NamedTuple):
+    """One task generator at one PoI: its spec and its own stream."""
+
+    spec: TaskSpec
+    stream: RandomStream
+
+
 class SimState:
     """All mutable state of one replication."""
 
     def __init__(self, scenario: SceneGraph, config: SimConfig, seed: int,
                  trace=None):
         self.config = config
-        self.seed = seed
         self.truth = scenario.dynamic_copy()
         self.belief = ObservedGraph(self.truth)
         self.clock = 0.0
-        self.warmup_end = config.warmup
         self.t_end = config.duration
         self._search_bound = config.drain_search_bound
         self.trace = trace
@@ -82,36 +88,39 @@ class SimState:
         )
         self.instances = instantiate_processes(self.truth, config.processes, seed)
 
-        depot_node = None
-        if self.truth.depot_id is not None:
-            depot_node = self.truth.access[self.truth.depot_id][0]
+        depot = self.truth.depot_id
+        self._depot_node = self.truth.access[depot][0] if depot is not None else None
         self.fleet = [
             Agent(
                 id=f"agent{i}",
-                current_node=depot_node,
+                current_node=self._depot_node,
                 default_velocity=config.fleet.default_velocity,
                 width=config.fleet.agent_width,
                 sensor_radius=config.fleet.sensor_radius,
             )
-            for i in range(config.fleet.count if depot_node is not None else 0)
+            for i in range(config.fleet.count if self._depot_node is not None else 0)
         ]
         self.idle_agents = deque(self.fleet)
         self.task_queue: deque = deque()
         self.waiting_at: dict[str, list[Agent]] = {}
         self._agents_by_id = {a.id: a for a in self.fleet}
-        self._instances_by_key = {
-            (inst.spec.name, inst.poi_id, inst.object_class): inst
-            for inst in self.instances
-        }
-        self._task_streams: dict[tuple[str, str], tuple] = {}
+        # event payload -> (kind, source): a process instance or a task
+        # source, each with a ``spec`` and its own ``stream``
+        self._sources: dict[tuple, tuple] = {}
+        sources = [((inst.spec.name, inst.poi_id, inst.object_class), SPAWN, inst)
+                   for inst in self.instances]
         for spec in config.tasks:
             for poi_id in sorted(
                 pid for pid, poi in self.truth.poi_nodes.items()
                 if poi.semantic_class in spec.place_classes
             ):
-                self._task_streams[(spec.name, poi_id)] = (
-                    spec, RandomStream(seed, ("task", spec.name, poi_id))
-                )
+                stream = RandomStream(seed, ("task", spec.name, poi_id))
+                sources.append(((spec.name, poi_id), TASK_ARRIVAL, TaskSource(spec, stream)))
+        for payload, kind, source in sources:
+            if payload in self._sources:
+                raise ValueError(f"two {kind} sources share the payload {payload!r}: "
+                                 f"give each process and task generator its own name")
+            self._sources[payload] = (kind, source)
 
     # -- scheduling -------------------------------------------------------------
 
@@ -126,18 +135,14 @@ class SimState:
         if self._initialized:
             return
         self._initialized = True
-        for inst in self.instances:
+        # in insertion order: process instances, then task sources; the
+        # streams are read now, so a test may replace one after construction
+        for payload, (kind, source) in self._sources.items():
             try:
-                dt = next_nhpp_interarrival(inst.spec.rate_profile, 0.0, inst.stream)
+                dt = next_nhpp_interarrival(source.spec.rate_profile, 0.0, source.stream)
             except ZeroRate:
                 continue
-            self.schedule(dt, SPAWN, (inst.spec.name, inst.poi_id, inst.object_class))
-        for (name, poi_id), (spec, stream) in self._task_streams.items():
-            try:
-                dt = next_nhpp_interarrival(spec.rate_profile, 0.0, stream)
-            except ZeroRate:
-                continue
-            self.schedule(dt, TASK_ARRIVAL, (name, poi_id))
+            self.schedule(dt, kind, payload)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -214,7 +219,7 @@ class SimState:
     # -- process events ---------------------------------------------------------------
 
     def _handle_spawn(self, t: float, key):
-        inst = self._instances_by_key[key]
+        inst = self._sources[key][1]
         object_id = f"obj{self._object_serial}"
         self._object_serial += 1
         status, obj = inst.drain(t, self.truth, object_id, self._search_bound)
@@ -247,7 +252,7 @@ class SimState:
     # -- task events --------------------------------------------------------------------
 
     def _handle_task_arrival(self, t: float, payload):
-        spec, stream = self._task_streams[payload]
+        spec, stream = self._sources[payload][1]
         _, poi_id = payload
         task = Task(id=f"task{self._task_serial}", target_poi=poi_id, t_issued=t)
         self._task_serial += 1
@@ -286,8 +291,12 @@ class SimState:
     # -- agent movement -------------------------------------------------------------------
 
     def _advance(self, agent: Agent, t: float):
+        network = self.truth.network
         next_node = agent.path[agent.path_index + 1]
-        length = self.truth.network.edge_length[(agent.current_node, next_node)]
+        j = network.index[next_node]
+        # the shortest parallel edge: the length the planner's labels charged
+        length = min(length for i, length in network.neighbours[network.index[agent.current_node]]
+                     if i == j)
         self.schedule(t + length / agent.default_velocity, AGENT_NODE_ENTRY,
                       (agent.id, next_node))
 
@@ -349,8 +358,7 @@ class SimState:
 
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:
-            depot_node = self.truth.access[self.truth.depot_id][0]
-            path_back, _, plan_cost = self._plan(agent, agent.current_node, depot_node)
+            path_back, _, plan_cost = self._plan(agent, agent.current_node, self._depot_node)
             agent.state = RETURNING
             self._commit(agent, path_back, plan_cost)
             if len(path_back) == 1:

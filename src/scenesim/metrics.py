@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from functools import reduce
 from itertools import chain
 from operator import add, sub
@@ -23,8 +24,6 @@ from .stochastic import SECONDS_PER_HOUR, hour_of_day
 
 def fmt(value) -> str:
     """Floats at 6 significant digits; everything else as-is."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -252,71 +251,60 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
+@contextmanager
+def _csv_writer(path, header):
+    """A ``csv.writer`` on a new file at ``path`` whose first row is ``header``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        yield writer
+
+
 def write_outputs(ledgers, graph, outdir):
     """Write all metric CSVs for a list of replication ledgers."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path_nodes = sorted(graph.path_nodes)
 
-    rows = []
-    per_rep = []
-    for i, ledger in enumerate(ledgers):
-        metrics = summary_metrics(ledger, path_nodes)
-        per_rep.append(metrics)
-        for name, value in metrics.items():
-            rows.append((i, name, "" if value is None else fmt(value)))
-    for name in per_rep[0]:
-        mean, std = _mean_std([m[name] for m in per_rep])
-        rows.append(("mean", name, "" if mean is None else fmt(mean)))
-        rows.append(("std", name, "" if std is None else fmt(std)))
-    with open(outdir / "summary.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "metric", "value"])
-        writer.writerows(rows)
+    per_rep = [summary_metrics(ledger, path_nodes) for ledger in ledgers]
+    with _csv_writer(outdir / "summary.csv", ["replication", "metric", "value"]) as writer:
+        for i, metrics in enumerate(per_rep):
+            writer.writerows((i, name, "" if value is None else fmt(value))
+                             for name, value in metrics.items())
+        for name in per_rep[0]:
+            mean, std = _mean_std([m[name] for m in per_rep])
+            writer.writerow(("mean", name, "" if mean is None else fmt(mean)))
+            writer.writerow(("std", name, "" if std is None else fmt(std)))
 
-    with open(outdir / "daily_trends.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "object_class", "hour", "mean_live_count"])
+    with _csv_writer(outdir / "daily_trends.csv",
+                     ["replication", "object_class", "hour", "mean_live_count"]) as writer:
         for i, ledger in enumerate(ledgers):
             counts = ledger.live_count_by_hour()
-            for cls in ledger.object_classes:
-                for hour in range(24):
-                    writer.writerow([i, cls, hour, fmt(counts.get((cls, hour), 0.0))])
+            writer.writerows((i, cls, hour, fmt(counts.get((cls, hour), 0.0)))
+                             for cls in ledger.object_classes for hour in range(24))
 
-    with open(outdir / "arrivals_by_node_hour.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "node", "hour", "true_count", "observed_count"])
+    with _csv_writer(outdir / "arrivals_by_node_hour.csv",
+                     ["replication", "node", "hour", "true_count", "observed_count"]) as writer:
         for i, ledger in enumerate(ledgers):
-            keys = sorted(set(ledger.true_arrivals) | set(ledger.observed_arrivals))
-            for node, hour in keys:
-                writer.writerow([
-                    i, node, hour,
-                    ledger.true_arrivals[(node, hour)],
-                    ledger.observed_arrivals[(node, hour)],
-                ])
+            true, observed = ledger.true_arrivals, ledger.observed_arrivals
+            writer.writerows((i, node, hour, true[(node, hour)], observed[(node, hour)])
+                             for node, hour in sorted(true.keys() | observed.keys()))
 
-    with open(outdir / "heatmap.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "node", "x", "y", "observations"])
+    with _csv_writer(outdir / "heatmap.csv",
+                     ["replication", "node", "x", "y", "observations"]) as writer:
         for i, ledger in enumerate(ledgers):
             heatmap = ledger.heatmap
             for node in path_nodes:
                 x, y = graph.node_position(node)
                 writer.writerow([i, node, fmt(x), fmt(y), heatmap[node]])
 
-    with open(outdir / "node_gaps.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["replication", "node", "mean_gap_s"])
+    with _csv_writer(outdir / "node_gaps.csv", ["replication", "node", "mean_gap_s"]) as writer:
         for i, ledger in enumerate(ledgers):
-            for node, gap in ledger.inter_observation_stats().items():
-                writer.writerow([i, node, fmt(gap)])
+            writer.writerows((i, node, fmt(gap))
+                             for node, gap in ledger.inter_observation_stats().items())
 
-    with open(outdir / "tasks.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([
-            "replication", "task", "t_issued", "t_assigned",
-            "t_pred", "t_completed", "signed_delay",
-        ])
+    with _csv_writer(outdir / "tasks.csv", ["replication", "task", "t_issued", "t_assigned",
+                                            "t_pred", "t_completed", "signed_delay"]) as writer:
         for i, ledger in enumerate(ledgers):
             for task in ledger.tasks:
                 degenerate = task.t_completed - task.t_assigned <= 0

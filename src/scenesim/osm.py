@@ -6,26 +6,26 @@ component, map tagged buildings/amenities to place classes, pick the
 building nearest the center as depot, link every PoI to its nearest path
 node via an access edge, and assign sidewalk geometry and capacities.
 
-The tag-to-class mapping ships as data below and can be overridden; the
-default capacities and sidewalk geometry are synthetic placeholders.
+The tag-to-class mapping ships as data below; the capacities and sidewalk
+geometry are synthetic placeholders.
 """
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyNetwork, MalformedXml, NoDepotCandidate
-from .graph import ClassRegistry, DEFAULT_REGISTRY, PathNode, PoiNode, SceneGraph
+from .graph import PathNode, PoiNode, SceneGraph
 
 EARTH_RADIUS_M = 6_371_000.0
 
 PEDESTRIAN_HIGHWAYS = frozenset({"footway", "path", "pedestrian", "living_street"})
 
 # (tag key, tag value or "*") -> place class; first match wins, in order
-DEFAULT_TAG_MAP = (
+TAG_MAP = (
     ("amenity", "school", "education"),
     ("amenity", "university", "education"),
     ("amenity", "kindergarten", "education"),
@@ -45,14 +45,14 @@ DEFAULT_TAG_MAP = (
     ("building", "detached", "housing"),
 )
 
+# object class -> slot count, at every path node
+CAPACITIES = {"car": 2, "bicycle": 4, "trashcan": 1}
+
 
 @dataclass
 class ImportParams:
     max_segment: float = 25.0
     sidewalk_width: float = 2.0
-    capacities: dict = field(default_factory=lambda: {"car": 2, "bicycle": 4, "trashcan": 1})
-    tag_map: tuple = DEFAULT_TAG_MAP
-    registry: ClassRegistry = DEFAULT_REGISTRY
 
 
 def import_osm(xml_path, center: tuple[float, float], radius: float,
@@ -133,11 +133,11 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
     # 5. classify PoI candidates (tagged nodes and building ways)
     pois: list[tuple[str, tuple[float, float], str]] = []
     for nid in sorted(node_tags):
-        cls = _classify(node_tags[nid], params.tag_map)
+        cls = _classify(node_tags[nid])
         if cls is not None and nid in osm_nodes and in_range(osm_nodes[nid]):
             pois.append((f"p{nid}", osm_nodes[nid], cls))
     for way_id, refs, tags in ways:
-        cls = _classify(tags, params.tag_map)
+        cls = _classify(tags)
         if cls is None:
             continue
         outline = [osm_nodes[r] for r in refs if r in osm_nodes]
@@ -163,12 +163,12 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         incident.setdefault(a, []).append(l)
         incident.setdefault(b, []).append(l)
 
-    graph = SceneGraph(params.registry)
+    graph = SceneGraph()
     for nid in sorted(component):
         x, y = positions[nid]
         graph.add_path_node(PathNode(
             id=nid, x=x, y=y, semantic_class="sidewalk",
-            capacity=dict(params.capacities),
+            capacity=dict(CAPACITIES),
             segment_length=sum(incident[nid]) / len(incident[nid]),
             sidewalk_width=params.sidewalk_width,
         ))
@@ -204,8 +204,8 @@ def _is_pedestrian(tags: dict) -> bool:
     return sidewalk is not None and sidewalk not in ("no", "none")
 
 
-def _classify(tags: dict, tag_map) -> str | None:
-    for key, value, cls in tag_map:
+def _classify(tags: dict) -> str | None:
+    for key, value, cls in TAG_MAP:
         if key in tags and (value == "*" or tags[key] == value):
             return cls
     return None

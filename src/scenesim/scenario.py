@@ -86,13 +86,17 @@ def _section(data: dict, key: str, violations: list) -> dict:
     return section
 
 
+def _listed(value, where: str, violations: list, default=()) -> list:
+    """``value`` if it is a list; anything else is a violation, read as ``default``."""
+    if isinstance(value, list):
+        return value
+    violations.append(f"{where}: expected a list")
+    return list(default)
+
+
 def _entries(data: dict, key: str, violations: list):
     """Yield (index, mapping) per entry under ``data[key]``; anything else is a violation."""
-    entries = data.get(key) or []
-    if not isinstance(entries, list):
-        violations.append(f"{key}: expected a list")
-        return
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_listed(data.get(key) or [], key, violations)):
         if isinstance(entry, dict):
             yield i, entry
         else:
@@ -109,8 +113,8 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     report = violations.append
 
     classes = _section(data, "classes", violations)
-    places = set(classes.get("places", ()))
-    objects = set(classes.get("objects", ()))
+    places = set(_listed(classes.get("places", []), "classes.places", violations))
+    objects = set(_listed(classes.get("objects", []), "classes.objects", violations))
     overlap = places & objects
     if overlap:
         report(f"classes: place/object overlap {sorted(overlap)}")
@@ -243,12 +247,23 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
     places = graph.registry.places if graph is not None else None
     objects = graph.registry.objects if graph is not None else None
 
-    def check_classes(names, universe, where):
-        if universe is None:
-            return
-        for name in names:
-            if name not in universe:
-                violations.append(f"{where}: undeclared class {name!r}")
+    def classes(spec, where, key, universe) -> frozenset:
+        """The class names listed under ``spec[key]``; undeclared ones are reported in order."""
+        names = _listed(spec[key], f"{where}.{key}", violations)
+        if universe is not None:
+            for name in dict.fromkeys(names):
+                if name not in universe:
+                    violations.append(f"{where}.{key}: undeclared class {name!r}")
+        return frozenset(names)
+
+    def rates(spec, where) -> list:
+        # a stand-in of 24 zeros for a rejected value spares a second violation
+        return _listed(spec["hourly_rates"], f"{where}.hourly_rates", violations, [0.0] * 24)
+
+    def unique(name, where, seen: set):
+        if name in seen:
+            violations.append(f"{where}.name: duplicate {name!r}")
+        seen.add(name)
 
     def number(section, where, key, default):
         """``section[key]`` as the type of ``default``, its value when absent."""
@@ -269,16 +284,16 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         elif finite and value == math.inf:
             violations.append(f"{where}: must be finite")
 
-    processes = []
+    # a name keys its sources' event payloads and random streams
+    processes, names = [], set()
     for i, spec in _entries(data, "processes", violations):
         where = f"processes[{i}]"
         try:
             name = spec.get("name", f"process{i}")
-            source_classes = frozenset(spec["source_classes"])
-            object_classes = frozenset(spec["object_classes"])
-            check_classes(source_classes, places, f"{where}.source_classes")
-            check_classes(object_classes, objects, f"{where}.object_classes")
-            profile = RateProfile(tuple(spec["hourly_rates"]))
+            unique(name, where, names)
+            source_classes = classes(spec, where, "source_classes", places)
+            object_classes = classes(spec, where, "object_classes", objects)
+            profile = RateProfile(tuple(rates(spec, where)))
             footprint = float(spec["footprint_area"])
             positive(f"{where}.footprint_area", footprint, finite=True)
             # an infinite mean lifetime or population is allowed
@@ -303,16 +318,16 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 
-    tasks = []
+    tasks, names = [], set()
     for i, spec in _entries(data, "tasks", violations):
         where = f"tasks[{i}]"
         try:
-            place_classes = frozenset(spec["place_classes"])
-            check_classes(place_classes, places, f"{where}.place_classes")
+            name = spec.get("name", f"tasks{i}")
+            unique(name, where, names)
             tasks.append(TaskSpec(
-                name=spec.get("name", f"tasks{i}"),
-                place_classes=place_classes,
-                rate_profile=RateProfile(tuple(spec["hourly_rates"])),
+                name=name,
+                place_classes=classes(spec, where, "place_classes", places),
+                rate_profile=RateProfile(tuple(rates(spec, where))),
             ))
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")

@@ -668,9 +668,6 @@ class TestStaticNetwork:
         assert net.positions == [(20.0, 0.0), (0.0, 0.0), (10.0, 0.0)]
         # neighbour lists keep adjacency order, parallel edges included
         assert net.neighbours == [[(2, 12.0)], [(2, 10.0)], [(1, 10.0), (0, 12.0), (0, 11.0)]]
-        assert net.edge_length[("c", "a")] == 11.0
-        assert net.edge_length[("a", "c")] == 12.0
-        assert ("a", "b") not in net.edge_length
 
     def test_kappa_is_the_least_cost_per_metre(self):
         graph = SceneGraph()

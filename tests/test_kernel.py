@@ -1,5 +1,8 @@
 """Event kernel: ordering, determinism, tick-based oracle, task lifecycle."""
 
+import contextlib
+import dataclasses
+import functools
 import hashlib
 import heapq
 import itertools
@@ -7,15 +10,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scenesim
-from scenesim.agents import Task, WAITING, plan_path
+from scenesim.agents import NodeCosts, Task, WAITING, plan_path
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
-from scenesim.graph import ObjectNode, PathNode, PoiNode, SceneGraph, up_to_date
+from scenesim.graph import (ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph,
+                            StaticNetwork, _scan, up_to_date)
 from scenesim.kernel import (
     AGENT_NODE_ENTRY,
     AGENT_NODE_EXIT,
@@ -77,6 +84,21 @@ class TestScheduling:
         state.clock = 10.0
         with pytest.raises(TimeTravel):
             state.schedule(9.0, SPAWN, None)
+
+    @pytest.mark.parametrize("section", ["processes", "tasks"])
+    def test_sources_sharing_a_payload_rejected(self, section):
+        # two specs of one name would share an event payload and a random
+        # stream: one source's events would drive the other's draws
+        twins = {
+            "processes": [car_process(1.0, name="p"), car_process(5.0, name="p")],
+            "tasks": [TaskSpec("a", frozenset({"housing"}), RateProfile.constant(rate))
+                      for rate in (1.0, 5.0)],
+        }[section]
+        scenario = line_scenario(3, pois=((2, "housing"),))
+        with pytest.raises(ValueError, match="share the payload"):
+            SimState(scenario, empty_config(**{section: twins}), seed=1)
+        twins[1] = dataclasses.replace(twins[1], name="b")
+        SimState(scenario, empty_config(**{section: twins}), seed=1)
 
 
 class TestRun:
@@ -254,6 +276,41 @@ class TestTasks:
             leg = 55.0 / fleet.default_velocity
             assert task.t_pred - task.t_assigned == pytest.approx(2 * leg)
             assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["static", "observed"])
+    def test_hop_takes_the_shortest_edge(self, mode):
+        # a-b joined by parallel edges of 20 and 12 m, b -> c of 7 m and
+        # c -> b of 15 m: each hop costs its shortest edge over the speed
+        graph = SceneGraph()
+        for nid, x in (("a", 0.0), ("b", 10.0), ("c", 20.0)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {"car": 1}, 5.0, 2.0))
+        graph.add_adjacency_edge("a", "b", 20.0)
+        graph.add_adjacency_edge("a", "b", 12.0)
+        graph.add_adjacency_edge("b", "c", 7.0, directed=True)
+        graph.add_adjacency_edge("c", "b", 15.0, directed=True)
+        for pid, node in (("depot", "a"), ("home", "c")):
+            graph.add_poi_node(PoiNode(pid, graph.path_nodes[node].x, 3.0, "housing",
+                                       is_depot=pid == "depot"))
+            graph.add_access_edge(pid, node, 3.0)
+        graph.freeze_static()
+        hops, left = [], [0.0]
+
+        def trace(t, kind, payload):
+            if kind == AGENT_NODE_EXIT:
+                left.append(t)
+            elif kind == AGENT_NODE_ENTRY:
+                hops.append((payload[1], t - left[-1]))
+
+        fleet = FleetConfig(count=1, planner_mode=mode)
+        state = SimState(graph, empty_config(fleet=fleet), seed=1, trace=trace)
+        state._assign(0.0, state.fleet[0], Task("t0", "home", 0.0))
+        state.run()
+        v = fleet.default_velocity
+        assert [node for node, _ in hops] == ["b", "c", "b", "a"]
+        assert [dt for _, dt in hops] == pytest.approx([12.0 / v, 7.0 / v, 15.0 / v, 12.0 / v],
+                                                       rel=1e-12)
+        (task,) = state.ledger.tasks
+        assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["static", "observed"])
     def test_unreachable_task_is_dropped(self, mode):
@@ -732,3 +789,118 @@ class TestStaleSet:
         assert compared == [] and state.ledger._stale_since == {"v1": 100.0, "v2": 0.0}
         state.run()
         assert compared == ["v2"] and state.ledger._stale_since == {"v1": 100.0}
+
+
+# -- every cache against its reference ---------------------------------------------------
+
+
+KERNEL_INPUTS = st.fixed_dictionaries({
+    # a line of n nodes, or a cols x rows grid
+    "shape": st.one_of(st.tuples(st.integers(3, 8)),
+                       st.tuples(st.integers(3, 8), st.integers(2, 6))),
+    "planner": st.sampled_from(["observed", "static"]),
+    "agents": st.integers(1, 3),
+    # every free area is 15 m^2: one car of 16 m^2 or two of 8 m^2 block a
+    # node, and two of 6 m^2 slow an agent to a fifth of its speed
+    "footprint": st.sampled_from([3.0, 6.0, 8.0, 16.0]),
+    "cars_per_hour": st.sampled_from([1.0, 4.0]),
+    "tasks_per_hour": st.sampled_from([0.5, 2.0]),
+    "radius": st.sampled_from([15.0, 20.0, 25.0]),
+    "hours": st.integers(2, 8),
+    "seed": st.integers(0, 2 ** 16),
+})
+
+
+def kernel_case(shape, planner, agents, footprint, cars_per_hour, tasks_per_hour, radius,
+                hours, seed):
+    """A fresh scenario builder, the config and the seed of one differential input."""
+    if len(shape) == 1:
+        (n,) = shape
+        build = functools.partial(line_scenario, n, capacity={"car": 2},
+                                  pois=((n - 1, "housing"), (n // 2, "retail")))
+    else:
+        build = functools.partial(grid_scenario, *shape, capacity={"car": 2}, poi_every=2)
+    places = frozenset({"housing", "retail", "leisure"})
+    config = SimConfig(
+        processes=[ProcessSpec("cars", places, frozenset({"car"}),
+                               RateProfile.constant(cars_per_hour),
+                               footprint_area=footprint, lifetime_mean=HOUR)],
+        tasks=[TaskSpec("visits", places, RateProfile.constant(tasks_per_hour))],
+        fleet=FleetConfig(count=agents, sensor_radius=radius, planner_mode=planner),
+        duration=hours * HOUR, warmup=0.5 * HOUR)
+    return build, config, seed
+
+
+def reference_caches():
+    """Patches that replace every kernel-path cache with what it caches."""
+    merge = ObservedGraph.merge_observation
+
+    def visible(network, node_id, r):
+        node = network._path_nodes[node_id]
+        return _scan(network._path_nodes, network._poi_nodes, node.x, node.y, r)
+
+    def merge_all(belief, obs):
+        belief.unsynced |= obs.path_nodes
+        return merge(belief, obs)
+
+    def fresh_costs(layer, agent):
+        return NodeCosts(layer, agent.width, agent.default_velocity)
+
+    def unmemoized_plan(view, *args):
+        view.network.static_plans.clear()
+        return plan_path(view, *args)
+
+    return [mock.patch.object(StaticNetwork, "visible", visible),
+            mock.patch.object(ObservedGraph, "merge_observation", merge_all),
+            mock.patch("scenesim.kernel.cost_table", fresh_costs),
+            mock.patch("scenesim.agents.cost_table", fresh_costs),
+            mock.patch("scenesim.kernel.plan_holds", lambda *_: False),
+            mock.patch("scenesim.kernel.plan_path", unmemoized_plan)]
+
+
+def assert_stale_set_exact(state):
+    stale = {n for n in state.truth.path_nodes
+             if state.belief.objects_at[n] != state.truth.objects_at[n]}
+    assert state.ledger._stale_since.keys() == stale
+
+
+def run_with(build, config, seed, outdir, patches):
+    """Events per replication and the CSVs of two replications on a fresh scenario."""
+    scenario = build()
+    events, states, run = [], [], SimState.run
+
+    def running(state, t_end=None):
+        states.append(state)
+        return run(state, t_end)
+
+    def trace_factory(i):
+        log = []
+        events.append(log)
+
+        def trace(t, kind, payload):
+            log.append((t, kind, payload))
+            assert_stale_set_exact(states[-1])
+        return trace
+
+    with contextlib.ExitStack() as stack:
+        for patch in [mock.patch.object(SimState, "run", running), *patches]:
+            stack.enter_context(patch)
+        ledgers = run_replications(scenario, config, 2, seed, trace_factory=trace_factory)
+    for state in states:
+        assert_stale_set_exact(state)
+    write_outputs(ledgers, scenario, outdir)
+    return events, csv_outputs(outdir)
+
+
+@settings(max_examples=60, deadline=None)
+@given(KERNEL_INPUTS)
+def test_differential_caches_match_their_references(params):
+    # memoized views, the unsynced set, cost tables, the replan skip and
+    # static plan memos each stand for a computation; doing that
+    # computation every time instead must change no event and no output
+    build, config, seed = kernel_case(**params)
+    with tempfile.TemporaryDirectory() as tmp:
+        cached = run_with(build, config, seed, Path(tmp, "cached"), [])
+        reference = run_with(build, config, seed, Path(tmp, "reference"), reference_caches())
+    assert cached[0] == reference[0]
+    assert cached[1] == reference[1]

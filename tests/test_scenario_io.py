@@ -116,6 +116,25 @@ class TestScenarioValidation:
         data["poi_nodes"][0]["class"] = "harbor"
         assert "harbor" in violations_of(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("places", 5), ("places", "sidewalk,housing"), ("objects", "car"), ("objects", None),
+    ])
+    def test_class_lists_must_be_lists(self, key, value):
+        # a string is not read one character at a time; an int is no traceback
+        data = scenario_dict()
+        data["classes"][key] = value
+        violations = violations_of(data).splitlines()
+        assert violations[0] == f"classes.{key}: expected a list"
+        if key == "objects":  # read as no classes: the car capacities are undeclared
+            assert violations[1:] == [f"path_nodes[{i}].capacity: undeclared class 'car'"
+                                      for i in (0, 1)]
+
+    def test_class_list_fault_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario_dict(classes={"places": 5, "objects": ["car"]})))
+        assert main(["validate", str(path)]) == 2
+        assert "error: classes.places: expected a list" in capsys.readouterr().err
+
     def test_place_object_overlap(self):
         data = scenario_dict()
         data["classes"]["objects"].append("housing")
@@ -410,6 +429,55 @@ class TestConfig:
             config_from_dict(data, graph)
         text = "\n".join(exc.value.violations)
         assert "scooter" in text and "harbor" in text
+
+    @pytest.mark.parametrize("graph", [None, line_scenario(3, pois=((1, "housing"),))],
+                             ids=["no-scenario", "scenario"])
+    @pytest.mark.parametrize("where, key, value", [
+        ("processes[0]", "source_classes", "housing"),
+        ("processes[0]", "object_classes", "car"),
+        ("processes[0]", "hourly_rates", "1" * 24),
+        ("tasks[0]", "place_classes", "housing"),
+        ("tasks[0]", "hourly_rates", 0.5),
+    ])
+    def test_name_and_rate_lists_must_be_lists(self, graph, where, key, value):
+        # a string is not read as its characters, with or without a scenario
+        data = config_dict()
+        data[where.split("[")[0]][0][key] = value
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data, graph)
+        assert exc.value.violations == [f"{where}.{key}: expected a list"]
+
+    def test_undeclared_classes_reported_in_listed_order(self):
+        graph = line_scenario(3, pois=((1, "housing"),))
+        listed = ["zeta", "housing", "alpha", "mu", "beta", "zeta", "omega", "kappa", "gamma"]
+        data = config_dict()
+        data["processes"][0]["source_classes"] = listed
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data, graph)
+        assert exc.value.violations == [
+            f"processes[0].source_classes: undeclared class {name!r}"
+            for name in ("zeta", "alpha", "mu", "beta", "omega", "kappa", "gamma")]
+
+    @pytest.mark.parametrize("section", ["processes", "tasks"])
+    def test_names_must_be_unique(self, section):
+        # a name keys the event payloads and random streams of its sources
+        data = config_dict()
+        first = data[section][0]
+        data[section] += [dict(first, name="other"), dict(first), dict(first)]
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        name = first["name"]
+        assert exc.value.violations == [f"{section}[2].name: duplicate {name!r}",
+                                        f"{section}[3].name: duplicate {name!r}"]
+
+    def test_default_names_are_unique_too(self):
+        data = config_dict()
+        first = data["processes"][0]
+        data["processes"] = [dict(first, name="process1"), {k: v for k, v in first.items()
+                                                            if k != "name"}]
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == ["processes[1].name: duplicate 'process1'"]
 
     def test_no_scenario_skips_class_checks(self):
         data = config_dict()
