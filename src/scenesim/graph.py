@@ -26,6 +26,9 @@ from .routing import least_cost_per_metre
 EDGE_ADJACENCY = "adjacency"
 EDGE_ACCESS = "access"
 
+# what ``objects_at`` reads as at a node it has no entry for
+EMPTY: frozenset[str] = frozenset()
+
 
 @dataclass(frozen=True)
 class ClassRegistry:
@@ -245,6 +248,11 @@ class ObjectLayer:
     frozen static stores; :meth:`_share_static` is where a layer takes them
     from a source graph by reference.
 
+    ``objects_at`` maps a path node id to the ids of its attached objects.
+    A node gets its set when an object first attaches there (truth) or a
+    merge writes it (belief); an absent node holds nothing, and readers use
+    ``objects_at.get(node, EMPTY)``.
+
     ``node_costs`` maps an agent's (width, speed) to the layer's table of
     node costs by network index: the planner reads it on the belief, and
     the kernel reads it on the truth for an agent's dwell.  Whatever changes
@@ -276,7 +284,7 @@ class ObjectLayer:
         self.depot_id = source.depot_id
         self._network = source.network
         self.objects = {}
-        self.objects_at = {nid: set() for nid in source.path_nodes}
+        self.objects_at = {}
         self.node_costs = {}
 
     @property
@@ -294,7 +302,8 @@ class ObjectLayer:
         return (node.x, node.y)
 
     def footprint_sum(self, path_id: str) -> float:
-        return math.fsum(self.objects[oid].footprint_area for oid in self.objects_at[path_id])
+        return math.fsum(self.objects[oid].footprint_area
+                         for oid in self.objects_at.get(path_id, EMPTY))
 
     def _forget(self, i: int):
         """Drop the cost entries of the node at network index ``i``."""
@@ -335,7 +344,6 @@ class SceneGraph(ObjectLayer):
         self._check_fresh_id(node.id)
         self.path_nodes[node.id] = node
         self.adjacency[node.id] = []
-        self.objects_at[node.id] = set()
 
     def add_poi_node(self, node: PoiNode):
         self._check_mutable_static()
@@ -453,7 +461,10 @@ class SceneGraph(ObjectLayer):
                 f"node {obj.attached_to!r} has no free {obj.semantic_class!r} slot"
             )
         self.objects[obj.id] = obj
-        self.objects_at[obj.attached_to].add(obj.id)
+        ids = self.objects_at.get(obj.attached_to)
+        if ids is None:
+            ids = self.objects_at[obj.attached_to] = set()
+        ids.add(obj.id)
         self._forget(i)
         counts[i] += 1
         if self.belief is not None:
@@ -532,8 +543,8 @@ class ObservedGraph(ObjectLayer):
         objects, objects_at = self.objects, self.objects_at
         changed, log = [], self.changes
         for nid in compared:
-            seen = truth_at[nid]
-            believed = objects_at[nid]
+            seen = truth_at.get(nid, EMPTY)
+            believed = objects_at.get(nid, EMPTY)
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
                 log.append((nid, not believed <= seen))
@@ -552,4 +563,4 @@ def up_to_date(belief: ObservedGraph, truth: SceneGraph, node_id: str) -> bool:
     """True iff the believed object id set at ``node_id`` matches the truth."""
     if node_id not in truth.path_nodes:
         raise UnknownId(node_id)
-    return belief.objects_at[node_id] == truth.objects_at[node_id]
+    return belief.objects_at.get(node_id, EMPTY) == truth.objects_at.get(node_id, EMPTY)

@@ -34,7 +34,7 @@ from .errors import TimeTravel, Unreachable, ZeroRate
 from .graph import ObservedGraph, SceneGraph, up_to_date
 from .metrics import MetricsLedger
 from .processes import instantiate_processes
-from .stochastic import RandomStream, next_nhpp_interarrival
+from .stochastic import RandomStream, next_nhpp_interarrival, random_streams
 
 SPAWN = "spawn"
 EXPIRY = "expiry"
@@ -109,13 +109,12 @@ class SimState:
         self._sources: dict[tuple, tuple] = {}
         sources = [((inst.spec.name, inst.poi_id, inst.object_class), SPAWN, inst)
                    for inst in self.instances]
-        for spec in config.tasks:
-            for poi_id in sorted(
-                pid for pid, poi in self.truth.poi_nodes.items()
-                if poi.semantic_class in spec.place_classes
-            ):
-                stream = RandomStream(seed, ("task", spec.name, poi_id))
-                sources.append(((spec.name, poi_id), TASK_ARRIVAL, TaskSource(spec, stream)))
+        tasks = [(spec, poi_id) for spec in config.tasks
+                 for poi_id in sorted(pid for pid, poi in self.truth.poi_nodes.items()
+                                      if poi.semantic_class in spec.place_classes)]
+        streams = random_streams(seed, [("task", spec.name, poi_id) for spec, poi_id in tasks])
+        sources += [((spec.name, poi_id), TASK_ARRIVAL, TaskSource(spec, stream))
+                    for (spec, poi_id), stream in zip(tasks, streams)]
         for payload, kind, source in sources:
             if payload in self._sources:
                 raise ValueError(f"two {kind} sources share the payload {payload!r}: "

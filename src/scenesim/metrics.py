@@ -60,6 +60,7 @@ class MetricsLedger:
         self.true_arrivals = Counter()      # (node, hour-of-day) -> count
         self.observed_arrivals = Counter()  # (node, hour-of-day) -> count
         self._views: dict[frozenset, list[float]] = {}  # view's path nodes -> merge times
+        self._by_node: dict | None = None  # _times_by_node(), kept once finalized
         self.tasks: list = []
         self.counters = Counter()
         self.rtf: float | None = None
@@ -165,11 +166,19 @@ class MetricsLedger:
             self._views.setdefault(observation.path_nodes, []).append(t)
 
     def _times_by_node(self) -> dict:
-        """node -> the merge-time lists of the logged views that cover it."""
+        """node -> the merge-time lists of the logged views that cover it.
+
+        Once the ledger is finalized the log is complete, so the expansion
+        is kept: the heatmap and the gap readers share one.
+        """
+        if self._by_node is not None:
+            return self._by_node
         by_node = defaultdict(list)
         for view, times in self._views.items():
             for node in view:
                 by_node[node].append(times)
+        if self._finalized:
+            self._by_node = by_node
         return by_node
 
     @property

@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .graph import ObjectNode, SceneGraph
 from .routing import nearest_matching_node
 from .stochastic import (RandomStream, RateProfile, balanced_mean_lifetime,
-                         bernoulli, sample_exponential)
+                         bernoulli, random_streams, sample_exponential)
 
 DEFAULT_SEARCH_BOUND = 300.0
 
@@ -104,25 +104,20 @@ def instantiate_processes(graph: SceneGraph, specs: list[ProcessSpec],
                           seed: int) -> list[ProcessInstance]:
     """One instance per (PoI with class in C_q) x (object class in C_d).
 
+    Every instance's stream is seeded in one :func:`random_streams` pass.
     Lifetime means declared via target_population are resolved here with the
     Little's-law balance: the aggregate effective arrival rate of a class is
     summed over every instance spawning it, weighted by sidewalk probability
     (privately discarded objects never enter the graph).
     """
-    instances: list[ProcessInstance] = []
-    for spec in specs:
-        pois = sorted(
-            pid for pid, poi in graph.poi_nodes.items()
-            if poi.semantic_class in spec.source_classes
-        )
-        for poi_id in pois:
-            for cls in sorted(spec.object_classes):
-                instances.append(ProcessInstance(
-                    spec=spec,
-                    poi_id=poi_id,
-                    object_class=cls,
-                    stream=RandomStream(seed, ("process", spec.name, poi_id, cls)),
-                ))
+    keys = [(spec, poi_id, cls) for spec in specs
+            for poi_id in sorted(pid for pid, poi in graph.poi_nodes.items()
+                                 if poi.semantic_class in spec.source_classes)
+            for cls in sorted(spec.object_classes)]
+    streams = random_streams(seed, [("process", spec.name, poi_id, cls)
+                                    for spec, poi_id, cls in keys])
+    instances = [ProcessInstance(spec=spec, poi_id=poi_id, object_class=cls, stream=stream)
+                 for (spec, poi_id, cls), stream in zip(keys, streams)]
 
     # aggregate effective arrival rate per object class, in 1/s
     class_rate: dict[str, float] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import yaml
@@ -103,6 +104,20 @@ def _entries(data: dict, key: str, violations: list):
             violations.append(f"{key}[{i}]: expected a mapping")
 
 
+def _class_names(classes: dict, key: str, violations: list) -> set | None:
+    """The class names listed under ``classes[key]``; None when the list is rejected.
+
+    A value that is not a list, or a list holding anything but strings, is
+    reported here, and no class is judged undeclared against it later.
+    """
+    count = len(violations)
+    names = _listed(classes.get(key, []), f"classes.{key}", violations)
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            violations.append(f"classes.{key}[{i}]: expected a string")
+    return set(names) if len(violations) == count else None
+
+
 def _fractional(value) -> bool:
     """True for a float that ``int()`` would truncate (or cannot convert)."""
     return isinstance(value, float) and not value.is_integer()
@@ -112,14 +127,18 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     violations: list[str] = []
     report = violations.append
 
+    # a rejected section or class list is None: its one violation stands
+    # alone, as no node's class is judged undeclared against it
     classes = _section(data, "classes", violations)
-    places = set(_listed(classes.get("places", []), "classes.places", violations))
-    objects = set(_listed(classes.get("objects", []), "classes.objects", violations))
-    overlap = places & objects
+    places = objects = None
+    if not violations:
+        places = _class_names(classes, "places", violations)
+        objects = _class_names(classes, "objects", violations)
+    overlap = (places or set()) & (objects or set())
     if overlap:
         report(f"classes: place/object overlap {sorted(overlap)}")
         objects -= overlap
-    graph = SceneGraph(ClassRegistry(frozenset(places), frozenset(objects)))
+    graph = SceneGraph(ClassRegistry(frozenset(places or ()), frozenset(objects or ())))
 
     pois = list(_entries(data, "poi_nodes", violations))
     flagged = [str(p.get("id")) for _, p in pois if p.get("is_depot")]
@@ -138,10 +157,13 @@ def scenario_from_dict(data: dict) -> SceneGraph:
     isfinite, inf = math.isfinite, math.inf
 
     def placed(where: str, i: int, x: float, y: float, cls) -> bool:
-        """Report a node's non-finite position or undeclared class; False for the latter."""
+        """Report a node's non-finite position or bad class; False for the latter."""
         if not (isfinite(x) and isfinite(y)):
             report(f"{where}[{i}].position: not finite")
-        if cls in places:
+        if not isinstance(cls, str):
+            report(f"{where}[{i}].class: expected a string")
+            return False
+        if places is None or cls in places:
             return True
         report(f"{where}[{i}].class: undeclared {cls!r}")
         return False
@@ -158,7 +180,7 @@ def scenario_from_dict(data: dict) -> SceneGraph:
             continue
         placed("path_nodes", i, x, y, cls)
         for k, v in given.items():
-            if k not in objects:
+            if objects is not None and k not in objects:
                 report(f"path_nodes[{i}].capacity: undeclared class {k!r}")
             if k not in capacity:
                 report(f"path_nodes[{i}].capacity[{k}]: expected an integer, got {v!r}")
@@ -227,7 +249,7 @@ def _path_network_connected(graph: SceneGraph) -> bool:
     seen, stack = {start}, [start]
     while stack:
         node = stack.pop()
-        for nbr, _ in adjacency[node] + reverse.get(node, []):
+        for nbr, _ in chain(adjacency[node], reverse.get(node, ())):
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)

@@ -172,9 +172,9 @@ def test_05_merge_properties(capsys):
         obs = truth.radius_subgraph(center, radius)
 
         belief.merge_observation(obs)
-        snapshot = {n: frozenset(belief.objects_at[n]) for n in node_ids}
+        snapshot = {n: frozenset(belief.objects_at.get(n, set())) for n in node_ids}
         belief.merge_observation(obs)
-        after = {n: frozenset(belief.objects_at[n]) for n in node_ids}
+        after = {n: frozenset(belief.objects_at.get(n, set())) for n in node_ids}
         idempotent = snapshot == after
         local = all(not snapshot[n] for n in node_ids if n not in obs.path_nodes)
         seen_ok = all(up_to_date(belief, truth, n) for n in obs.path_nodes)

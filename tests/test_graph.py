@@ -79,10 +79,10 @@ class TestAttachRemove:
             tiny_graph.attach_object(obj("o1", "v1"))
 
     def test_remove_is_inverse_of_attach(self, tiny_graph):
-        before = (dict(tiny_graph.objects), {k: set(v) for k, v in tiny_graph.objects_at.items()})
+        before = (dict(tiny_graph.objects), object_sets(tiny_graph))
         tiny_graph.attach_object(obj("o1", "v1"))
         tiny_graph.remove_object("o1")
-        after = (dict(tiny_graph.objects), {k: set(v) for k, v in tiny_graph.objects_at.items()})
+        after = (dict(tiny_graph.objects), object_sets(tiny_graph))
         assert before == after
         assert tiny_graph.occupancy["car"] == [0, 0, 0]
 
@@ -322,6 +322,11 @@ object_placements = st.lists(
 )
 
 
+def object_sets(layer):
+    """A copy of ``layer``'s object id set at every path node, empty ones included."""
+    return {nid: set(layer.objects_at.get(nid, set())) for nid in layer.path_nodes}
+
+
 def populated_line(placements, graph=None, prefix="o"):
     if graph is None:
         graph = line_scenario(12, capacity={"car": 30, "bicycle": 30, "trashcan": 30})
@@ -356,9 +361,9 @@ def test_merge_idempotent(placements, cx, r):
     belief = ObservedGraph(graph)
     obs = graph.radius_subgraph((cx, 0.0), r)
     belief.merge_observation(obs)
-    snapshot = {k: set(v) for k, v in belief.objects_at.items()}
+    snapshot = object_sets(belief)
     belief.merge_observation(obs)
-    assert {k: set(v) for k, v in belief.objects_at.items()} == snapshot
+    assert object_sets(belief) == snapshot
 
 
 @settings(max_examples=250, deadline=None)
@@ -370,12 +375,12 @@ def test_merge_locality(placements, stale, cx, r):
     # give the belief arbitrary prior content via a full-coverage merge of
     # an earlier, differently populated state of the line
     graph, belief = relocated_line(stale, placements, (50, float("inf")))
-    before = {k: set(v) for k, v in belief.objects_at.items()}
+    before = object_sets(belief)
     obs = graph.radius_subgraph((cx, 0.0), r)
     belief.merge_observation(obs)
     for node in graph.path_nodes:
         if node not in obs.path_nodes:
-            assert belief.objects_at[node] == before[node]
+            assert belief.objects_at.get(node, set()) == before[node]
 
 
 @settings(max_examples=250, deadline=None)
@@ -389,18 +394,18 @@ def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
     # earlier, differently populated state of the line
     graph, belief = relocated_line(stale, placements,
                                    *([] if prior is None else [(50, prior)]))
-    before = {k: set(v) for k, v in belief.objects_at.items()}
+    before, truth = object_sets(belief), object_sets(graph)
     version, logged = belief.version, len(belief.changes)
     obs = graph.network.visible(sorted(graph.path_nodes)[node], r)
     changed = belief.merge_observation(obs)
-    want = {nid: len(graph.objects_at[nid] - before[nid])
-            for nid in obs.path_nodes if before[nid] != graph.objects_at[nid]}
+    want = {nid: len(truth[nid] - before[nid])
+            for nid in obs.path_nodes if before[nid] != truth[nid]}
     assert len(changed) == len(want)
     assert dict(changed) == want
     # the change log gains one entry per changed node: did its id set shrink?
     log = belief.changes[logged:]
     assert len(log) == len(want)
-    assert dict(log) == {nid: not before[nid] <= graph.objects_at[nid] for nid in want}
+    assert dict(log) == {nid: not before[nid] <= truth[nid] for nid in want}
     assert (belief.version != version) == bool(changed)
     assert belief.version - version in (0, 1)
 
@@ -505,19 +510,19 @@ def test_unsynced_covers_every_mismatch(ops):
     states = footprint_states(ops)
     graph, belief, _ = next(states)
     nodes = sorted(graph.path_nodes)
-    before = {nid: set(ids) for nid, ids in belief.objects_at.items()}
+    before = object_sets(belief)
     for (op, k, value), (_, _, changed) in zip(ops, states):
+        truth = object_sets(graph)
         if op == "merge":
             view = graph.network.visible(nodes[k], value).path_nodes
-            want = {nid: len(graph.objects_at[nid] - before[nid])
-                    for nid in view if before[nid] != graph.objects_at[nid]}
+            want = {nid: len(truth[nid] - before[nid])
+                    for nid in view if before[nid] != truth[nid]}
             assert len(changed) == len(want)
             assert dict(changed) == want
         else:
             assert changed is None
-        assert belief.unsynced >= {nid for nid in nodes
-                                   if belief.objects_at[nid] != graph.objects_at[nid]}
-        before = {nid: set(ids) for nid, ids in belief.objects_at.items()}
+        before = object_sets(belief)
+        assert belief.unsynced >= {nid for nid in nodes if before[nid] != truth[nid]}
 
 
 def fresh_cost(layer, nid, agent):
@@ -563,7 +568,7 @@ def test_occupancy_matches_attachments(placements):
         for node in graph.path_nodes:
             count = occupancy_at(graph, node, cls)
             attached = sum(
-                1 for oid in graph.objects_at[node]
+                1 for oid in graph.objects_at.get(node, set())
                 if graph.objects[oid].semantic_class == cls
             )
             assert count == attached
@@ -714,15 +719,14 @@ class TestStaticNetwork:
                           "access", "static_edges", "depot_id", "network"):
                 assert getattr(layer, store) is getattr(tiny_graph, store), store
             assert layer.objects == {} and layer.objects is not tiny_graph.objects
-            assert layer.objects_at == {nid: set() for nid in tiny_graph.path_nodes}
-            assert all(layer.objects_at[nid] is not tiny_graph.objects_at[nid]
-                       for nid in tiny_graph.path_nodes)
+            assert layer.objects_at == {}
             assert layer.node_costs == {} and tiny_graph.node_costs
         assert copy.occupancy == {}
         assert copy.occupancy is not tiny_graph.occupancy
         assert tiny_graph.occupancy["car"] == [1, 0, 0]
         # the copy counts on its own arrays over the shared slot counts
         copy.attach_object(obj("o2", "v0"))
+        assert copy.objects_at == {"v0": {"o2"}} and tiny_graph.objects_at["v0"] == {"o1"}
         assert copy.occupancy["car"] == [1, 0, 0]
         assert copy.occupancy["car"] is not tiny_graph.occupancy["car"]
         assert copy.network.slots("car") is tiny_graph.network.slots("car")

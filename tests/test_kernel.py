@@ -758,7 +758,7 @@ class TestStaleSet:
 
         def check(*_):
             stale = {n for n in truth.path_nodes
-                     if belief.objects_at[n] != truth.objects_at[n]}
+                     if belief.objects_at.get(n, set()) != truth.objects_at.get(n, set())}
             assert ledger._stale_since.keys() == stale
             assert ledger._stale_since.keys() <= belief.unsynced
             sizes.append(len(stale))
@@ -859,8 +859,9 @@ def reference_caches():
 
 
 def assert_stale_set_exact(state):
+    believed, true = state.belief.objects_at, state.truth.objects_at
     stale = {n for n in state.truth.path_nodes
-             if state.belief.objects_at[n] != state.truth.objects_at[n]}
+             if believed.get(n, set()) != true.get(n, set())}
     assert state.ledger._stale_since.keys() == stale
 
 

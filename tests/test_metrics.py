@@ -365,13 +365,18 @@ def test_coverage_log_matches_running_sums(bounds, merges):
     warmup, end = bounds
     led, ref = MetricsLedger(warmup, end, ["car"]), CoverageReference(warmup, end)
     t = 0.0
-    for step, k, fresh in merges:
+    for j, (step, k, fresh) in enumerate(merges):
+        if j == len(merges) // 2:  # a read as the run goes sees the later merges too
+            assert dict(led.heatmap) == ref.heatmap()
         t += step
         nodes = frozenset(COVERAGE_VIEWS[k]) if fresh else COVERAGE_VIEWS[k]
         led.on_merge(t, Observation(nodes, frozenset()), [])
         ref.on_merge(t, nodes)
     want = ref.inter_observation_stats()
-    for _ in range(2):
+    # read twice as the run goes, then twice once finalized
+    for finalized in (False, False, True, True):
+        if finalized:
+            led.finalize()
         assert dict(led.heatmap) == ref.heatmap()
         got = led.inter_observation_stats()
         assert list(got) == list(want)
@@ -395,7 +400,7 @@ class SeenSetReference:
 
     def observe(self, t, view, truth):
         for node in view.path_nodes:
-            for oid in truth.objects_at[node]:
+            for oid in truth.objects_at.get(node, set()):
                 if oid not in self.seen:
                     self.seen.add(oid)
                     if self.warmup <= t <= self.end:
@@ -512,6 +517,29 @@ class TestExports:
             for i, ledger in enumerate(ledgers)
             for node, gap in ledger.inter_observation_stats().items()
         ]
+
+    def test_export_expands_each_merge_log_once(self, tmp_path):
+        # heatmap.csv and node_gaps.csv read one expansion of a ledger's
+        # per-view merge times; a second read after export expands nothing
+        scenario, ledgers = self.run_ledgers()
+
+        class CountingViews(dict):
+            expansions = 0
+
+            def items(self):
+                CountingViews.expansions += 1
+                return super().items()
+
+        for ledger in ledgers:
+            ledger._views = CountingViews(ledger._views)
+        write_outputs(ledgers, scenario, tmp_path)
+        assert CountingViews.expansions == len(ledgers)
+        heatmaps = [ledger.heatmap for ledger in ledgers]
+        write_outputs(ledgers, scenario, tmp_path / "again")
+        assert CountingViews.expansions == len(ledgers)
+        assert [ledger.heatmap for ledger in ledgers] == heatmaps
+        for name in ("heatmap.csv", "node_gaps.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_float_format_is_six_significant_digits(self):
         assert fmt(1234567.891) == "1.23457e+06"

@@ -123,11 +123,42 @@ class TestScenarioValidation:
         # a string is not read one character at a time; an int is no traceback
         data = scenario_dict()
         data["classes"][key] = value
-        violations = violations_of(data).splitlines()
-        assert violations[0] == f"classes.{key}: expected a list"
-        if key == "objects":  # read as no classes: the car capacities are undeclared
-            assert violations[1:] == [f"path_nodes[{i}].capacity: undeclared class 'car'"
-                                      for i in (0, 1)]
+        # the rejected list is the one fault: no class is undeclared against it
+        assert violations_of(data).splitlines() == [f"classes.{key}: expected a list"]
+
+    @pytest.mark.parametrize("key, violation", [
+        ("places", "classes.places: expected a list"),
+        ("objects", "classes.objects: expected a list"),
+        (None, "classes: expected a mapping"),
+    ])
+    def test_rejected_class_list_is_reported_once(self, tmp_path, key, violation):
+        path = tmp_path / "grid.json"
+        save_scenario(grid_scenario(3, 2), path)
+        data = json.loads(path.read_text())
+        if key is None:
+            data["classes"] = 5
+        else:
+            data["classes"][key] = 5
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations == [violation]
+
+    @pytest.mark.parametrize("where, violation", [
+        ("places", "classes.places[1]: expected a string"),
+        ("path node", "path_nodes[1].class: expected a string"),
+        ("poi", "poi_nodes[0].class: expected a string"),
+    ])
+    def test_class_names_must_be_strings(self, tmp_path, capsys, where, violation):
+        data = scenario_dict()
+        if where == "places":
+            data["classes"]["places"] = ["sidewalk", ["housing"]]
+        else:
+            data["path_nodes" if where == "path node" else "poi_nodes"][-1]["class"] = ["x"]
+        assert violations_of(data).splitlines() == [violation]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {violation}"]
 
     def test_class_list_fault_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -1,12 +1,17 @@
 """Sampling primitives: thinning correctness, lifetimes, streams, balance."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import scenesim
 from scenesim.errors import InvalidMean, InvalidProbability, InvalidRate, ZeroRate
 from scenesim.stochastic import (
     RandomStream,
@@ -15,7 +20,10 @@ from scenesim.stochastic import (
     SECONDS_PER_HOUR,
     balanced_mean_lifetime,
     bernoulli,
+    _stable_key,
     next_nhpp_interarrival,
+    pcg64_seeds,
+    random_streams,
     sample_exponential,
 )
 
@@ -268,6 +276,63 @@ class TestStreams:
                 inter_b.append(b2.uniform())
                 inter_a.append(a2.uniform())
         assert inter_a == seq_a and inter_b == seq_b
+
+
+class TestSeeding:
+    """The batched seeding pass against numpy's own SeedSequence."""
+
+    SEEDS = [0, 1, 2**32, 2**63 - 1, 2**64 + 9, -5]
+
+    @staticmethod
+    def reference(seed, key):
+        return np.random.PCG64(np.random.SeedSequence([seed & (2**63 - 1), key]))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_match_seed_sequence(self, seed):
+        ids = [("process", f"p{i % 7}", f"poi{i}", "car") for i in range(599)] + ["task"]
+        streams = random_streams(seed, ids)
+        assert [s.stream_id for s in streams] == ids
+        for sid, stream in zip(ids, streams):
+            ref = self.reference(seed, _stable_key(sid))
+            assert stream._rng.bit_generator.state == ref.state, sid
+            want = np.random.Generator(ref).random(40).tolist()
+            assert [stream.uniform() for _ in range(40)] == want, sid
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_word_boundaries(self, seed):
+        keys = [0, 2**32 - 1, 2**32, 2**64 - 1]
+        for key, row in zip(keys, pcg64_seeds(seed, keys)):
+            ref = np.random.SeedSequence([seed & (2**63 - 1), key])
+            assert row.tolist() == ref.generate_state(4, np.uint64).tolist(), key
+        assert pcg64_seeds(seed, []).shape == (0, 4)
+
+    def test_a_lone_stream_is_a_batch_of_one(self):
+        ids = ["a", ("task", "visits", "p1"), ("process", "cars", "p2", "car")]
+        for sid, batched in zip(ids, random_streams(7, ids)):
+            alone = RandomStream(7, sid)
+            assert alone.stream_id == sid
+            assert alone._rng.bit_generator.state == batched._rng.bit_generator.state
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs time and memory on import; it is loaded when
+        # the first stream is seeded, not when any scenesim module is imported
+        src = Path(scenesim.__file__).resolve().parent
+        code = ("import importlib, pkgutil, sys\n"
+                "import numpy\n"
+                "print('numpy.random' in sys.modules)\n"
+                f"for m in pkgutil.iter_modules([{str(src)!r}]):\n"
+                "    importlib.import_module('scenesim.' + m.name)\n"
+                "print(sorted(n for n in sys.modules if n.startswith('scenesim.')))\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        by_numpy, modules, loaded = proc.stdout.splitlines()
+        if by_numpy == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert "'scenesim.stochastic'" in modules and "'scenesim.cli'" in modules
+        assert loaded == "False"
 
 
 class TestBalance:
