@@ -3,7 +3,7 @@
 Agents move on the path network, pay a dwell time at every node they enter
 that grows with obstacle density on the node's sidewalk segment, and sense
 all nodes within their sensor radius on every node entry and exit.  Planning
-runs either on the bare static network or on the shared belief graph.
+runs either on the network's object-free layer or on the shared belief graph.
 """
 
 from __future__ import annotations
@@ -86,17 +86,19 @@ def node_penalty(node: PathNode, footprint_sum: float, agent_width: float,
 class NodeCosts(dict):
     """Network index -> a layer's node cost for agents of one width and speed.
 
-    This is the one dwell rule: the planner reads it on the belief, the
-    kernel on the truth.  An entry is filled on first read with the
-    :func:`dwell_time` at the node's footprint sum, inf where the node is
-    blocked; the layer drops it when the node's objects change.
+    This is the one dwell rule: the planner reads it on the belief or on
+    ``network.bare``, the kernel on the truth.  An entry is filled on first
+    read with the :func:`dwell_time` at the node's footprint sum, inf where
+    the node is blocked; the layer drops it when the node's objects change.
+    ``plans`` memoizes the searches over the table (:func:`plan_path`).
     """
 
-    __slots__ = ("layer", "width", "speed")
+    __slots__ = ("layer", "width", "speed", "plans")
 
     def __init__(self, layer: ObjectLayer, width: float, speed: float):
         super().__init__()
         self.layer, self.width, self.speed = layer, width, speed
+        self.plans: dict[tuple[str, str], tuple[tuple, float]] = {}
 
     def __missing__(self, i: int) -> float:
         nid = self.layer.network.ids[i]
@@ -114,59 +116,45 @@ def cost_table(layer: ObjectLayer, agent: Agent) -> NodeCosts:
     return table
 
 
-def plan_path(view, start: str, goal: str, agent: Agent,
-              mode: str = PLANNER_OBSERVED) -> tuple[list[str], float]:
-    """Minimum travel-time path between two path-network nodes.
+def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], float]:
+    """Minimum travel-time path between two path-network nodes on ``view``.
 
     PoI endpoints resolve through their access edge.  Per-edge cost is
-    length/velocity plus the full dwell at the target node, from the believed
-    footprint in observed mode and an empty segment in static mode; a blocked
-    node is never entered.  The cost of a path therefore equals the time an
-    agent needs to traverse it when the world matches the planning view.
+    length/velocity plus the full dwell at the target node, from the
+    view's objects; a blocked node is never entered.  The cost of a path
+    therefore equals the time an agent needs to traverse it when the world
+    matches the view.  The observed planner passes the belief; the static
+    planner passes ``network.bare``, where every segment is empty.
 
     The path follows the goal-rooted rule of :func:`routing.astar`, so its
     every suffix is the plan from that suffix's first node.  The search runs
     over the in-edges of the view's compiled :class:`StaticNetwork`, whose
     indices order like the ids, so it returns what a search over the ids
-    would.  A node's cost is looked up by index: in observed mode in the
-    view's cost table for the agent's width and speed, which the view keeps
-    current as its objects change, in static mode in the network's list of
-    :func:`dwell_time` on empty segments for that width and speed.  Static
-    costs never change, so static results are memoized on the network per
-    (start, goal, width, speed).
+    would.  A node's cost is looked up by index in the view's cost table for
+    the agent's width and speed, which the view keeps current as its objects
+    change.  The search reads every cost through that table, so its result,
+    memoized in the table's ``plans`` per (start, goal), holds until the
+    view drops one of the table's entries; on ``bare`` none is ever dropped.
+    Every call returns a fresh list.
     """
     start = _resolve(view, start)
     goal = _resolve(view, goal)
-    v = agent.default_velocity
     net = view.network
-
-    if mode == PLANNER_OBSERVED:
-        node_cost = cost_table(view, agent).__getitem__
-    else:
-        agent_key = (agent.width, v)
-        key = (start, goal, *agent_key)
-        memo = net.static_plans.get(key)
-        if memo is not None:
-            return list(memo[0]), memo[1]
-        costs = net.static_costs.get(agent_key)
-        if costs is None:
-            costs = net.static_costs[agent_key] = [
-                dwell_time(view.path_nodes[nid], 0.0, *agent_key) for nid in net.ids]
-        node_cost = costs.__getitem__
-
     ids, index = net.ids, net.index
     for nid in (start, goal):
         if nid not in index:
             raise UnknownId(nid)
-    try:
-        path, cost = astar(net.predecessors, net.bound_positions.__getitem__,
-                           index[start], index[goal], v, node_cost)
-    except Unreachable:
-        raise Unreachable(f"no path from {start!r} to {goal!r}") from None
-    path = [ids[i] for i in path]
-    if mode != PLANNER_OBSERVED:
-        net.static_plans[key] = (tuple(path), cost)
-    return path, cost
+    costs = cost_table(view, agent)
+    plan = costs.plans.get((start, goal))
+    if plan is None:
+        try:
+            path, cost = astar(net.predecessors, net.bound_positions.__getitem__,
+                               index[start], index[goal], agent.default_velocity,
+                               costs.__getitem__)
+        except Unreachable:
+            raise Unreachable(f"no path from {start!r} to {goal!r}") from None
+        plan = costs.plans[start, goal] = (tuple(ids[i] for i in path), cost)
+    return list(plan[0]), plan[1]
 
 
 def plan_holds(agent: Agent, changes, network) -> bool:

@@ -120,17 +120,18 @@ class StaticNetwork:
     side r built on the first miss for that radius, whose neighbouring cells
     hold every candidate.  A zero or non-finite radius, or one too small for
     the coordinates' precision, falls back to the full scan.
+
+    ``bare``, set by :meth:`SceneGraph.freeze_static`, is the object layer
+    over the same static stores that holds no objects: the static planner's.
     """
+
+    bare: ObjectLayer
 
     def __init__(self, path_nodes: dict, poi_nodes: dict, adjacency: dict):
         self._path_nodes = path_nodes
         self._poi_nodes = poi_nodes
         self._adjacency = adjacency
         self._slots: dict[str, list[int]] = {}
-        # static planner memos: agent (width, speed) -> per-index empty-segment
-        # node costs, and (start id, goal id, width, speed) -> (path ids, cost)
-        self.static_costs: dict[tuple[float, float], list[float]] = {}
-        self.static_plans: dict[tuple[str, str, float, float], tuple[tuple, float]] = {}
         self._visible: dict[tuple[str, float], Observation] = {}
         # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
         self._grids: dict[float, dict] = {}
@@ -254,12 +255,13 @@ class ObjectLayer:
     ``objects_at.get(node, EMPTY)``.
 
     ``node_costs`` maps an agent's (width, speed) to the layer's table of
-    node costs by network index: the planner reads it on the belief, and
-    the kernel reads it on the truth for an agent's dwell.  Whatever changes
-    a node's object set drops the node's entries (:meth:`_forget`), and the
-    next read computes them again from :meth:`footprint_sum`, which re-sums
-    with ``math.fsum``: a cost never depends on the set's hash-seeded order,
-    and never drifts the way running ``+=``/``-=`` totals would.
+    node costs by network index: the planner reads it on the belief or on
+    ``network.bare``, and the kernel on the truth for an agent's dwell.
+    Whatever changes a node's object set drops the node's entries, and the
+    plans of each table that held one (:meth:`_forget`); the next read
+    computes them again from :meth:`footprint_sum`, which re-sums with
+    ``math.fsum``: a cost never depends on the set's hash-seeded order, and
+    never drifts the way running ``+=``/``-=`` totals would.
     """
 
     path_nodes: dict[str, PathNode]
@@ -306,9 +308,10 @@ class ObjectLayer:
                          for oid in self.objects_at.get(path_id, EMPTY))
 
     def _forget(self, i: int):
-        """Drop the cost entries of the node at network index ``i``."""
+        """Drop the cost entries of the node at index ``i``, and the plans of tables with one."""
         for table in self.node_costs.values():
-            table.pop(i, None)
+            if table.pop(i, None) is not None:
+                table.plans.clear()
 
 
 class SceneGraph(ObjectLayer):
@@ -395,6 +398,8 @@ class SceneGraph(ObjectLayer):
                         raise ValueError(f"path node {node.id!r} {name}: must be positive "
                                          f"and finite, got {getattr(node, name)!r}")
             self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.adjacency)
+            self._network.bare = ObjectLayer()
+            self._network.bare._share_static(self)
 
     def _check_mutable_static(self):
         if self._network is not None:

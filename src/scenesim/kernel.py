@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .agents import (
     IDLE_AT_DEPOT,
     PLANNER_OBSERVED,
-    PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
     WAITING,
@@ -194,19 +193,20 @@ class SimState:
     def _plan(self, agent: Agent, start: str, goal: str):
         """Plan a leg on the configured planner's view: (path, cost, belief cost).
 
-        In observed mode a leg the belief blocks is planned on the static
-        view instead, as the en-route replan keeps its committed path:
-        physics will decide, and the agent waits where a node is truly full.
-        The belief cost is the cost when the belief planned it, else None.
+        The static planner plans on the network's object-free layer.  In
+        observed mode a leg the belief blocks is planned there instead, as
+        the en-route replan keeps its committed path: physics will decide,
+        and the agent waits where a node is truly full.  The belief cost is
+        the cost when the belief planned it, else None.
         """
         self.work["plans"] += 1
         if self.config.fleet.planner_mode == PLANNER_OBSERVED:
             try:
-                path, cost = plan_path(self.belief, start, goal, agent, PLANNER_OBSERVED)
+                path, cost = plan_path(self.belief, start, goal, agent)
                 return path, cost, cost
             except Unreachable:
                 pass
-        return (*plan_path(self.truth, start, goal, agent, PLANNER_STATIC), None)
+        return (*plan_path(self.truth.network.bare, start, goal, agent), None)
 
     def _commit(self, agent: Agent, path: list, plan_cost: float | None):
         """Set the agent on ``path`` from its start, marked at the current belief."""
@@ -317,7 +317,7 @@ class SimState:
                 self.work["replans"] += 1
                 try:
                     agent.path, agent.plan_cost = plan_path(
-                        self.belief, node, agent.destination, agent, PLANNER_OBSERVED)
+                        self.belief, node, agent.destination, agent)
                     agent.path_index = 0
                 except Unreachable:
                     agent.plan_cost = None  # keep the committed path; physics will decide

@@ -397,12 +397,14 @@ def run_control_violations(duration: float, warmup: float, replications: int) ->
     """Violated run-control rules, for config files and CLI overrides alike.
 
     ``duration`` and ``warmup`` are in seconds; NaN fails every comparison
-    and is reported like any other out-of-range value.
+    and is reported like any other out-of-range value.  The warm-up is held
+    against the duration only when that is valid, so it is reported once.
     """
     violations = []
-    if not 0 < duration < math.inf:
+    duration_ok = 0 < duration < math.inf
+    if not duration_ok:
         violations.append("sim.duration_days: must be positive and finite")
-    if not 0 <= warmup < duration:
+    if not 0 <= warmup or (duration_ok and warmup >= duration):
         violations.append("sim.warmup_hours: must lie inside the run duration")
     if replications < 1:
         violations.append("sim.replications: must be >= 1")

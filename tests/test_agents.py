@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from scenesim.agents import (
     Agent,
+    NodeCosts,
     PLANNER_OBSERVED,
     PLANNER_STATIC,
     node_penalty,
@@ -78,7 +79,7 @@ class TestPlanPath:
     def test_obstacle_free_matches_shortest_distance(self):
         graph = line_scenario(5)
         agent = make_agent()
-        path, _ = plan_path(graph, "v0", "v4", agent, PLANNER_STATIC)
+        path, _ = plan_path(graph.network.bare, "v0", "v4", agent)
         assert path == ["v0", "v1", "v2", "v3", "v4"]
 
     def test_penalized_route_avoided(self):
@@ -101,13 +102,13 @@ class TestPlanPath:
         agent = make_agent(node="a")
         belief = ObservedGraph(graph)
 
-        path, _ = plan_path(belief, "a", "b", agent, PLANNER_OBSERVED)
+        path, _ = plan_path(belief, "a", "b", agent)
         assert path == ["a", "m", "b"]
 
         # ~30 s penalty at m: free area 15 m^2, 11.25 m^2 occupied -> nu=0.25
         add_object(graph, "o1", "m", area=11.25)
         belief.merge_observation(graph.radius_subgraph((50, 0), 1.0))
-        path, _ = plan_path(belief, "a", "b", agent, PLANNER_OBSERVED)
+        path, _ = plan_path(belief, "a", "b", agent)
         assert path == ["a", "d1", "d2", "b"]
 
     def test_blocked_node_excluded(self):
@@ -116,24 +117,24 @@ class TestPlanPath:
         belief = ObservedGraph(graph)
         belief.merge_observation(graph.radius_subgraph((10, 0), 1.0))
         with pytest.raises(Unreachable):
-            plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
+            plan_path(belief, "v0", "v2", make_agent())
 
     def test_poi_endpoints_resolve_via_access_edge(self):
         graph = line_scenario(4, pois=((3, "housing"),))
-        path, _ = plan_path(graph, "depot", "poi0", make_agent(), PLANNER_STATIC)
+        path, _ = plan_path(graph.network.bare, "depot", "poi0", make_agent())
         assert path[0] == "v0" and path[-1] == "v3"
 
     def test_static_ignores_objects(self):
         graph = line_scenario(3, capacity={"car": 9})
         add_object(graph, "o1", "v1", area=100.0)
-        path, cost = plan_path(graph, "v0", "v2", make_agent(), PLANNER_STATIC)
+        path, cost = plan_path(graph.network.bare, "v0", "v2", make_agent())
         assert path == ["v0", "v1", "v2"]
         # 2 edges of 10 m plus 2 entered nodes of 10 m segment at 1 m/s
         assert cost == pytest.approx(40.0)
 
     def test_path_edges_are_adjacent(self):
         graph = line_scenario(6)
-        path, _ = plan_path(graph, "v0", "v5", make_agent(), PLANNER_STATIC)
+        path, _ = plan_path(graph.network.bare, "v0", "v5", make_agent())
         for u, v in zip(path, path[1:]):
             assert any(n == v for n, _ in graph.adjacency[u])
 
@@ -144,9 +145,9 @@ class TestPlanPath:
         graph = short_edge_scenario()
         want = reference_plan(graph, "a", "b", make_agent(node="a"), mode)
         assert want == (["a", "f", "b"], 22.0)
-        assert plan_path(graph, "a", "b", make_agent(node="a"), mode) == want
+        assert plan_path(planner_view(graph, mode), "a", "b", make_agent(node="a")) == want
         belief = ObservedGraph(graph)
-        assert plan_path(belief, "a", "b", make_agent(node="a"), mode) == want
+        assert plan_path(planner_view(belief, mode), "a", "b", make_agent(node="a")) == want
 
 
 def short_edge_scenario():
@@ -395,6 +396,11 @@ def reference_plan(view, start, goal, agent, mode):
     return path, label[start]
 
 
+def planner_view(view, mode):
+    """The layer a planner mode plans on: the view, or its object-free network layer."""
+    return view.network.bare if mode == PLANNER_STATIC else view
+
+
 def outcome(plan, *args):
     try:
         return plan(*args)
@@ -470,18 +476,19 @@ def test_compiled_planner_matches_reference_search(case):
         for view in (belief, truth):
             for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
                 want = outcome(reference_plan, view, start, goal, agent, mode)
-                assert outcome(plan_path, view, start, goal, agent, mode) == want
-                # a repeat, served from the cost table, or the static memo
-                assert outcome(plan_path, view, start, goal, agent, mode) == want
+                layer = planner_view(view, mode)
+                assert outcome(plan_path, layer, start, goal, agent) == want
+                # a repeat, served from the table's plan memo when a plan exists
+                assert outcome(plan_path, layer, start, goal, agent) == want
                 if isinstance(want[0], list):
                     # every suffix of a plan is the plan from its first node
                     path = want[0]
                     for k in range(1, len(path)):
-                        suffix = plan_path(view, path[k], goal, agent, mode)
+                        suffix = plan_path(layer, path[k], goal, agent)
                         assert suffix == reference_plan(view, path[k], goal, agent, mode)
                         assert suffix[0] == path[k:]
     copy = truth.dynamic_copy()
-    assert (outcome(plan_path, copy, start, goal, agent, PLANNER_STATIC)
+    assert (outcome(plan_path, copy.network.bare, start, goal, agent)
             == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))
 
 
@@ -492,35 +499,72 @@ class TestCompiledPlanner:
         belief = ObservedGraph(graph)
         belief.merge_observation(graph.network.visible("v1", 1.0))
         with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v2'$"):
-            plan_path(belief, "v0", "v2", make_agent(), PLANNER_OBSERVED)
+            plan_path(belief, "v0", "v2", make_agent())
 
     def test_narrow_goal_is_unreachable(self):
         graph = line_scenario(4)
         agent = make_agent(width=2.0)  # every sidewalk is 2 m wide
         for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
-            assert plan_path(graph, "v1", "v1", agent, mode) == (["v1"], 0.0)
+            assert plan_path(planner_view(graph, mode), "v1", "v1", agent) == (["v1"], 0.0)
             with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v3'$"):
-                plan_path(graph, "v0", "v3", agent, mode)
+                plan_path(planner_view(graph, mode), "v0", "v3", agent)
 
     @pytest.mark.parametrize("mode", [PLANNER_OBSERVED, PLANNER_STATIC])
     def test_narrow_node_is_detoured(self, narrow_detour, mode):
         # a-b-c would cost 30 s, but b's 0.4 m sidewalk blocks a 0.5 m agent
         agent = make_agent(node="a")
         for view in (narrow_detour, ObservedGraph(narrow_detour)):
-            assert plan_path(view, "a", "c", agent, mode) == (["a", "d", "e", "c"], 55.0)
+            assert (plan_path(planner_view(view, mode), "a", "c", agent)
+                    == (["a", "d", "e", "c"], 55.0))
         # a narrower agent still takes the short route
-        assert plan_path(narrow_detour, "a", "c", make_agent(node="a", width=0.3),
-                         mode) == (["a", "b", "c"], 30.0)
+        assert (plan_path(planner_view(narrow_detour, mode), "a", "c",
+                          make_agent(node="a", width=0.3)) == (["a", "b", "c"], 30.0))
 
     def test_static_memo_returns_fresh_lists(self):
         graph = line_scenario(4)
-        path, cost = plan_path(graph, "v0", "v3", make_agent(), PLANNER_STATIC)
+        agent = make_agent()
+        path, cost = plan_path(graph.network.bare, "v0", "v3", agent)
         path.append("junk")
-        again = plan_path(graph.dynamic_copy(), "v0", "v3", make_agent(),
-                          PLANNER_STATIC)
+        again = plan_path(graph.dynamic_copy().network.bare, "v0", "v3", agent)
         assert again == (["v0", "v1", "v2", "v3"], cost)
-        assert graph.network.static_plans
+        table = graph.network.bare.node_costs[agent.width, agent.default_velocity]
+        assert table.plans == {("v0", "v3"): (("v0", "v1", "v2", "v3"), cost)}
+
+    def test_plan_memo_is_exact(self, monkeypatch):
+        # a belief plan is kept until a merge drops a cost its search read
+        graph = line_scenario(8, capacity={"car": 9})
+        belief, agent = ObservedGraph(graph), make_agent()
+        calls, read = [], set()
+
+        def counting(in_edges, positions, start, goal, speed, node_cost):
+            calls.append((start, goal))
+
+            def cost(i):
+                read.add(graph.network.ids[i])
+                return node_cost(i)
+            return astar(in_edges, positions, start, goal, speed, cost)
+
+        monkeypatch.setattr("scenesim.agents.astar", counting)
+
+        def fresh_plan():
+            with monkeypatch.context() as m:
+                m.setattr("scenesim.agents.cost_table",
+                          lambda layer, a: NodeCosts(layer, a.width, a.default_velocity))
+                return plan_path(belief, "v0", "v3", agent)
+
+        first = plan_path(belief, "v0", "v3", agent)
+        assert len(calls) == 1 and "v2" in read and "v7" not in read
+        add_object(graph, "far", "v7", area=1.5)
+        assert belief.merge_observation(graph.network.visible("v7", 1.0))
+        assert plan_path(belief, "v0", "v3", agent) == first == fresh_plan()
+        assert len(calls) == 2  # only the fresh table searched
+
+        add_object(graph, "near", "v2", area=1.5)
+        assert belief.merge_observation(graph.network.visible("v2", 1.0))
+        again = plan_path(belief, "v0", "v3", agent)
+        assert len(calls) == 3
+        assert again == fresh_plan() and again[1] > first[1]
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(UnknownId):
-            plan_path(line_scenario(3), "v0", "nope", make_agent(), PLANNER_STATIC)
+            plan_path(line_scenario(3).network.bare, "v0", "nope", make_agent())

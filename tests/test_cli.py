@@ -225,23 +225,29 @@ class TestRun:
                      str(tmp / "o"), "--days", "0.1", "--warmup-hours", "5"])
         assert code == 2
 
-    @pytest.mark.parametrize("overrides, sim", [
-        (["--warmup-hours", "-2"], {"warmup_hours": "-2"}),
-        (["--days", "nan"], {"duration_days": ".nan"}),
-        (["--days", "inf"], {"duration_days": ".inf"}),
+    DURATION = "error: sim.duration_days: must be positive and finite"
+    WARMUP = "error: sim.warmup_hours: must lie inside the run duration"
+
+    # a bad duration is reported once, not again as the warm-up's bound
+    @pytest.mark.parametrize("overrides, sim, expected", [
+        (["--warmup-hours", "-2"], {"warmup_hours": "-2"}, [WARMUP]),
+        (["--days", "nan"], {"duration_days": ".nan"}, [DURATION]),
+        (["--days", "inf"], {"duration_days": ".inf"}, [DURATION]),
+        (["--days", "-1"], {"duration_days": "-1"}, [DURATION]),
         (["--days", "-1", "--warmup-hours", "-30"],
-         {"duration_days": "-1", "warmup_hours": "-30"}),
-        (["--replications", "0"], {"replications": "0"}),
-    ], ids=["negative-warmup", "nan-days", "inf-days", "negative-both",
-            "zero-replications"])
+         {"duration_days": "-1", "warmup_hours": "-30"}, [DURATION, WARMUP]),
+        (["--replications", "0"], {"replications": "0"},
+         ["error: sim.replications: must be >= 1"]),
+    ], ids=["negative-warmup", "nan-days", "inf-days", "negative-days",
+            "negative-both", "zero-replications"])
     def test_invalid_override_rejected_like_config(self, workspace, capsys,
-                                                   overrides, sim):
+                                                   overrides, sim, expected):
         tmp, scenario, config = workspace
         out = tmp / "o"
         assert main(["run", str(scenario), str(config), "--out", str(out)]
                     + overrides) == 2
         errors = capsys.readouterr().err.splitlines()
-        assert errors and all(line.startswith("error: sim.") for line in errors)
+        assert errors == expected
         assert not out.exists()
 
         # the same values in a config file give the same messages

@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import scenesim
 from scenesim.agents import (
-    PLANNER_OBSERVED,
-    PLANNER_STATIC,
     Agent,
     cost_table,
     node_velocity,
@@ -32,6 +30,7 @@ from scenesim.errors import (
 )
 from scenesim.graph import (
     Edge,
+    ObjectLayer,
     ObjectNode,
     Observation,
     ObservedGraph,
@@ -546,7 +545,7 @@ def test_node_costs_match_fresh_costs(ops):
         for layer in (graph, belief):
             for agent in agents:  # the planner creates and reads the tables
                 try:
-                    plan_path(layer, "v0", "v5", agent, PLANNER_OBSERVED)
+                    plan_path(layer, "v0", "v5", agent)
                 except Unreachable:
                     pass
             assert layer.node_costs.keys() == keys
@@ -700,27 +699,35 @@ class TestStaticNetwork:
         assert graph.network.bound_positions == [(0.0, 0.0), (0.0, 0.0)]
 
     def test_static_costs_per_speed(self, tiny_graph):
-        # kept per agent (width, speed): a sidewalk not wider than the agent
+        # kept per agent (width, speed) on the object-free layer, which the
+        # scene's objects never reach: a sidewalk not wider than the agent
         # blocks, whatever the speed
-        net = tiny_graph.network
+        tiny_graph.attach_object(obj("o1", "v1", area=5.0))
+        bare = tiny_graph.network.bare
         for width, speed in ((0.5, 2.0), (0.5, 1.5), (2.0, 2.0)):
-            plan_path(tiny_graph, "v0", "v0", Agent("a", "v0", speed, width, 0.0),
-                      PLANNER_STATIC)
-        assert net.static_costs == {(0.5, 2.0): [10.0 / 2.0] * 3,
-                                    (0.5, 1.5): [10.0 / 1.5] * 3,
-                                    (2.0, 2.0): [math.inf] * 3}
+            plan_path(bare, "v0", "v0", Agent("a", "v0", speed, width, 0.0))
+        assert {key: [table[i] for i in range(3)] for key, table in bare.node_costs.items()} == {
+            (0.5, 2.0): [10.0 / 2.0] * 3,
+            (0.5, 1.5): [10.0 / 1.5] * 3,
+            (2.0, 2.0): [math.inf] * 3}
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
-        plan_path(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0), PLANNER_OBSERVED)
+        plan_path(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0))
+        bare = tiny_graph.network.bare
         copy = tiny_graph.dynamic_copy()
         for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):
             for store in ("registry", "path_nodes", "poi_nodes", "adjacency",
                           "access", "static_edges", "depot_id", "network"):
                 assert getattr(layer, store) is getattr(tiny_graph, store), store
+            assert layer.network.bare is bare
             assert layer.objects == {} and layer.objects is not tiny_graph.objects
             assert layer.objects_at == {}
             assert layer.node_costs == {} and tiny_graph.node_costs
+        # the static planner's layer shares the stores and holds no objects
+        assert type(bare) is ObjectLayer and bare.network is tiny_graph.network
+        assert bare.path_nodes is tiny_graph.path_nodes and bare.access is tiny_graph.access
+        assert tiny_graph.objects and bare.objects == {} and bare.objects_at == {}
         assert copy.occupancy == {}
         assert copy.occupancy is not tiny_graph.occupancy
         assert tiny_graph.occupancy["car"] == [1, 0, 0]

@@ -249,7 +249,7 @@ class TestTasks:
             state.truth.radius_subgraph((0.0, 0.0), math.inf))
         state.run()
         agent = state.fleet[0]
-        free = sum(plan_path(state.truth, a, b, agent, "static")[1]
+        free = sum(plan_path(state.truth.network.bare, a, b, agent)[1]
                    for a, b in (("v0", "poi0"), ("poi0", "v0")))
         assert state.ledger.tasks, "no completed tasks"
         for task in state.ledger.tasks:
@@ -543,11 +543,11 @@ class TestObservedFallback:
         # can block every way to a target or back to the depot
         blocked = []
 
-        def recording(view, start, goal, agent, mode):
+        def recording(view, start, goal, agent):
             try:
-                return plan_path(view, start, goal, agent, mode)
+                return plan_path(view, start, goal, agent)
             except Unreachable:
-                blocked.append(mode)
+                blocked.append(view)
                 raise
 
         monkeypatch.setattr("scenesim.kernel.plan_path", recording)
@@ -559,7 +559,8 @@ class TestObservedFallback:
             fleet=FleetConfig(count=3, sensor_radius=25.0, planner_mode="observed"),
             duration=8 * HOUR, warmup=HOUR)
         ledgers = run_replications(grid_scenario(6, 6), config, 2, base_seed=5)
-        assert "observed" in blocked and "static" not in blocked
+        # the belief blocked some leg, and the object-free layer none
+        assert blocked and {type(view) for view in blocked} == {ObservedGraph}
         for ledger in ledgers:
             assert ledger._finalized
             assert ledger.counters["tasks_completed"] > 0
@@ -846,16 +847,11 @@ def reference_caches():
     def fresh_costs(layer, agent):
         return NodeCosts(layer, agent.width, agent.default_velocity)
 
-    def unmemoized_plan(view, *args):
-        view.network.static_plans.clear()
-        return plan_path(view, *args)
-
     return [mock.patch.object(StaticNetwork, "visible", visible),
             mock.patch.object(ObservedGraph, "merge_observation", merge_all),
             mock.patch("scenesim.kernel.cost_table", fresh_costs),
             mock.patch("scenesim.agents.cost_table", fresh_costs),
-            mock.patch("scenesim.kernel.plan_holds", lambda *_: False),
-            mock.patch("scenesim.kernel.plan_path", unmemoized_plan)]
+            mock.patch("scenesim.kernel.plan_holds", lambda *_: False)]
 
 
 def assert_stale_set_exact(state):
