@@ -22,6 +22,7 @@ WAITING = "waiting"
 
 PLANNER_STATIC = "static"
 PLANNER_OBSERVED = "observed"
+PLANNER_MODES = (PLANNER_STATIC, PLANNER_OBSERVED)
 
 
 @dataclass

@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from .agents import PLANNER_MODES
 from .config import FleetConfig
 from .errors import ScenesimError, ValidationError
 from .kernel import run_replications
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--days", type=float, default=None)
     p.add_argument("--warmup-hours", type=float, default=None)
-    p.add_argument("--planner", choices=["static", "observed"], default=None)
+    p.add_argument("--planner", choices=PLANNER_MODES, default=None)
     p.add_argument("--trace", action="store_true", help="write per-event ndjson traces")
     p.set_defaults(func=cmd_run)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .agents import PLANNER_OBSERVED
 from .processes import DEFAULT_SEARCH_BOUND, ProcessSpec
 from .stochastic import RateProfile
 
@@ -14,7 +15,7 @@ class FleetConfig:
     default_velocity: float = 1.5
     agent_width: float = 0.5
     sensor_radius: float = 20.0
-    planner_mode: str = "observed"
+    planner_mode: str = PLANNER_OBSERVED
 
 
 @dataclass

@@ -127,10 +127,10 @@ class StaticNetwork:
 
     bare: ObjectLayer
 
-    def __init__(self, path_nodes: dict, poi_nodes: dict, adjacency: dict):
+    def __init__(self, path_nodes: dict, poi_nodes: dict, edges: list):
         self._path_nodes = path_nodes
         self._poi_nodes = poi_nodes
-        self._adjacency = adjacency
+        self._edges = edges
         self._slots: dict[str, list[int]] = {}
         self._visible: dict[tuple[str, float], Observation] = {}
         # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
@@ -146,10 +146,16 @@ class StaticNetwork:
 
     @cached_property
     def neighbours(self) -> list[list[tuple[int, float]]]:
-        """Per index: (neighbour index, length), in ``adjacency[id]`` order."""
+        """Per index: (neighbour index, length), in edge order (both ends unless directed)."""
         index = self.index
-        return [[(index[v], length) for v, length in self._adjacency[nid]]
-                for nid in self.ids]
+        nbrs = [[] for _ in index]
+        for kind, u, v, directed, length in self._edges:
+            if kind == EDGE_ADJACENCY:
+                i, j = index[u], index[v]
+                nbrs[i].append((j, length))
+                if not directed:
+                    nbrs[j].append((i, length))
+        return nbrs
 
     @cached_property
     def predecessors(self) -> list[list[tuple[int, float]]]:
@@ -280,7 +286,6 @@ class ObjectLayer:
         self.registry = source.registry
         self.path_nodes = source.path_nodes
         self.poi_nodes = source.poi_nodes
-        self.adjacency = source.adjacency
         self.access = source.access
         self.static_edges = source.static_edges
         self.depot_id = source.depot_id
@@ -328,11 +333,9 @@ class SceneGraph(ObjectLayer):
         self.path_nodes: dict[str, PathNode] = {}
         self.poi_nodes: dict[str, PoiNode] = {}
         self.objects: dict[str, ObjectNode] = {}
-        # path node id -> list of (neighbor path node id, length)
-        self.adjacency: dict[str, list[tuple[str, float]]] = {}
         # poi id -> (path node id, length)
         self.access: dict[str, tuple[str, float]] = {}
-        self.static_edges: list[Edge] = []
+        self.static_edges: list[Edge] = []  # every edge, in the order added
         self.objects_at: dict[str, set[str]] = {}
         self.node_costs: dict[tuple[float, float], dict[int, float]] = {}
         self.occupancy: dict[str, list[int]] = {}  # class -> count per network index
@@ -346,7 +349,6 @@ class SceneGraph(ObjectLayer):
         self._check_mutable_static()
         self._check_fresh_id(node.id)
         self.path_nodes[node.id] = node
-        self.adjacency[node.id] = []
 
     def add_poi_node(self, node: PoiNode):
         self._check_mutable_static()
@@ -364,9 +366,6 @@ class SceneGraph(ObjectLayer):
         if not 0 < length < math.inf:  # NaN fails too
             raise ValueError(f"edge {u!r}-{v!r} length: must be positive and finite, "
                              f"got {length!r}")
-        self.adjacency[u].append((v, length))
-        if not directed:
-            self.adjacency[v].append((u, length))
         # tuple.__new__ skips the named tuple's Python-level __new__
         edge = (EDGE_ADJACENCY, u, v, directed, length)
         self.static_edges.append(tuple.__new__(Edge, edge))
@@ -397,7 +396,7 @@ class SceneGraph(ObjectLayer):
                     if not 0 < getattr(node, name) < math.inf:  # NaN fails too
                         raise ValueError(f"path node {node.id!r} {name}: must be positive "
                                          f"and finite, got {getattr(node, name)!r}")
-            self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.adjacency)
+            self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.static_edges)
             self._network.bare = ObjectLayer()
             self._network.bare._share_static(self)
 

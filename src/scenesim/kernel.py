@@ -32,7 +32,7 @@ from .config import SimConfig, TaskSpec
 from .errors import TimeTravel, Unreachable, ZeroRate
 from .graph import ObservedGraph, SceneGraph, up_to_date
 from .metrics import MetricsLedger
-from .processes import instantiate_processes
+from .processes import instantiate_processes, process_keys
 from .stochastic import RandomStream, next_nhpp_interarrival, random_streams
 
 SPAWN = "spawn"
@@ -85,7 +85,14 @@ class SimState:
         self.ledger = MetricsLedger(
             config.warmup, config.duration, self.truth.registry.objects
         )
-        self.instances = instantiate_processes(self.truth, config.processes, seed)
+        # every process and task stream, seeded in one pass
+        keys = process_keys(self.truth, config.processes)
+        tasks = [(spec, poi_id) for spec in config.tasks
+                 for poi_id in sorted(pid for pid, poi in self.truth.poi_nodes.items()
+                                      if poi.semantic_class in spec.place_classes)]
+        streams = random_streams(seed, [("process", s.name, p, c) for s, p, c in keys]
+                                 + [("task", s.name, p) for s, p in tasks])
+        self.instances = instantiate_processes(keys, streams[:len(keys)])
 
         depot = self.truth.depot_id
         self._depot_node = self.truth.access[depot][0] if depot is not None else None
@@ -108,12 +115,8 @@ class SimState:
         self._sources: dict[tuple, tuple] = {}
         sources = [((inst.spec.name, inst.poi_id, inst.object_class), SPAWN, inst)
                    for inst in self.instances]
-        tasks = [(spec, poi_id) for spec in config.tasks
-                 for poi_id in sorted(pid for pid, poi in self.truth.poi_nodes.items()
-                                      if poi.semantic_class in spec.place_classes)]
-        streams = random_streams(seed, [("task", spec.name, poi_id) for spec, poi_id in tasks])
         sources += [((spec.name, poi_id), TASK_ARRIVAL, TaskSource(spec, stream))
-                    for (spec, poi_id), stream in zip(tasks, streams)]
+                    for (spec, poi_id), stream in zip(tasks, streams[len(keys):])]
         for payload, kind, source in sources:
             if payload in self._sources:
                 raise ValueError(f"two {kind} sources share the payload {payload!r}: "

@@ -54,7 +54,7 @@ class MetricsLedger:
         self._stale_s: dict[str, float] = {}  # node -> stale seconds in the window
         self._live = Counter()  # class -> current live count
         # (class, hour-of-day) -> [sum of sampled counts, number of samples]
-        self._live_bins = defaultdict(lambda: [0, 0])
+        self._live_bins: dict[tuple[str, int], list[int]] = {}
         first_hour = math.ceil(warmup_end / SECONDS_PER_HOUR) * SECONDS_PER_HOUR
         self._next_sample_t = first_hour
         self.true_arrivals = Counter()      # (node, hour-of-day) -> count
@@ -117,7 +117,7 @@ class MetricsLedger:
         while self._next_sample_t <= limit:
             hour = hour_of_day(self._next_sample_t)
             for cls in self.object_classes:
-                bin_ = self._live_bins[(cls, hour)]
+                bin_ = self._live_bins.setdefault((cls, hour), [0, 0])
                 bin_[0] += self._live[cls]
                 bin_[1] += 1
             self._next_sample_t += SECONDS_PER_HOUR

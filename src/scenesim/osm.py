@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import EmptyNetwork, MalformedXml, NoDepotCandidate
 from .graph import PathNode, PoiNode, SceneGraph
+from .routing import components
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -212,24 +213,9 @@ def _classify(tags: dict) -> str | None:
 
 
 def _largest_component(segments) -> set:
-    neighbors: dict[str, set] = {}
-    for a, b, _ in segments:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
-    unvisited = set(neighbors)
-    best: set = set()
-    while unvisited:
-        start = min(unvisited)  # deterministic exploration order
-        stack = [start]
-        comp = {start}
-        unvisited.discard(start)
-        while stack:
-            node = stack.pop()
-            for nbr in neighbors[node]:
-                if nbr in unvisited:
-                    unvisited.discard(nbr)
-                    comp.add(nbr)
-                    stack.append(nbr)
-        if len(comp) > len(best) or (len(comp) == len(best) and min(comp) < min(best)):
-            best = comp
-    return best
+    """The largest component of the segments' ends; of equal ones, the one with the least id."""
+    by_root: dict[str, set] = {}
+    ends = {n for a, b, _ in segments for n in (a, b)}
+    for node, root in components(ends, ((a, b) for a, b, _ in segments)).items():
+        by_root.setdefault(root, set()).add(node)
+    return min(by_root.values(), key=lambda comp: (-len(comp), min(comp)))

@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .graph import ObjectNode, SceneGraph
 from .routing import nearest_matching_node
 from .stochastic import (RandomStream, RateProfile, balanced_mean_lifetime,
-                         bernoulli, random_streams, sample_exponential)
+                         bernoulli, sample_exponential)
 
 DEFAULT_SEARCH_BOUND = 300.0
 
@@ -100,22 +100,22 @@ class ProcessInstance:
         return tuple.__new__(DrainOutcome, (ATTACHED, obj))
 
 
-def instantiate_processes(graph: SceneGraph, specs: list[ProcessSpec],
-                          seed: int) -> list[ProcessInstance]:
-    """One instance per (PoI with class in C_q) x (object class in C_d).
+def process_keys(graph: SceneGraph, specs: list[ProcessSpec]) -> list[tuple]:
+    """(spec, PoI id, object class) per (PoI with class in C_q) x (object class in C_d)."""
+    return [(spec, poi_id, cls) for spec in specs
+            for poi_id in sorted(pid for pid, poi in graph.poi_nodes.items()
+                                 if poi.semantic_class in spec.source_classes)
+            for cls in sorted(spec.object_classes)]
 
-    Every instance's stream is seeded in one :func:`random_streams` pass.
+
+def instantiate_processes(keys: list[tuple], streams) -> list[ProcessInstance]:
+    """One instance per :func:`process_keys` key, with its caller-seeded stream.
+
     Lifetime means declared via target_population are resolved here with the
     Little's-law balance: the aggregate effective arrival rate of a class is
     summed over every instance spawning it, weighted by sidewalk probability
     (privately discarded objects never enter the graph).
     """
-    keys = [(spec, poi_id, cls) for spec in specs
-            for poi_id in sorted(pid for pid, poi in graph.poi_nodes.items()
-                                 if poi.semantic_class in spec.source_classes)
-            for cls in sorted(spec.object_classes)]
-    streams = random_streams(seed, [("process", spec.name, poi_id, cls)
-                                    for spec, poi_id, cls in keys])
     instances = [ProcessInstance(spec=spec, poi_id=poi_id, object_class=cls, stream=stream)
                  for (spec, poi_id, cls), stream in zip(keys, streams)]
 

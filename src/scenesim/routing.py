@@ -1,4 +1,4 @@
-"""Shortest-path primitives on the path network.
+"""Path and connectivity primitives on the path network.
 
 Two users: the drain step (nearest node with free capacity, plain distance)
 and the agent planner (A* on travel time with believed obstacle penalties).
@@ -12,6 +12,24 @@ import heapq
 import math
 
 from .errors import Unreachable
+
+
+def components(nodes, pairs) -> dict:
+    """Node -> the root of its component, each pair joining its two ends (union by size)."""
+    parent, size = {n: n for n in nodes}, dict.fromkeys(nodes, 1)
+    for u, v in pairs:
+        while parent[u] != u:  # path halving
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v], size[u] = u, size[u] + size[v]
+    for n in parent:  # by size, no tree is deeper than log2 of its node count
+        while parent[parent[n]] != parent[n]:
+            parent[n] = parent[parent[n]]
+    return parent
 
 
 def nearest_matching_node(adjacency, start, predicate, bound: float):

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import yaml
 
+from .agents import PLANNER_MODES
 from .config import FleetConfig, SimConfig, TaskSpec
 from .errors import ParseError, ValidationError
-from .graph import ClassRegistry, PathNode, PoiNode, SceneGraph
+from .graph import EDGE_ADJACENCY, ClassRegistry, PathNode, PoiNode, SceneGraph
 from .processes import ProcessSpec
+from .routing import components
 from .stochastic import RateProfile
 
 SCENARIO_VERSION = 1
@@ -239,21 +240,10 @@ def scenario_from_dict(data: dict) -> SceneGraph:
 
 
 def _path_network_connected(graph: SceneGraph) -> bool:
-    """Weak connectivity: a directed edge joins its ends both ways."""
-    adjacency = graph.adjacency
-    reverse: dict[str, list[tuple[str, float]]] = {}
-    for edge in graph.static_edges:
-        if edge.directed:  # only adjacency edges are directed
-            reverse.setdefault(edge.v, []).append((edge.u, edge.length))
-    start = next(iter(adjacency))
-    seen, stack = {start}, [start]
-    while stack:
-        node = stack.pop()
-        for nbr, _ in chain(adjacency[node], reverse.get(node, ())):
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == len(adjacency)
+    """Weak connectivity: the adjacency edges, directed ones too, join the path nodes into one."""
+    roots = components(graph.path_nodes, ((u, v) for kind, u, v, _, _ in graph.static_edges
+                                          if kind == EDGE_ADJACENCY))
+    return len(set(roots.values())) == 1
 
 
 # -- config -----------------------------------------------------------------------
@@ -360,7 +350,7 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         **{key: number(fleet_data, "fleet", key, getattr(default, key))
            for key in ("count", "default_velocity", "agent_width", "sensor_radius")},
     )
-    if fleet.planner_mode not in ("static", "observed"):
+    if fleet.planner_mode not in PLANNER_MODES:
         violations.append(f"fleet.planner_mode: unknown {fleet.planner_mode!r}")
     if fleet.count < 0:
         violations.append("fleet.count: must be >= 0")

@@ -1,6 +1,8 @@
 import pytest
 
-from scenesim.graph import PathNode, PoiNode, SceneGraph
+from scenesim.graph import EDGE_ADJACENCY, PathNode, PoiNode, SceneGraph
+from scenesim.processes import instantiate_processes, process_keys
+from scenesim.stochastic import random_streams
 from scenesim.synthetic import line_scenario
 
 
@@ -37,6 +39,29 @@ def narrow_detour():
 
 def build_line(n, capacity=None, pois=(), **kwargs):
     return line_scenario(n, capacity=capacity, pois=pois, **kwargs)
+
+
+def id_adjacency(graph):
+    """Path node id -> [(neighbour id, length)], rebuilt from ``graph.static_edges``.
+
+    Every adjacency edge u-v, in edge order, appends (v, length) to u's list
+    and, unless directed, (u, length) to v's.  It reads the edges only, never
+    the compiled network, so tests can hold ``network.neighbours`` to it.
+    """
+    adjacency = {nid: [] for nid in graph.path_nodes}
+    for edge in graph.static_edges:
+        if edge.kind == EDGE_ADJACENCY:
+            adjacency[edge.u].append((edge.v, edge.length))
+            if not edge.directed:
+                adjacency[edge.v].append((edge.u, edge.length))
+    return adjacency
+
+
+def seeded_processes(graph, specs, seed):
+    """The process instances of ``specs`` on ``graph``, seeded as a replication seeds them."""
+    keys = process_keys(graph, specs)
+    return instantiate_processes(keys, random_streams(
+        seed, [("process", spec.name, poi_id, cls) for spec, poi_id, cls in keys]))
 
 
 class ScriptedStream:

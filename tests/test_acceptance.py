@@ -23,6 +23,7 @@ from scenesim.processes import ProcessSpec
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream, RateProfile, next_nhpp_interarrival
 from scenesim.synthetic import grid_scenario, line_scenario
+from conftest import id_adjacency
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -378,7 +379,7 @@ def test_11_importer_golden(tmp_path, capsys):
         and graph.depot_id == "p20"
         and graph.poi_nodes["p20"].semantic_class == "housing"
         and graph.access["p20"][0] == "w10s0i1"
-        and sum(len(v) for v in graph.adjacency.values()) == 6
+        and sum(len(v) for v in id_adjacency(graph).values()) == 6
     )
 
     nodes = {i: (float(10 * i), 0.0) for i in range(1, 5)}

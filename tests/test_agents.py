@@ -23,6 +23,7 @@ from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar, least_cost_per_metre
 from scenesim.stochastic import RandomStream
 from scenesim.synthetic import grid_scenario, line_scenario
+from conftest import id_adjacency
 
 # Hypothesis examples per planner property and seeds per oracle; a longer CI
 # step sets this to run every one of them at that count
@@ -135,8 +136,9 @@ class TestPlanPath:
     def test_path_edges_are_adjacent(self):
         graph = line_scenario(6)
         path, _ = plan_path(graph.network.bare, "v0", "v5", make_agent())
+        adjacency = id_adjacency(graph)
         for u, v in zip(path, path[1:]):
-            assert any(n == v for n, _ in graph.adjacency[u])
+            assert any(n == v for n, _ in adjacency[u])
 
     @pytest.mark.parametrize("mode", [PLANNER_OBSERVED, PLANNER_STATIC])
     def test_edges_shorter_than_their_straight_line(self, mode):
@@ -374,10 +376,11 @@ def reference_plan(view, start, goal, agent, mode):
 
     label = dict.fromkeys(view.path_nodes, math.inf)
     label[goal] = 0.0
+    adjacency = id_adjacency(view)
 
     def through(u):
         return [(length / v + costs[s] + label[s], s)
-                for s, length in view.adjacency[u] if costs[s] < math.inf]
+                for s, length in adjacency[u] if costs[s] < math.inf]
 
     changed = True
     while changed:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, reproducibility."""
 
+import argparse
 import json
 import os
 import re
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import scenesim
-from scenesim.cli import main
-from scenesim.errors import ZeroRate
+from scenesim.agents import PLANNER_MODES
+from scenesim.cli import build_parser, main
+from scenesim.errors import ValidationError, ZeroRate
 from scenesim.kernel import SimState, run_replications
-from scenesim.scenario import load_config, load_scenario, save_scenario
+from scenesim.scenario import config_from_dict, load_config, load_scenario, save_scenario
 from scenesim.synthetic import grid_scenario
 
 CONFIG_YAML = """\
@@ -283,6 +285,16 @@ class TestSample:
 
 
 class TestScaffolding:
+    def test_planner_choices_are_the_modes_the_loader_accepts(self):
+        (sub,) = (a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        (planner,) = (a for a in sub.choices["run"]._actions if "--planner" in a.option_strings)
+        assert tuple(planner.choices) == PLANNER_MODES == ("static", "observed")
+        for mode in planner.choices:
+            assert config_from_dict({"fleet": {"planner_mode": mode}}).fleet.planner_mode == mode
+        with pytest.raises(ValidationError, match="fleet.planner_mode: unknown 'psychic'"):
+            config_from_dict({"fleet": {"planner_mode": "psychic"}})
+
     def test_init_config_then_validate(self, workspace, capsys):
         tmp, scenario, _ = workspace
         cfg = tmp / "fresh.yaml"

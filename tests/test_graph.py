@@ -40,6 +40,7 @@ from scenesim.graph import (
     up_to_date,
 )
 from scenesim.synthetic import grid_scenario, line_scenario
+from conftest import id_adjacency
 
 
 def obj(oid, node, cls="car", area=1.0):
@@ -111,7 +112,7 @@ class TestAttachRemove:
             graph.add_adjacency_edge("u", "v", length)
         with pytest.raises(ValueError, match=r"^access edge 'p'-'u' length: must be positive"):
             graph.add_access_edge("p", "u", length)
-        assert graph.adjacency == {"u": [], "v": []} and not graph.access
+        assert id_adjacency(graph) == {"u": [], "v": []} and not graph.access
 
     def test_static_hash_constant_under_object_churn(self, tiny_graph):
         h0 = tiny_graph.static_hash()
@@ -670,8 +671,34 @@ class TestStaticNetwork:
         assert net.ids == ["a", "b", "c"]
         assert net.index == {"a": 0, "b": 1, "c": 2}
         assert net.positions == [(20.0, 0.0), (0.0, 0.0), (10.0, 0.0)]
-        # neighbour lists keep adjacency order, parallel edges included
+        # neighbour lists keep edge order, parallel edges included
         assert net.neighbours == [[(2, 12.0)], [(2, 10.0)], [(1, 10.0), (0, 12.0), (0, 11.0)]]
+
+    def test_neighbours_follow_the_edges(self):
+        # undirected, directed, parallel and access edges interleaved, with
+        # ids added out of sorted order, so edge order differs from id order
+        graph = SceneGraph()
+        for nid, x in (("d", 0.0), ("b", 10.0), ("a", 20.0), ("c", 30.0), ("e", 40.0)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {}, 4.0, 2.0))
+        for nid in ("p", "q"):
+            graph.add_poi_node(PoiNode(nid, 5.0, 5.0, "housing"))
+        graph.add_adjacency_edge("d", "b", 10.0)
+        graph.add_access_edge("p", "b", 3.0)
+        graph.add_adjacency_edge("a", "b", 10.0, directed=True)
+        graph.add_adjacency_edge("b", "a", 12.0)
+        graph.add_access_edge("q", "c", 4.0)
+        graph.add_adjacency_edge("b", "a", 11.0)
+        graph.add_adjacency_edge("c", "a", 10.0, directed=True)
+        graph.add_adjacency_edge("e", "c", 10.0)
+        graph.add_adjacency_edge("a", "c", 9.0)
+        graph.add_adjacency_edge("d", "e", 40.0, directed=True)
+        graph.freeze_static()
+        net = graph.network
+        reference = id_adjacency(graph)
+        assert net.neighbours == [[(net.index[v], length) for v, length in reference[nid]]
+                                  for nid in net.ids]
+        assert net.neighbours[net.index["b"]] == [(3, 10.0), (0, 12.0), (0, 11.0)]
+        assert not hasattr(graph, "adjacency")
 
     def test_kappa_is_the_least_cost_per_metre(self):
         graph = SceneGraph()
@@ -717,7 +744,7 @@ class TestStaticNetwork:
         bare = tiny_graph.network.bare
         copy = tiny_graph.dynamic_copy()
         for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):
-            for store in ("registry", "path_nodes", "poi_nodes", "adjacency",
+            for store in ("registry", "path_nodes", "poi_nodes",
                           "access", "static_edges", "depot_id", "network"):
                 assert getattr(layer, store) is getattr(tiny_graph, store), store
             assert layer.network.bare is bare

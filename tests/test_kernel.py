@@ -35,7 +35,7 @@ from scenesim.kernel import (
 )
 from scenesim.metrics import summary_metrics, write_outputs
 from scenesim.processes import ProcessSpec
-from scenesim.stochastic import RateProfile
+from scenesim.stochastic import RateProfile, random_streams
 from scenesim.synthetic import grid_scenario, line_scenario
 
 HOUR = 3600.0
@@ -99,6 +99,28 @@ class TestScheduling:
             SimState(scenario, empty_config(**{section: twins}), seed=1)
         twins[1] = dataclasses.replace(twins[1], name="b")
         SimState(scenario, empty_config(**{section: twins}), seed=1)
+
+    def test_one_seeding_pass_per_replication(self, monkeypatch):
+        # every process and task stream is seeded in one random_streams call,
+        # processes first, each under the stream id it has always had
+        calls = []
+
+        def counted(seed, stream_ids):
+            calls.append(list(stream_ids))
+            return random_streams(seed, calls[-1])
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scenesim") and hasattr(module, "random_streams"):
+                monkeypatch.setattr(module, "random_streams", counted)
+        scenario = line_scenario(5, pois=((2, "housing"), (4, "housing")))
+        config = empty_config(
+            processes=[car_process(object_classes=frozenset({"car", "bicycle"}))],
+            tasks=[TaskSpec("visits", frozenset({"housing"}), RateProfile.constant(1.0))])
+        state = SimState(scenario, config, seed=1)
+        processes = [("process", "parked-cars", poi, cls)
+                     for poi in ("poi0", "poi1") for cls in ("bicycle", "car")]
+        assert calls == [processes + [("task", "visits", "poi0"), ("task", "visits", "poi1")]]
+        assert [inst.stream.stream_id for inst in state.instances] == processes
 
 
 class TestRun:

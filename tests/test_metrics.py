@@ -2,6 +2,7 @@
 
 import csv
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -540,6 +541,20 @@ class TestExports:
         assert [ledger.heatmap for ledger in ledgers] == heatmaps
         for name in ("heatmap.csv", "node_gaps.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+    def test_finished_ledgers_survive_a_pickle_round_trip(self, tmp_path):
+        # a ledger can cross a process boundary: its copy writes the same CSVs
+        scenario, ledgers = self.run_ledgers()
+        copies = pickle.loads(pickle.dumps(ledgers))
+        assert [c.live_count_by_hour() for c in copies] == [
+            led.live_count_by_hour() for led in ledgers]
+        write_outputs(ledgers, scenario, tmp_path / "original")
+        write_outputs(copies, scenario, tmp_path / "copy")
+        names = sorted(p.name for p in (tmp_path / "original").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "copy").iterdir())
+        for name in names:
+            assert ((tmp_path / "original" / name).read_bytes()
+                    == (tmp_path / "copy" / name).read_bytes()), name
 
     def test_float_format_is_six_significant_digits(self):
         assert fmt(1234567.891) == "1.23457e+06"

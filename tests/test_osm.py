@@ -7,6 +7,7 @@ import pytest
 from scenesim.errors import EmptyNetwork, MalformedXml, NoDepotCandidate
 from scenesim.osm import EARTH_RADIUS_M, ImportParams, import_osm
 from scenesim.scenario import load_scenario, save_scenario
+from conftest import id_adjacency
 
 DEG_PER_M = math.degrees(1.0 / EARTH_RADIUS_M)  # at the equator
 
@@ -64,7 +65,7 @@ class TestGoldenFootway:
     def test_segment_interpolation(self, graph):
         # 50 m at max 20 m per piece -> 3 pieces, 2 interpolated nodes
         assert sorted(graph.path_nodes) == ["n1", "n2", "w10s0i1", "w10s0i2"]
-        lengths = sorted(l for nbrs in graph.adjacency.values()
+        lengths = sorted(l for nbrs in id_adjacency(graph).values()
                          for _, l in nbrs)
         assert len(lengths) == 6  # 3 undirected segments
         assert all(l == pytest.approx(50.0 / 3.0, rel=1e-6) for l in lengths)

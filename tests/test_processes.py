@@ -17,10 +17,10 @@ from scenesim.processes import (
     DISCARDED_PRIVATE,
     ProcessInstance,
     ProcessSpec,
-    instantiate_processes,
 )
 from scenesim.stochastic import RateProfile, RandomStream, sample_exponential
 from scenesim.synthetic import grid_scenario, line_scenario
+from conftest import id_adjacency, seeded_processes
 from test_routing import reference_nearest
 
 
@@ -49,7 +49,7 @@ class TestInstantiation:
     def test_cartesian_product_of_pois_and_classes(self):
         graph = line_scenario(6, pois=((1, "housing"), (4, "housing"), (5, "retail")))
         spec = make_spec(object_classes=frozenset({"car", "bicycle"}))
-        instances = instantiate_processes(graph, [spec], seed=1)
+        instances = seeded_processes(graph, [spec], seed=1)
         assert len(instances) == 4  # 2 housing PoIs x 2 object classes
         keys = {(i.poi_id, i.object_class) for i in instances}
         assert keys == {("poi0", "car"), ("poi0", "bicycle"),
@@ -57,16 +57,16 @@ class TestInstantiation:
 
     def test_no_matching_poi_yields_nothing(self):
         graph = line_scenario(3, pois=((2, "retail"),))
-        assert instantiate_processes(graph, [make_spec()], seed=1) == []
+        assert seeded_processes(graph, [make_spec()], seed=1) == []
 
     def test_instances_have_independent_streams(self):
         graph = line_scenario(6, pois=((1, "housing"), (4, "housing")))
-        a, b = instantiate_processes(graph, [make_spec()], seed=1)
+        a, b = seeded_processes(graph, [make_spec()], seed=1)
         assert a.stream.uniform() != b.stream.uniform()
 
     def test_explicit_lifetime_mean_passes_through(self):
         graph = line_scenario(3, pois=((1, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec(lifetime_mean=1234.0)], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec(lifetime_mean=1234.0)], seed=1)
         assert inst.lifetime_mean == 1234.0
 
     def test_target_population_balances_over_all_spawners(self):
@@ -76,7 +76,7 @@ class TestInstantiation:
         graph = line_scenario(8, pois=((2, "housing"), (6, "housing")))
         spec = make_spec(lifetime_mean=None, target_population=30.0,
                          sidewalk_probability=0.5)
-        instances = instantiate_processes(graph, [spec], seed=1)
+        instances = seeded_processes(graph, [spec], seed=1)
         for inst in instances:
             assert inst.lifetime_mean == pytest.approx(30.0 * 3600.0)
 
@@ -84,7 +84,7 @@ class TestInstantiation:
 class TestDrain:
     def test_attaches_at_access_node_when_free(self):
         graph = line_scenario(5, pois=((2, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec()], seed=1)
         out = inst.drain(0.0, graph, "obj0")
         assert out.status == ATTACHED
         assert out.obj.attached_to == "v2"
@@ -93,7 +93,7 @@ class TestDrain:
     def test_object_is_attached_with_its_lifetime(self):
         # the stream serves the sidewalk uniform, then the lifetime
         graph = line_scenario(5, pois=((2, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec()], seed=1)
         twin = RandomStream(1, inst.stream.stream_id)
         out = inst.drain(0.0, graph, "obj0")
         assert graph.objects["obj0"] is out.obj
@@ -102,7 +102,7 @@ class TestDrain:
 
     def test_skips_full_nodes_to_nearest_free(self):
         graph = line_scenario(5, capacity={"car": 1}, pois=((2, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec()], seed=1)
         for k in range(3):  # fills v2 then the 10 m neighbours v1/v3
             inst.drain(0.0, graph, f"obj{k}")
         nodes = sorted(o.attached_to for o in graph.objects.values())
@@ -110,7 +110,7 @@ class TestDrain:
 
     def test_private_probability_zero_always_discards(self):
         graph = line_scenario(3, pois=((1, "housing"),))
-        (inst,) = instantiate_processes(
+        (inst,) = seeded_processes(
             graph, [make_spec(sidewalk_probability=0.0)], seed=1)
         out = inst.drain(0.0, graph, "obj0")
         assert out.status == DISCARDED_PRIVATE and out.obj is None
@@ -118,14 +118,14 @@ class TestDrain:
 
     def test_exhausted_bound_discards(self):
         graph = line_scenario(3, capacity={"car": 0}, pois=((1, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec()], seed=1)
         assert inst.drain(0.0, graph, "obj0").status == DISCARDED_CAPACITY
 
     def test_capacity_respects_other_classes(self):
         graph = line_scenario(3, capacity={"car": 1, "bicycle": 1},
                               pois=((1, "housing"),))
         graph.attach_object(ObjectNode("b0", "bicycle", 0.0, 1.0, 1.5, "v1"))
-        (inst,) = instantiate_processes(graph, [make_spec()], seed=1)
+        (inst,) = seeded_processes(graph, [make_spec()], seed=1)
         out = inst.drain(0.0, graph, "obj0")
         assert out.obj.attached_to == "v1"  # bicycle slot does not consume car slot
 
@@ -141,10 +141,11 @@ class TestDrain:
                 graph.attach_object(ObjectNode(f"pre-{nid}", "car", 0.0, 1.0, 8.0, nid))
         spec = make_spec(source_classes=frozenset({"housing", "retail",
                                                    "work", "education"}))
-        instances = instantiate_processes(graph, [spec], seed=seed)
+        instances = seeded_processes(graph, [spec], seed=seed)
         inst = instances[int(rng.uniform() * len(instances))]
 
         start, _ = graph.access[inst.poi_id]
+        adjacency = id_adjacency(graph)
         dist = {start: 0.0}
         heap = [(0.0, start)]
         best = None
@@ -157,7 +158,7 @@ class TestDrain:
                 if best is None or cand < best:
                     best = cand
                 continue
-            for nbr, length in graph.adjacency[nid]:
+            for nbr, length in adjacency[nid]:
                 nd = d + length
                 if nd < dist.get(nbr, math.inf):
                     dist[nbr] = nd
@@ -181,7 +182,7 @@ class TestDrainBinding:
 
         def copies():
             first, second = scenario.dynamic_copy(), scenario.dynamic_copy()
-            for nid in (access, *(v for v, _ in scenario.adjacency[access][:2])):
+            for nid in (access, *(v for v, _ in id_adjacency(scenario)[access][:2])):
                 second.attach_object(ObjectNode(f"pre-{nid}", "car", 0.0, 1.0, 8.0, nid))
             return first, second
 
@@ -213,7 +214,7 @@ class TestDrainBinding:
 class TestLifetimes:
     def test_lifetime_mean_recovered(self):
         graph = line_scenario(3, capacity={"car": 20000}, pois=((1, "housing"),))
-        (inst,) = instantiate_processes(graph, [make_spec(lifetime_mean=500.0)], seed=3)
+        (inst,) = seeded_processes(graph, [make_spec(lifetime_mean=500.0)], seed=3)
         draws = [inst.drain(0.0, graph, f"o{k}").obj.t_lifetime for k in range(20000)]
         assert all(d > 0 for d in draws)
         assert sum(draws) / len(draws) == pytest.approx(500.0, rel=0.03)
@@ -295,6 +296,7 @@ def test_slot_arrays_match_recount_and_reference_drain(case):
         return search(adjacency, start, test, bound)
 
     recount = assert_slots_match_recount(truth, names)
+    adjacency = id_adjacency(truth)
     for serial, (op, arg, cls, extra) in enumerate(ops):
         if op == "drain":
             poi = f"poi{arg}"
@@ -304,7 +306,7 @@ def test_slot_arrays_match_recount_and_reference_drain(case):
                 want_tested.append(nid)
                 return recount[(nid, cls)] < truth.path_nodes[nid].capacity.get(cls, 0)
 
-            want = reference_nearest(truth.adjacency, truth.access[poi][0], has_room, extra)
+            want = reference_nearest(adjacency, truth.access[poi][0], has_room, extra)
             tested.clear()
             inst = ProcessInstance(spec, poi, cls, stream, lifetime_mean=60.0)
             with mock.patch.object(scenesim.processes, "nearest_matching_node",
