@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import UnknownId, Unreachable
-from .graph import ObjectLayer, Observation, ObservedGraph, PathNode, SceneGraph
+from .graph import ObjectLayer, Observation, PathNode, SceneGraph
 from .routing import astar
 
 IDLE_AT_DEPOT = "idle_at_depot"
@@ -35,8 +35,7 @@ class Agent:
     state: str = IDLE_AT_DEPOT
     path: list = field(default_factory=list)
     path_index: int = 0
-    plan_mark: int = 0  # belief change-log length when the path was planned or confirmed
-    plan_cost: float | None = None  # the path's belief plan cost; None if not planned on it
+    plan_mark: int = 0  # belief version when the path was planned or last confirmed
     task: object = None
     resume_state: str = TO_TARGET  # movement phase to restore after waiting
 
@@ -91,7 +90,8 @@ class NodeCosts(dict):
     ``network.bare``, the kernel on the truth.  An entry is filled on first
     read with the :func:`dwell_time` at the node's footprint sum, inf where
     the node is blocked; the layer drops it when the node's objects change.
-    ``plans`` memoizes the searches over the table (:func:`plan_path`).
+    ``plans`` memoizes the searches over the table (:func:`plan_path`), and
+    :meth:`forget` drops the ones a change could alter.
     """
 
     __slots__ = ("layer", "width", "speed", "plans")
@@ -106,6 +106,34 @@ class NodeCosts(dict):
         cost = self[i] = dwell_time(self.layer.path_nodes[nid], self.layer.footprint_sum(nid),
                                     self.width, self.speed)
         return cost
+
+    def forget(self, i: int, shrank: bool):
+        """Drop the kept plans that a change of node ``i``'s cost could alter.
+
+        Under the goal-rooted rule a plan stays what a new search would
+        return while no node on its path changes: a node off it that only
+        gained objects got no cheaper, so the labels of the path's nodes and
+        their successor choices stay as they were.  A node x that lost
+        objects (``shrank``) lies on no route as cheap as the plan when
+        ``kappa * (|start - x| + |x - goal|) / v``, the network's lower bound
+        on any route through it (see :attr:`StaticNetwork.kappa`), exceeds
+        the plan's cost.  Every kept plan is tested, whether or not the
+        table held an entry for ``i``: a plan may have read an entry that an
+        earlier change dropped.
+        """
+        net = self.layer.network
+        nid, x = net.ids[i], net.positions[i]
+        pos, index, dist, k, v = net.positions, net.index, math.dist, net.kappa, self.speed
+        stale = []
+        for key, (path, cost) in self.plans.items():
+            if nid in path:
+                stale.append(key)
+            elif shrank:
+                through = dist(pos[index[key[0]]], x) + dist(x, pos[index[key[1]]])
+                if k * through / v <= cost * (1 + 1e-9):
+                    stale.append(key)
+        for key in stale:
+            del self.plans[key]
 
 
 def cost_table(layer: ObjectLayer, agent: Agent) -> NodeCosts:
@@ -133,10 +161,10 @@ def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], flo
     indices order like the ids, so it returns what a search over the ids
     would.  A node's cost is looked up by index in the view's cost table for
     the agent's width and speed, which the view keeps current as its objects
-    change.  The search reads every cost through that table, so its result,
-    memoized in the table's ``plans`` per (start, goal), holds until the
-    view drops one of the table's entries; on ``bare`` none is ever dropped.
-    Every call returns a fresh list.
+    change.  Its result is memoized in the table's ``plans`` per (start,
+    goal) and kept until a change of the view's objects could alter it
+    (:meth:`NodeCosts.forget`); on ``bare`` nothing ever changes.  Every
+    call returns a fresh list.
     """
     start = _resolve(view, start)
     goal = _resolve(view, goal)
@@ -156,34 +184,6 @@ def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], flo
             raise Unreachable(f"no path from {start!r} to {goal!r}") from None
         plan = costs.plans[start, goal] = (tuple(ids[i] for i in path), cost)
     return list(plan[0]), plan[1]
-
-
-def plan_holds(agent: Agent, changes, network) -> bool:
-    """True when no logged belief change can alter the agent's en-route plan.
-
-    ``changes`` are the belief's ``(path id, shrank)`` entries since the
-    agent's ``plan_mark``.  Under the goal-rooted rule the rest of the path
-    is the plan from the current node, and it stays so while no node ahead
-    on it changes: a node off it that only gained objects got no cheaper,
-    and a node x that lost some lies on no route as cheap as the committed
-    one when ``kappa * (|cur - x| + |x - goal|) / v``, the network's lower
-    bound on any route through it (see :attr:`StaticNetwork.kappa`), already
-    exceeds ``plan_cost``.  A path not planned on the belief always replans.
-    """
-    if agent.plan_cost is None:
-        return False
-    ahead = set(agent.path[agent.path_index + 1:])
-    pos, index, dist = network.positions, network.index, math.dist
-    here, goal = pos[index[agent.current_node]], pos[index[agent.destination]]
-    k, v, bound = network.kappa, agent.default_velocity, agent.plan_cost * (1 + 1e-9)
-    for nid, shrank in changes:
-        if nid in ahead:
-            return False
-        if shrank:
-            x = pos[index[nid]]
-            if k * (dist(here, x) + dist(x, goal)) / v <= bound:
-                return False
-    return True
 
 
 def _resolve(view, node_id: str) -> str:

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from .agents import PLANNER_MODES
-from .config import FleetConfig
 from .errors import ScenesimError, ValidationError
 from .kernel import run_replications
 from .metrics import write_outputs
@@ -197,8 +196,9 @@ class TraceWriter:
         self._file = open(path, "w")
 
     def __call__(self, t, kind, payload):
+        # a name JSON cannot encode (a YAML date, say) is written as its str()
         self._file.write(json.dumps(
-            {"t": round(t, 9), "kind": kind, "payload": payload}
+            {"t": round(t, 9), "kind": kind, "payload": payload}, default=str
         ) + "\n")
 
     def close(self):

@@ -264,7 +264,7 @@ class ObjectLayer:
     node costs by network index: the planner reads it on the belief or on
     ``network.bare``, and the kernel on the truth for an agent's dwell.
     Whatever changes a node's object set drops the node's entries, and the
-    plans of each table that held one (:meth:`_forget`); the next read
+    kept plans the change could alter (:meth:`_forget`); the next read
     computes them again from :meth:`footprint_sum`, which re-sums with
     ``math.fsum``: a cost never depends on the set's hash-seeded order, and
     never drifts the way running ``+=``/``-=`` totals would.
@@ -312,11 +312,15 @@ class ObjectLayer:
         return math.fsum(self.objects[oid].footprint_area
                          for oid in self.objects_at.get(path_id, EMPTY))
 
-    def _forget(self, i: int):
-        """Drop the cost entries of the node at index ``i``, and the plans of tables with one."""
+    def _forget(self, i: int, shrank: bool):
+        """Drop node ``i``'s cost entries, and the plans its change could alter.
+
+        ``shrank`` tells whether the node lost objects (see ``agents.NodeCosts.forget``).
+        """
         for table in self.node_costs.values():
-            if table.pop(i, None) is not None:
-                table.plans.clear()
+            table.pop(i, None)
+            if table.plans:
+                table.forget(i, shrank)
 
 
 class SceneGraph(ObjectLayer):
@@ -469,7 +473,7 @@ class SceneGraph(ObjectLayer):
         if ids is None:
             ids = self.objects_at[obj.attached_to] = set()
         ids.add(obj.id)
-        self._forget(i)
+        self._forget(i, False)
         counts[i] += 1
         if self.belief is not None:
             self.belief.unsynced.add(obj.attached_to)
@@ -481,7 +485,7 @@ class SceneGraph(ObjectLayer):
             raise UnknownId(f"object {object_id!r} not in graph")
         i = self._network.index[obj.attached_to]
         self.objects_at[obj.attached_to].discard(object_id)
-        self._forget(i)
+        self._forget(i, True)
         self.occupancy[obj.semantic_class][i] -= 1
         if self.belief is not None:
             self.belief.unsynced.add(obj.attached_to)
@@ -507,13 +511,10 @@ class ObservedGraph(ObjectLayer):
     A belief observes one ``truth`` and becomes its ``belief``.  Dynamic
     content changes only through :meth:`merge_observation`, which reads the
     objects from that truth; the ``version`` counter increments on every
-    merge that changes it, and ``changes`` logs each node a merge rewrites
-    as ``(path id, shrank)``, ``shrank`` telling whether the believed id set
-    lost an id (a node that only gains objects can only get dearer to
-    cross).  ``unsynced`` holds every node whose believed objects may differ
-    from the truth's: the truth adds each node it mutates, and a merge
-    removes the nodes it compares, so {n : belief != truth at n} is always a
-    subset of it.
+    merge that changes it.  ``unsynced`` holds every node whose believed
+    objects may differ from the truth's: the truth adds each node it
+    mutates, and a merge removes the nodes it compares, so
+    {n : belief != truth at n} is always a subset of it.
     """
 
     def __init__(self, truth: SceneGraph):
@@ -522,7 +523,6 @@ class ObservedGraph(ObjectLayer):
         self._share_static(truth)
         self.truth = truth
         self.version = 0
-        self.changes: list[tuple[str, bool]] = []
         self.unsynced = {nid for nid, ids in truth.objects_at.items() if ids}
         truth.belief = self
 
@@ -534,8 +534,7 @@ class ObservedGraph(ObjectLayer):
         nodes only, so the objects come from the belief's own ``truth``, and
         only the observed unsynced nodes are compared.  Returns the nodes
         whose believed id set differed from the truth's, each with its count
-        of newly believed objects; the version advances iff there are any,
-        and each of them is appended to ``changes``.
+        of newly believed objects; the version advances iff there are any.
         """
         path_nodes = obs.path_nodes
         if not self.path_nodes.keys() >= path_nodes:
@@ -545,19 +544,18 @@ class ObservedGraph(ObjectLayer):
         self.unsynced -= compared
         truth_objects, truth_at = self.truth.objects, self.truth.objects_at
         objects, objects_at = self.objects, self.objects_at
-        changed, log = [], self.changes
+        changed = []
         for nid in compared:
             seen = truth_at.get(nid, EMPTY)
             believed = objects_at.get(nid, EMPTY)
             if seen != believed:
                 changed.append((nid, len(seen - believed)))
-                log.append((nid, not believed <= seen))
                 for oid in believed:
                     del objects[oid]
                 for oid in seen:
                     objects[oid] = truth_objects[oid]
                 objects_at[nid] = set(seen)
-                self._forget(self._network.index[nid])
+                self._forget(self._network.index[nid], not believed <= seen)
         if changed:
             self.version += 1
         return changed

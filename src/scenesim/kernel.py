@@ -25,7 +25,6 @@ from .agents import (
     Task,
     cost_table,
     observe,
-    plan_holds,
     plan_path,
 )
 from .config import SimConfig, TaskSpec
@@ -194,29 +193,26 @@ class SimState:
         self.ledger.on_merge(t, obs, self.belief.merge_observation(obs))
 
     def _plan(self, agent: Agent, start: str, goal: str):
-        """Plan a leg on the configured planner's view: (path, cost, belief cost).
+        """Plan a leg on the configured planner's view: (path, cost).
 
         The static planner plans on the network's object-free layer.  In
         observed mode a leg the belief blocks is planned there instead, as
         the en-route replan keeps its committed path: physics will decide,
-        and the agent waits where a node is truly full.  The belief cost is
-        the cost when the belief planned it, else None.
+        and the agent waits where a node is truly full.
         """
         self.work["plans"] += 1
         if self.config.fleet.planner_mode == PLANNER_OBSERVED:
             try:
-                path, cost = plan_path(self.belief, start, goal, agent)
-                return path, cost, cost
+                return plan_path(self.belief, start, goal, agent)
             except Unreachable:
                 pass
-        return (*plan_path(self.truth.network.bare, start, goal, agent), None)
+        return plan_path(self.truth.network.bare, start, goal, agent)
 
-    def _commit(self, agent: Agent, path: list, plan_cost: float | None):
+    def _commit(self, agent: Agent, path: list):
         """Set the agent on ``path`` from its start, marked at the current belief."""
         agent.path = path
         agent.path_index = 0
-        agent.plan_cost = plan_cost
-        agent.plan_mark = len(self.belief.changes)
+        agent.plan_mark = self.belief.version
 
     # -- process events ---------------------------------------------------------------
 
@@ -273,8 +269,8 @@ class SimState:
     def _assign(self, t: float, agent: Agent, task: Task):
         """FIFO assignment; prediction is the round-trip cost on the planner view."""
         try:
-            path_out, cost_out, plan_cost = self._plan(agent, agent.current_node, task.target_poi)
-            _, cost_back, _ = self._plan(agent, task.target_poi, agent.current_node)
+            path_out, cost_out = self._plan(agent, agent.current_node, task.target_poi)
+            cost_back = self._plan(agent, task.target_poi, agent.current_node)[1]
         except Unreachable:  # no route there or back: drop the task, keep the agent first
             self.ledger.counters["tasks_unreachable"] += 1
             self.idle_agents.appendleft(agent)
@@ -283,7 +279,7 @@ class SimState:
         task.t_pred = t + cost_out + cost_back
         agent.task = task
         agent.state = TO_TARGET
-        self._commit(agent, path_out, plan_cost)
+        self._commit(agent, path_out)
         if len(path_out) == 1:
             self._leg_complete(agent, t)
         else:
@@ -309,22 +305,23 @@ class SimState:
         agent.path_index += 1
         self._merge_observation(agent, t)
 
-        changes = self.belief.changes
+        belief = self.belief
         if (self.config.fleet.planner_mode == PLANNER_OBSERVED
-                and agent.plan_mark != len(changes)
+                and agent.plan_mark != belief.version
                 and node != agent.destination):
-            if plan_holds(agent, changes[agent.plan_mark:], self.truth.network):
-                # a replan would return the rest of the committed path
+            plan = cost_table(belief, agent).plans.get((agent.path[0], agent.destination))
+            if plan is not None and plan[0] == tuple(agent.path):
+                # the belief still plans this path, so by the goal-rooted
+                # rule a replan would return the rest of it
                 self.work["replans_skipped"] += 1
             else:
                 self.work["replans"] += 1
                 try:
-                    agent.path, agent.plan_cost = plan_path(
-                        self.belief, node, agent.destination, agent)
+                    agent.path = plan_path(belief, node, agent.destination, agent)[0]
                     agent.path_index = 0
                 except Unreachable:
-                    agent.plan_cost = None  # keep the committed path; physics will decide
-            agent.plan_mark = len(changes)
+                    pass  # keep the committed path; physics will decide
+            agent.plan_mark = belief.version
 
         self._start_dwell_or_wait(agent, t)
 
@@ -360,9 +357,9 @@ class SimState:
 
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:
-            path_back, _, plan_cost = self._plan(agent, agent.current_node, self._depot_node)
+            path_back = self._plan(agent, agent.current_node, self._depot_node)[0]
             agent.state = RETURNING
-            self._commit(agent, path_back, plan_cost)
+            self._commit(agent, path_back)
             if len(path_back) == 1:
                 self._leg_complete(agent, t)
             else:

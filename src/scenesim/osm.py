@@ -141,11 +141,11 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         cls = _classify(tags)
         if cls is None:
             continue
+        if len(refs) > 1 and refs[0] == refs[-1]:
+            refs = refs[:-1]  # closed outline: drop the closing ref
         outline = [osm_nodes[r] for r in refs if r in osm_nodes]
         if not outline:
             continue
-        if refs and refs[0] == refs[-1]:
-            outline = outline[:-1]  # closed outline: drop duplicated node
         centroid = (
             sum(p[0] for p in outline) / len(outline),
             sum(p[1] for p in outline) / len(outline),

@@ -15,7 +15,6 @@ from scenesim.agents import (
     node_penalty,
     node_velocity,
     observe,
-    plan_holds,
     plan_path,
 )
 from scenesim.errors import UnknownId, Unreachable
@@ -263,67 +262,86 @@ class TestAstarOracle:
                 astar(in_edges, positions.__getitem__, src, dst, 1.0, penalties.__getitem__)
 
 
-class TestPlanHolds:
-    """The skip rule of an en-route replan, one branch per case.
+class TestForget:
+    """Which kept plans a change drops, one branch per case.
 
-    The agent stands at g02 on row 0 of a 10 x 5 grid of 20 m spacing, on
-    its way to g09.  Entering a node costs at least 20 m of edge plus its
-    10 m segment, so kappa is 1.5 and at 1 m/s the row ahead costs 210 s
-    when empty.  A plan cost of 250 s (40 s of believed dwell on the row)
-    bounds the ellipse with foci g02 and g09 that a freed node must lie in
-    to matter: 250 / 1.5 = 166.7 m of straight line through it.
+    The table holds one plan, g02 -> g09 along row 0 of a 10 x 5 grid of
+    20 m spacing.  Entering a node costs at least 20 m of edge plus its
+    10 m segment, so kappa is 1.5 and at 1 m/s the row costs 210 s when
+    empty.  A plan cost of 250 s (40 s of believed dwell on the row) bounds
+    the ellipse with foci g02 and g09 that a freed node must lie in to
+    matter: 250 / 1.5 = 166.7 m of straight line through it.
     """
 
-    @pytest.fixture
-    def setting(self):
-        agent = make_agent(node="g02")
-        agent.path = [f"g{k:02d}" for k in range(10)]
-        agent.path_index, agent.plan_cost = 2, 250.0
-        return agent, grid_scenario(10, 5).network
+    PLAN = tuple(f"g{k:02d}" for k in range(2, 10))
 
-    def test_no_change_holds(self, setting):
-        agent, net = setting
-        assert plan_holds(agent, [], net)
+    @pytest.fixture
+    def table(self):
+        table = NodeCosts(grid_scenario(10, 5), 0.5, 1.0)
+        table.plans["g02", "g09"] = (self.PLAN, 250.0)
+        return table
+
+    @staticmethod
+    def kept(table, *changes):
+        """Whether the table still holds its plans after each (node, shrank) change."""
+        for nid, shrank in changes:
+            table.forget(table.layer.network.index[nid], shrank)
+        return bool(table.plans)
+
+    def test_no_change_keeps(self, table):
+        assert self.kept(table)
 
     @pytest.mark.parametrize("shrank", [False, True])
-    def test_change_on_remaining_path_replans(self, setting, shrank):
-        agent, net = setting
-        assert not plan_holds(agent, [("g25", False), ("g05", shrank)], net)
+    def test_change_on_the_path_drops(self, table, shrank):
+        assert not self.kept(table, ("g25", False), ("g05", shrank))
 
-    def test_changes_behind_and_gains_off_path_hold(self, setting):
-        agent, net = setting
-        assert plan_holds(agent, [("g01", False), ("g02", False), ("g25", False)], net)
+    def test_changes_off_the_plan_and_gains_keep(self, table):
+        # g00 and g01 lie behind the plan's start, g25 beside it
+        assert self.kept(table, ("g00", False), ("g01", False), ("g25", False))
 
-    def test_shrink_inside_ellipse_replans(self, setting):
+    def test_shrink_inside_ellipse_drops(self, table):
         # g25 at (100, 40): 1.5 * (72.1 m + 89.4 m) of straight line, 242 s
-        agent, net = setting
-        assert not plan_holds(agent, [("g45", False), ("g25", True)], net)
+        assert not self.kept(table, ("g45", False), ("g25", True))
 
-    def test_shrink_outside_ellipse_holds(self, setting):
+    def test_shrink_outside_ellipse_keeps(self, table):
         # g40 at (0, 80): 89.4 m + 197.0 m, over 250 s even at 1 s per metre
-        agent, net = setting
-        assert plan_holds(agent, [("g40", True), ("g45", False)], net)
+        assert self.kept(table, ("g40", True), ("g45", False))
 
-    def test_shrink_between_straight_line_and_kappa_ellipse_holds(self, setting):
+    def test_shrink_between_straight_line_and_kappa_ellipse_keeps(self, table):
         # g45 at (100, 80): 100 m + 113.1 m costs 213 s at 1 s per metre,
         # inside the plain straight-line ellipse, but 320 s at kappa
-        agent, net = setting
-        assert plan_holds(agent, [("g45", True), ("g45", False)], net)
+        assert self.kept(table, ("g45", True), ("g45", False))
 
-    def test_path_not_planned_on_the_belief_replans(self, setting):
-        # from the static fallback, or kept after the belief blocked a replan
-        agent, net = setting
-        agent.plan_cost = None
-        assert not plan_holds(agent, [("g45", False)], net)
+    def test_a_table_without_plans_only_drops_the_entry(self, table, monkeypatch):
+        # every truth table and the object-free layer's hold no plan that a
+        # change could alter: the layer pops the entry and tests nothing
+        graph = table.layer
+        table.plans.clear()
+        graph.node_costs[0.5, 1.0] = table
+        assert table[5] == 10.0 and table[6] == 10.0
+        monkeypatch.setattr(NodeCosts, "forget", None)
+        graph.attach_object(ObjectNode("o", "car", 0.0, 1.0, 1.5, "g05"))
+        assert dict(table) == {6: 10.0} and table.plans == {}
+
+    def test_a_plan_is_tested_after_its_entry_was_dropped(self):
+        # the plan via m read f's blocked cost; a gain at f drops that entry
+        # and keeps the plan, and the loss that frees f must still drop it
+        graph, agent = short_edge_scenario(), make_agent(node="a")
+        add_object(graph, "big", "f", area=1.5)
+        assert plan_path(graph, "a", "b", agent) == (["a", "m", "b"], 102.0)
+        add_object(graph, "small", "f", area=0.25)
+        assert graph.node_costs[0.5, 1.0].plans
+        graph.remove_object("big")
+        assert plan_path(graph, "a", "b", agent)[0] == ["a", "f", "b"]
 
     def test_short_edge_puts_a_far_node_inside_the_ellipse(self):
         # planned via m at 102 s while f was believed blocked; f lies 806 m
         # of straight line off, but its 10 m edges make the route 22 s
         graph = short_edge_scenario()
-        agent = make_agent(node="a")
-        agent.path, agent.plan_cost = ["a", "m", "b"], 102.0
-        assert not plan_holds(agent, [("f", True)], graph.network)
-        assert plan_holds(agent, [("f", False)], graph.network)
+        for shrank in (True, False):
+            table = NodeCosts(graph, 0.5, 1.0)
+            table.plans["a", "b"] = (("a", "m", "b"), 102.0)
+            assert self.kept(table, ("f", shrank)) is not shrank
 
 
 class TestObserve:
@@ -412,11 +430,10 @@ def outcome(plan, *args):
 
 
 @st.composite
-def planning_cases(draw):
+def random_grids(draw):
     """Grids with equal edge lengths (many equal-cost routes), some down
-    edges shorter than their straight line, node ids in random order, random
-    believed footprints, blocked and narrow nodes, and the object changes to
-    make between plans."""
+    edges shorter than their straight line, node ids in random order, and
+    narrow nodes; returns the frozen graph and its ids in grid order."""
     cols, rows = draw(st.integers(2, 5)), draw(st.integers(1, 5))
     n = cols * rows
     ids = draw(st.permutations([f"n{k}" for k in range(n)]))
@@ -435,6 +452,14 @@ def planning_cases(draw):
             # a 2 m edge between rows 10 m apart is shorter than its straight line
             graph.add_adjacency_edge(ids[k], ids[down], draw(st.sampled_from([10.0, 12.0, 2.0])))
     graph.freeze_static()
+    return graph, ids
+
+
+@st.composite
+def planning_cases(draw):
+    """Random grids, random believed footprints, blocked nodes, and the
+    object changes to make between plans."""
+    graph, ids = draw(random_grids())
     for k, nid in enumerate(draw(st.lists(st.sampled_from(ids), max_size=12))):
         area = draw(st.sampled_from([1.5, 3.75, 7.5, 16.0]))
         add_object(graph, f"o{k}", nid, area=area)
@@ -493,6 +518,54 @@ def test_compiled_planner_matches_reference_search(case):
     copy = truth.dynamic_copy()
     assert (outcome(plan_path, copy.network.bare, start, goal, agent)
             == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))
+
+
+@st.composite
+def kept_plan_cases(draw):
+    """A random grid or the short-edge scene, and a mix of object changes and plans."""
+    graph, ids = (short_edge_scenario(), ["a", "m", "b", "f"]) if draw(st.booleans()) \
+        else draw(random_grids())
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("attach"), st.sampled_from(ids),
+                  st.sampled_from([0.25, 0.5, 1.5, 3.75, 7.5, 16.0])),
+        st.tuples(st.just("remove"), st.integers(0, 20), st.just(0.0)),
+        st.tuples(st.just("merge"), st.sampled_from(ids),
+                  st.sampled_from([5.0, 15.0, 25.0, 1000.0])),
+        st.tuples(st.just("plan"), st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                  st.sampled_from([1.0, 1.5])),
+    ), max_size=30))
+    return graph, steps
+
+
+def assert_kept_plans_exact(layer):
+    """Every plan the layer's tables keep is what a search over fresh tables returns."""
+    net = layer.network
+    for table in layer.node_costs.values():
+        fresh = NodeCosts(layer, table.width, table.speed)
+        for (start, goal), (path, cost) in table.plans.items():
+            want, want_cost = astar(net.predecessors, net.bound_positions.__getitem__,
+                                    net.index[start], net.index[goal], table.speed,
+                                    fresh.__getitem__)
+            assert path == tuple(net.ids[i] for i in want)
+            assert cost.hex() == want_cost.hex()
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(case=kept_plan_cases())
+def test_kept_plans_match_a_fresh_search(case):
+    # a change drops only the kept plans it could alter, on the truth (attach,
+    # remove) and on the belief (merge), and whatever is kept must be exact
+    truth, steps = case
+    belief = ObservedGraph(truth)
+    for serial, (op, arg, value) in enumerate(steps):
+        if op == "plan":
+            agent = make_agent(velocity=value)
+            for layer in (belief, truth):
+                outcome(plan_path, layer, *arg, agent)
+        else:
+            change_objects(truth, belief, (op, arg, value), serial)
+        for layer in (belief, truth):
+            assert_kept_plans_exact(layer)
 
 
 class TestCompiledPlanner:

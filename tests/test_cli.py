@@ -188,6 +188,18 @@ class TestRun:
             assert len(records) == expected[i] > 0
             assert all(set(r) == {"t", "kind", "payload"} for r in records)
 
+    def test_trace_writes_a_yaml_date_name_as_text(self, workspace):
+        # YAML reads an unquoted 2024-01-01 as a date, which json cannot encode
+        tmp, scenario, config = workspace
+        config.write_text(CONFIG_YAML.replace("name: cars", "name: 2024-01-01"))
+        assert main(["validate", str(scenario), str(config)]) == 0
+        out = tmp / "out"
+        assert main(["run", str(scenario), str(config), "--out", str(out), "--trace"]) == 0
+        records = [json.loads(line)
+                   for line in (out / "trace_0.ndjson").read_text().splitlines()]
+        spawns = [r["payload"] for r in records if r["kind"] == "spawn"]
+        assert spawns and all(p[0] == "2024-01-01" for p in spawns)
+
     def test_failed_event_exits_one(self, workspace, capsys, monkeypatch):
         # an event handler's simulator error ends the run, naming the event
         def fail(state, t, payload):

@@ -395,15 +395,20 @@ def test_merge_returns_the_mismatched_nodes(placements, stale, prior, node, r):
     graph, belief = relocated_line(stale, placements,
                                    *([] if prior is None else [(50, prior)]))
     before, truth = object_sets(belief), object_sets(graph)
-    version, logged = belief.version, len(belief.changes)
+    version, ids, log, forget = belief.version, graph.network.ids, [], belief._forget
+
+    def recording(i, shrank):
+        log.append((ids[i], shrank))
+        forget(i, shrank)
+
+    belief._forget = recording
     obs = graph.network.visible(sorted(graph.path_nodes)[node], r)
     changed = belief.merge_observation(obs)
     want = {nid: len(truth[nid] - before[nid])
             for nid in obs.path_nodes if before[nid] != truth[nid]}
     assert len(changed) == len(want)
     assert dict(changed) == want
-    # the change log gains one entry per changed node: did its id set shrink?
-    log = belief.changes[logged:]
+    # the merge forgets each changed node once, telling whether its id set shrank
     assert len(log) == len(want)
     assert dict(log) == {nid: not before[nid] <= truth[nid] for nid in want}
     assert (belief.version != version) == bool(changed)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenesim
-from scenesim.agents import NodeCosts, Task, WAITING, plan_path
+from scenesim.agents import NodeCosts, Task, WAITING, cost_table, plan_path
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
 from scenesim.graph import (ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph,
@@ -36,6 +36,7 @@ from scenesim.kernel import (
 from scenesim.metrics import summary_metrics, write_outputs
 from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile, random_streams
+from scenesim.routing import astar
 from scenesim.synthetic import grid_scenario, line_scenario
 
 HOUR = 3600.0
@@ -518,12 +519,12 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("planner", ["observed", "static"])
     def test_replan_skip_is_output_neutral(self, tmp_path, monkeypatch, planner):
         # a skipped en-route replan must be one that would have returned the
-        # rest of the committed path: replanning at every grown log changes
-        # no output
+        # rest of the committed path: replanning at every belief change
+        # changes no output (the kernel finds no kept plan in a fresh table)
         scenario = grid_scenario(8, 6)
         for name in ("skip", "always"):
             if name == "always":
-                monkeypatch.setattr("scenesim.kernel.plan_holds", lambda *_: False)
+                monkeypatch.setattr("scenesim.kernel.cost_table", fresh_costs)
             ledgers = run_replications(scenario, golden_config(planner, 3), 2, base_seed=5)
             write_outputs(ledgers, scenario, tmp_path / name)
         assert csv_outputs(tmp_path / "skip") == csv_outputs(tmp_path / "always")
@@ -550,6 +551,11 @@ class TestGoldenOutputs:
         write_outputs(ledgers, scenario, tmp_path)
         assert output_digest(tmp_path) == (
             "f28cfe05b85fd2a993914af9058f8b713b2e84ca811a056b1239b9d6ad440ec0")
+
+
+def fresh_costs(layer, agent):
+    """A new cost table, which holds no plan: what every cached table stands for."""
+    return NodeCosts(layer, agent.width, agent.default_velocity)
 
 
 def csv_outputs(outdir):
@@ -589,11 +595,11 @@ class TestObservedFallback:
 
 
 class TestReplanSkip:
-    def test_work_counts_every_entry_with_a_grown_log(self):
-        # every en-route entry at which the belief's change log grew since
+    def test_work_counts_every_entry_after_a_belief_change(self):
+        # every en-route entry at which the belief's version moved since
         # the agent's mark is either replanned or skipped, and counted once
         state = SimState(grid_scenario(8, 6), golden_config("observed", 3), seed=5)
-        changes, entries, grown = state.belief.changes, [], []
+        belief, entries, grown = state.belief, [], []
         merge = state._merge_observation
 
         def record(t, kind, payload):
@@ -605,7 +611,7 @@ class TestReplanSkip:
             merge(agent, t)
             if entries and entries[-1][0] is agent:
                 _, node, mark, destination = entries.pop()
-                grown.append(mark != len(changes) and node != destination)
+                grown.append(mark != belief.version and node != destination)
 
         state.trace = record
         state._merge_observation = merging
@@ -628,26 +634,69 @@ class TestReplanSkip:
         block = ObjectNode("block", "car", 0.0, 1e9, 100.0, "v3")
         return state, state.fleet[0], block
 
-    def test_static_fallback_path_has_no_plan_cost(self):
+    @staticmethod
+    def kept_plan(state, agent):
+        """The belief's kept plan for the agent's committed leg, or None."""
+        return cost_table(state.belief, agent).plans.get((agent.path[0], agent.destination))
+
+    def test_static_fallback_path_is_no_belief_plan(self):
         state, agent, block = self.blocked_line()
         state.truth.attach_object(block)
         state.belief.merge_observation(state.truth.network.visible("v3", 1.0))
         state._assign(0.0, agent, Task("t0", "poi0", 0.0))
         assert agent.path == ["v0", "v1", "v2", "v3", "v4"]
-        assert agent.plan_cost is None
-        assert agent.plan_mark == len(state.belief.changes)
+        assert self.kept_plan(state, agent) is None
+        assert agent.plan_mark == state.belief.version == 1
+        # the belief does not change on the way, so the agent never replans
+        state.run(60.0 / agent.default_velocity)
+        assert agent.current_node == "v3" and agent.state == WAITING
+        assert state.work["replans"] == state.work["replans_skipped"] == 0
 
-    def test_path_kept_after_unreachable_has_no_plan_cost(self):
+    def test_path_kept_after_unreachable_is_no_belief_plan(self):
         state, agent, block = self.blocked_line()
         state._assign(0.0, agent, Task("t0", "poi0", 0.0))
-        assert agent.plan_cost == plan_path(state.belief, "v0", "v4", agent)[1]
+        assert self.kept_plan(state, agent) == (
+            tuple(agent.path), plan_path(state.belief, "v0", "v4", agent)[1])
         state.truth.attach_object(block)
         # entering v1, the agent sees v3 blocked ahead: the replan fails
         state.run(10.0 / agent.default_velocity)
         assert agent.current_node == "v1" and state.work["replans"] == 1
         assert agent.path == ["v0", "v1", "v2", "v3", "v4"] and agent.path_index == 1
-        assert agent.plan_cost is None
-        assert agent.plan_mark == len(state.belief.changes) > 0
+        assert self.kept_plan(state, agent) is None
+        assert agent.plan_mark == state.belief.version > 0
+        # no replan at v2 or v3 until the belief changes again
+        state.run(60.0 / agent.default_velocity)
+        assert agent.current_node == "v3" and agent.state == WAITING
+        assert state.work["replans"] == 1 and state.work["replans_skipped"] == 0
+
+    def test_return_leg_reuses_its_dispatch_plan_after_an_off_path_gain(self, monkeypatch):
+        # dispatch plans both legs; a gain the belief learns of before the
+        # return, at a node both searches read but neither path crosses,
+        # leaves the return plan kept, so the return leg searches nothing
+        config = empty_config(fleet=FleetConfig(count=1, sensor_radius=25.0))
+        state = SimState(grid_scenario(4, 3, capacity={"car": 9}), config, seed=1)
+        agent, ids, searches, read = state.fleet[0], state.truth.network.ids, [], set()
+
+        def counting(in_edges, positions, start, goal, speed, node_cost):
+            searches.append((ids[start], ids[goal]))
+
+            def cost(i):
+                read.add(ids[i])
+                return node_cost(i)
+            return astar(in_edges, positions, start, goal, speed, cost)
+
+        monkeypatch.setattr("scenesim.agents.astar", counting)
+        state._assign(0.0, agent, Task("t0", "poi00", 0.0))
+        assert searches == [("g06", "g00"), ("g00", "g06")]
+        back = cost_table(state.belief, agent).plans[("g00", "g06")]
+        off_path = sorted(read - set(agent.path) - set(back[0]))
+        assert off_path
+        state.truth.attach_object(ObjectNode("gain", "car", 0.0, 1e9, 4.0, off_path[0]))
+        assert state.belief.merge_observation(state.truth.network.visible(off_path[0], 1.0))
+        state.run()
+        assert state.ledger.counters["tasks_completed"] == 1
+        assert searches == [("g06", "g00"), ("g00", "g06")]
+        assert state.work["plans"] == 3 and state.work["replans_skipped"] == 1
 
 
 class TestSplitRun:
@@ -866,14 +915,10 @@ def reference_caches():
         belief.unsynced |= obs.path_nodes
         return merge(belief, obs)
 
-    def fresh_costs(layer, agent):
-        return NodeCosts(layer, agent.width, agent.default_velocity)
-
     return [mock.patch.object(StaticNetwork, "visible", visible),
             mock.patch.object(ObservedGraph, "merge_observation", merge_all),
             mock.patch("scenesim.kernel.cost_table", fresh_costs),
-            mock.patch("scenesim.agents.cost_table", fresh_costs),
-            mock.patch("scenesim.kernel.plan_holds", lambda *_: False)]
+            mock.patch("scenesim.agents.cost_table", fresh_costs)]
 
 
 def assert_stale_set_exact(state):
@@ -914,8 +959,8 @@ def run_with(build, config, seed, outdir, patches):
 @settings(max_examples=60, deadline=None)
 @given(KERNEL_INPUTS)
 def test_differential_caches_match_their_references(params):
-    # memoized views, the unsynced set, cost tables, the replan skip and
-    # static plan memos each stand for a computation; doing that
+    # memoized views, the unsynced set, cost tables and their plan memos,
+    # which the replan skip reads, each stand for a computation; doing that
     # computation every time instead must change no event and no output
     build, config, seed = kernel_case(**params)
     with tempfile.TemporaryDirectory() as tmp:

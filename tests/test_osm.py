@@ -151,6 +151,20 @@ class TestFiltersAndPruning:
         assert graph.poi_nodes["p100"].semantic_class == "education"
 
 
+    def test_closed_outline_missing_its_closing_node(self, tmp_path):
+        # the extract lacks node 10, which opens and closes the outline: the
+        # centroid is the mean of the three corners it has
+        nodes = {1: (0.0, 0.0), 2: (50.0, 0.0),
+                 11: (20.0, -4.0), 12: (30.0, -4.0), 13: (30.0, -10.0)}
+        ways = {10: ([1, 2], {"highway": "footway"}),
+                30: ([10, 11, 12, 13, 10], {"building": "house"})}
+        graph = import_osm(write(tmp_path, osm_xml(nodes, ways)), center=(0.0, 0.0),
+                           radius=200.0, params=ImportParams(max_segment=20.0))
+        poi = graph.poi_nodes["p30"]
+        assert (poi.x, poi.y) == (pytest.approx(80.0 / 3.0, rel=1e-6),
+                                  pytest.approx(-6.0, rel=1e-6))
+
+
 class TestStability:
     def test_import_is_deterministic(self, tmp_path):
         path = write(tmp_path, golden_extract())
