@@ -16,9 +16,7 @@ from .stochastic import (
     RandomStream,
     RateProfile,
     balanced_mean_lifetime,
-    bernoulli,
     next_nhpp_interarrival,
-    sample_exponential,
 )
 from .processes import ProcessSpec, ProcessInstance, instantiate_processes
 from .agents import Agent, Task, node_penalty, node_velocity, observe, plan_path

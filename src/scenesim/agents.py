@@ -35,7 +35,7 @@ class Agent:
     state: str = IDLE_AT_DEPOT
     path: list = field(default_factory=list)
     path_index: int = 0
-    plan_mark: int = 0  # belief version when the path was planned or last confirmed
+    plan_mark: int = 0  # planning layer's version when the path was planned or last confirmed
     task: object = None
     resume_state: str = TO_TARGET  # movement phase to restore after waiting
 
@@ -188,7 +188,7 @@ def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], flo
 
 def _resolve(view, node_id: str) -> str:
     if node_id in view.poi_nodes:
-        return view.access[node_id][0]
+        return view.access[node_id]
     return node_id
 
 

@@ -25,16 +25,8 @@ class ZeroRate(ScenesimError):
     """All rate bins are zero; the process can never fire."""
 
 
-class InvalidMean(ScenesimError):
-    """Non-positive mean passed to an exponential sampler."""
-
-
 class InvalidRate(ScenesimError):
     """Non-positive rate passed to a steady-state balance computation."""
-
-
-class InvalidProbability(ScenesimError):
-    """Probability outside [0, 1]."""
 
 
 class Unreachable(ScenesimError):

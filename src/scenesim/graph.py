@@ -337,8 +337,7 @@ class SceneGraph(ObjectLayer):
         self.path_nodes: dict[str, PathNode] = {}
         self.poi_nodes: dict[str, PoiNode] = {}
         self.objects: dict[str, ObjectNode] = {}
-        # poi id -> (path node id, length)
-        self.access: dict[str, tuple[str, float]] = {}
+        self.access: dict[str, str] = {}  # poi id -> its access edge's path node id
         self.static_edges: list[Edge] = []  # every edge, in the order added
         self.objects_at: dict[str, set[str]] = {}
         self.node_costs: dict[tuple[float, float], dict[int, float]] = {}
@@ -383,13 +382,16 @@ class SceneGraph(ObjectLayer):
         if not 0 < length < math.inf:
             raise ValueError(f"access edge {poi_id!r}-{path_id!r} length: must be positive "
                              f"and finite, got {length!r}")
-        self.access[poi_id] = (path_id, length)
+        self.access[poi_id] = path_id
         edge = (EDGE_ACCESS, poi_id, path_id, False, length)
         self.static_edges.append(tuple.__new__(Edge, edge))
 
     def freeze_static(self):
-        """Lock the static subgraph: finite positions, positive and finite path geometry."""
+        """Lock the static subgraph: finite positions, positive finite geometry, PoI access."""
         if self._network is None:
+            for poi_id in self.poi_nodes:
+                if poi_id not in self.access:
+                    raise ValueError(f"PoI {poi_id!r} has no access edge")
             for kind, nodes in (("path node", self.path_nodes), ("PoI", self.poi_nodes)):
                 for node in nodes.values():
                     if not (math.isfinite(node.x) and math.isfinite(node.y)):
@@ -401,8 +403,9 @@ class SceneGraph(ObjectLayer):
                         raise ValueError(f"path node {node.id!r} {name}: must be positive "
                                          f"and finite, got {getattr(node, name)!r}")
             self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.static_edges)
-            self._network.bare = ObjectLayer()
-            self._network.bare._share_static(self)
+            bare = self._network.bare = ObjectLayer()
+            bare._share_static(self)
+            bare.version = 0  # nothing merges into it, so a plan on it never ages
 
     def _check_mutable_static(self):
         if self._network is not None:

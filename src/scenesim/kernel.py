@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .agents import (
     IDLE_AT_DEPOT,
-    PLANNER_OBSERVED,
+    PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
     WAITING,
@@ -66,6 +66,9 @@ class SimState:
         self.config = config
         self.truth = scenario.dynamic_copy()
         self.belief = ObservedGraph(self.truth)
+        # the layer every leg is planned on: a planner mode is a choice of layer
+        self.plan_layer = (self.truth.network.bare
+                           if config.fleet.planner_mode == PLANNER_STATIC else self.belief)
         self.clock = 0.0
         self.t_end = config.duration
         self._search_bound = config.drain_search_bound
@@ -94,7 +97,7 @@ class SimState:
         self.instances = instantiate_processes(keys, streams[:len(keys)])
 
         depot = self.truth.depot_id
-        self._depot_node = self.truth.access[depot][0] if depot is not None else None
+        self._depot_node = self.truth.access[depot] if depot is not None else None
         self.fleet = [
             Agent(
                 id=f"agent{i}",
@@ -193,26 +196,27 @@ class SimState:
         self.ledger.on_merge(t, obs, self.belief.merge_observation(obs))
 
     def _plan(self, agent: Agent, start: str, goal: str):
-        """Plan a leg on the configured planner's view: (path, cost).
+        """Plan a leg on ``plan_layer``: (path, cost).
 
-        The static planner plans on the network's object-free layer.  In
-        observed mode a leg the belief blocks is planned there instead, as
-        the en-route replan keeps its committed path: physics will decide,
-        and the agent waits where a node is truly full.
+        In observed mode a leg the belief blocks is planned on the network's
+        object-free layer instead, as the en-route replan keeps its committed
+        path: physics will decide, and the agent waits where a node is truly
+        full.  In static mode that is the layer already searched.
         """
         self.work["plans"] += 1
-        if self.config.fleet.planner_mode == PLANNER_OBSERVED:
-            try:
-                return plan_path(self.belief, start, goal, agent)
-            except Unreachable:
-                pass
-        return plan_path(self.truth.network.bare, start, goal, agent)
+        layer, bare = self.plan_layer, self.truth.network.bare
+        try:
+            return plan_path(layer, start, goal, agent)
+        except Unreachable:
+            if layer is bare:
+                raise
+        return plan_path(bare, start, goal, agent)
 
     def _commit(self, agent: Agent, path: list):
-        """Set the agent on ``path`` from its start, marked at the current belief."""
+        """Set the agent on ``path`` from its start, marked at the planning layer's version."""
         agent.path = path
         agent.path_index = 0
-        agent.plan_mark = self.belief.version
+        agent.plan_mark = self.plan_layer.version
 
     # -- process events ---------------------------------------------------------------
 
@@ -305,11 +309,10 @@ class SimState:
         agent.path_index += 1
         self._merge_observation(agent, t)
 
-        belief = self.belief
-        if (self.config.fleet.planner_mode == PLANNER_OBSERVED
-                and agent.plan_mark != belief.version
-                and node != agent.destination):
-            plan = cost_table(belief, agent).plans.get((agent.path[0], agent.destination))
+        # on ``bare``, whose version stays 0, no plan ever needs checking
+        layer = self.plan_layer
+        if agent.plan_mark != layer.version and node != agent.destination:
+            plan = cost_table(layer, agent).plans.get((agent.path[0], agent.destination))
             if plan is not None and plan[0] == tuple(agent.path):
                 # the belief still plans this path, so by the goal-rooted
                 # rule a replan would return the rest of it
@@ -317,11 +320,11 @@ class SimState:
             else:
                 self.work["replans"] += 1
                 try:
-                    agent.path = plan_path(belief, node, agent.destination, agent)[0]
+                    agent.path = plan_path(layer, node, agent.destination, agent)[0]
                     agent.path_index = 0
                 except Unreachable:
                     pass  # keep the committed path; physics will decide
-            agent.plan_mark = belief.version
+            agent.plan_mark = layer.version
 
         self._start_dwell_or_wait(agent, t)
 

@@ -12,6 +12,7 @@ geometry are synthetic placeholders.
 
 from __future__ import annotations
 
+import bisect
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -181,21 +182,42 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         added.add(key)
         graph.add_adjacency_edge(a, b, l)
 
-    path_ids = sorted(component)
+    by_x = sorted((positions[nid][0], nid) for nid in component)
     for poi_id, pos, cls in pois:
         graph.add_poi_node(PoiNode(
             id=poi_id, x=pos[0], y=pos[1], semantic_class=cls,
             is_depot=(poi_id == depot_id),
         ))
-        nearest = min(
-            path_ids,
-            key=lambda nid: (math.dist(pos, positions[nid]), nid),
-        )
+        nearest = _nearest(by_x, positions, pos)
         length = max(math.dist(pos, positions[nearest]), 0.1)
         graph.add_access_edge(poi_id, nearest, length)
 
     graph.freeze_static()
     return graph
+
+
+def _nearest(by_x: list, positions: dict, pos: tuple) -> str:
+    """The node least in ``(math.dist(pos, node), id)``, from ``by_x``: (x, id) sorted.
+
+    No distance is below its x offset, so the search walks out from ``pos``'s
+    x both ways until every untested node lies farther along x than the best
+    distance (by a margin against rounding): none of them can win or tie.
+    """
+    px, dist, inf = pos[0], math.dist, math.inf
+    best = (inf, "")
+    hi = bisect.bisect_left(by_x, (px,))
+    lo = hi - 1
+    while True:
+        left = px - by_x[lo][0] if lo >= 0 else inf
+        right = by_x[hi][0] - px if hi < len(by_x) else inf
+        step = min(left, right)
+        if step == inf or step > best[0] * (1 + 1e-9):
+            return best[1]
+        if left <= right:
+            nid, lo = by_x[lo][1], lo - 1
+        else:
+            nid, hi = by_x[hi][1], hi + 1
+        best = min(best, (dist(pos, positions[nid]), nid))
 
 
 def _is_pedestrian(tags: dict) -> bool:

@@ -14,8 +14,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .graph import ObjectNode, SceneGraph
 from .routing import nearest_matching_node
-from .stochastic import (RandomStream, RateProfile, balanced_mean_lifetime,
-                         bernoulli, sample_exponential)
+from .stochastic import RandomStream, RateProfile, balanced_mean_lifetime
 
 DEFAULT_SEARCH_BOUND = 300.0
 
@@ -25,9 +24,28 @@ DISCARDED_PRIVATE = "discarded_private"
 DISCARDED_CAPACITY = "discarded_capacity"
 
 
+def spec_violations(lifetime_mean, target_population, sidewalk_probability) -> list[str]:
+    """A process's faulty durations and probability, each as ``"<field>: <problem>"``.
+
+    An infinite mean or population is allowed; NaN fails every comparison.
+    """
+    faults = [f"{key}: must be positive"
+              for key, mean in (("lifetime_mean", lifetime_mean),
+                                ("target_population", target_population))
+              if mean is not None and not mean > 0]
+    if not 0.0 <= sidewalk_probability <= 1.0:
+        faults.append("sidewalk_probability: outside [0, 1]")
+    if (lifetime_mean is None) == (target_population is None):
+        faults.append("lifetime_mean/target_population: exactly one must be set")
+    return faults
+
+
 @dataclass
 class ProcessSpec:
-    """Declares one object-spawning rule for a set of place classes."""
+    """Declares one object-spawning rule for a set of place classes.
+
+    ``spec_violations`` is checked here, so a drain draws without checking.
+    """
 
     name: str
     source_classes: frozenset
@@ -39,11 +57,10 @@ class ProcessSpec:
     target_population: float | None = None
 
     def __post_init__(self):
-        if (self.lifetime_mean is None) == (self.target_population is None):
-            raise ValidationError(
-                [f"process {self.name!r}: exactly one of lifetime_mean/"
-                 f"target_population must be set"]
-            )
+        faults = spec_violations(self.lifetime_mean, self.target_population,
+                                 self.sidewalk_probability)
+        if faults:
+            raise ValidationError([f"process {self.name!r}: {fault}" for fault in faults])
 
 
 class DrainOutcome(NamedTuple):
@@ -63,7 +80,7 @@ class ProcessInstance:
     poi_id: str
     object_class: str
     stream: RandomStream
-    lifetime_mean: float = 0.0
+    lifetime_mean: float
     _bound = None  # (graph, *the drain's inputs from it); not a field
 
     def drain(self, t: float, graph: SceneGraph, object_id: str,
@@ -79,22 +96,25 @@ class ProcessInstance:
         sidewalk uniform, then the lifetime, then the caller's next inter-arrival.
         The search's inputs are bound to ``graph`` on the first drain into it.
         """
-        if not bernoulli(self.spec.sidewalk_probability, self.stream):
+        stream = self.stream
+        if not stream.uniform() < self.spec.sidewalk_probability:
             return _PRIVATE
         bound = self._bound
         if bound is None or bound[0] is not graph:
             network, cls = graph.network, self.object_class
             slots, counts = network.slots(cls), graph.occupied(cls)
             bound = self._bound = (graph, network.neighbours, network.ids, slots, counts,
-                                   network.index[graph.access[self.poi_id][0]],
+                                   network.index[graph.access[self.poi_id]],
                                    lambda i: counts[i] < slots[i])
         _, neighbours, ids, slots, counts, start, has_room = bound
         target = nearest_matching_node(neighbours, start, has_room, search_bound)
         if target is None:
             return _FULL
+        lifetime = stream.exponential(self.lifetime_mean)
+        while not lifetime > 0.0:  # a lifetime is strictly positive
+            lifetime = stream.exponential(self.lifetime_mean)
         # tuple.__new__ skips the named tuples' Python-level __new__
-        obj = tuple.__new__(ObjectNode, (object_id, self.object_class, t,
-                                         sample_exponential(self.lifetime_mean, self.stream),
+        obj = tuple.__new__(ObjectNode, (object_id, self.object_class, t, lifetime,
                                          self.spec.footprint_area, ids[target]))
         graph._attach(obj, target, slots, counts)
         return tuple.__new__(DrainOutcome, (ATTACHED, obj))
@@ -116,20 +136,12 @@ def instantiate_processes(keys: list[tuple], streams) -> list[ProcessInstance]:
     summed over every instance spawning it, weighted by sidewalk probability
     (privately discarded objects never enter the graph).
     """
-    instances = [ProcessInstance(spec=spec, poi_id=poi_id, object_class=cls, stream=stream)
-                 for (spec, poi_id, cls), stream in zip(keys, streams)]
-
     # aggregate effective arrival rate per object class, in 1/s
     class_rate: dict[str, float] = {}
-    for inst in instances:
-        rate = inst.spec.rate_profile.mean_rate_per_second * inst.spec.sidewalk_probability
-        class_rate[inst.object_class] = class_rate.get(inst.object_class, 0.0) + rate
-
-    for inst in instances:
-        if inst.spec.lifetime_mean is not None:
-            inst.lifetime_mean = inst.spec.lifetime_mean
-        else:
-            inst.lifetime_mean = balanced_mean_lifetime(
-                class_rate[inst.object_class], inst.spec.target_population
-            )
-    return instances
+    for spec, _, cls in keys:
+        rate = spec.rate_profile.mean_rate_per_second * spec.sidewalk_probability
+        class_rate[cls] = class_rate.get(cls, 0.0) + rate
+    return [ProcessInstance(spec, poi_id, cls, stream, spec.lifetime_mean
+                            if spec.lifetime_mean is not None
+                            else balanced_mean_lifetime(class_rate[cls], spec.target_population))
+            for (spec, poi_id, cls), stream in zip(keys, streams)]

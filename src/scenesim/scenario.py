@@ -19,7 +19,7 @@ from .agents import PLANNER_MODES
 from .config import FleetConfig, SimConfig, TaskSpec
 from .errors import ParseError, ValidationError
 from .graph import EDGE_ADJACENCY, ClassRegistry, PathNode, PoiNode, SceneGraph
-from .processes import ProcessSpec
+from .processes import ProcessSpec, spec_violations
 from .routing import components
 from .stochastic import RateProfile
 
@@ -308,14 +308,14 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             profile = RateProfile(tuple(rates(spec, where)))
             footprint = float(spec["footprint_area"])
             positive(f"{where}.footprint_area", footprint, finite=True)
-            # an infinite mean lifetime or population is allowed
             means = {key: float(spec[key]) for key in ("lifetime_mean", "target_population")
                      if spec.get(key) is not None}
-            for key, mean in means.items():
-                positive(f"{where}.{key}", mean)
             sidewalk_p = float(spec.get("sidewalk_probability", 1.0))
-            if not 0.0 <= sidewalk_p <= 1.0:
-                violations.append(f"{where}.sidewalk_probability: outside [0, 1]")
+            faults = spec_violations(means.get("lifetime_mean"),
+                                     means.get("target_population"), sidewalk_p)
+            if faults:  # reported keyed by field here, so the spec is not built to raise them
+                violations.extend(f"{where}.{fault}" for fault in faults)
+                continue
             processes.append(ProcessSpec(
                 name=name,
                 source_classes=source_classes,
@@ -325,8 +325,6 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
                 sidewalk_probability=sidewalk_p,
                 **means,
             ))
-        except ValidationError as exc:
-            violations.extend(f"{where}: {v}" for v in exc.violations)
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 

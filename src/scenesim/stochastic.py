@@ -1,4 +1,4 @@
-"""Seeded random streams and the arrival/lifetime sampling primitives.
+"""Seeded random streams, the arrival sampler and the lifetime balance.
 
 Each process/agent/task source owns an independent stream derived from
 (replication seed, stream identity), so event interleaving never perturbs
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMean, InvalidProbability, InvalidRate, ZeroRate
+from .errors import InvalidRate, ZeroRate
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -163,36 +163,19 @@ class RandomStream:
     def _start(self, stream_id, rng):
         self.stream_id = stream_id
         self._rng = rng
-        self._uniforms = ()
-        self._u_next = 0
-        self._exponentials = ()
-        self._e_next = 0
+        # each kind's batch, reversed: the next value is the last item
+        self._uniforms = []
+        self._exponentials = []
 
     def uniform(self) -> float:
-        if self._u_next >= len(self._uniforms):
-            self._uniforms = self._rng.random(self._BATCH).tolist()
-            self._u_next = 0
-        value = self._uniforms[self._u_next]
-        self._u_next += 1
-        return value
+        if not self._uniforms:
+            self._uniforms = self._rng.random(self._BATCH)[::-1].tolist()
+        return self._uniforms.pop()
 
     def exponential(self, mean: float) -> float:
-        if self._e_next >= len(self._exponentials):
-            self._exponentials = self._rng.standard_exponential(self._BATCH).tolist()
-            self._e_next = 0
-        value = self._exponentials[self._e_next]
-        self._e_next += 1
-        return value * mean
-
-
-def sample_exponential(mean: float, stream: RandomStream) -> float:
-    """Strictly positive draw from Exp(mean)."""
-    if mean <= 0:
-        raise InvalidMean(f"mean must be positive, got {mean}")
-    while True:
-        x = stream.exponential(mean)
-        if x > 0.0:
-            return x
+        if not self._exponentials:
+            self._exponentials = self._rng.standard_exponential(self._BATCH)[::-1].tolist()
+        return self._exponentials.pop() * mean
 
 
 def next_nhpp_interarrival(profile: RateProfile, t_now: float, stream: RandomStream) -> float:
@@ -224,12 +207,9 @@ def balanced_mean_lifetime(total_arrival_rate: float, target_population: float) 
     """
     if total_arrival_rate <= 0:
         raise InvalidRate(f"aggregate rate must be positive, got {total_arrival_rate}")
-    if target_population <= 0:
-        raise InvalidRate(f"target population must be positive, got {target_population}")
-    return target_population / total_arrival_rate
+    mean = target_population / total_arrival_rate
+    if not mean > 0:  # a non-positive target, or a quotient that underflowed
+        raise InvalidRate(f"mean lifetime {target_population} / {total_arrival_rate}"
+                          f" must be positive, got {mean}")
+    return mean
 
-
-def bernoulli(p: float, stream: RandomStream) -> bool:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProbability(f"p must be in [0, 1], got {p}")
-    return stream.uniform() < p

@@ -378,7 +378,7 @@ def test_11_importer_golden(tmp_path, capsys):
         and sorted(graph.poi_nodes) == ["p20"]
         and graph.depot_id == "p20"
         and graph.poi_nodes["p20"].semantic_class == "housing"
-        and graph.access["p20"][0] == "w10s0i1"
+        and graph.access["p20"] == "w10s0i1"
         and sum(len(v) for v in id_adjacency(graph).values()) == 6
     )
 

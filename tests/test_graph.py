@@ -811,6 +811,26 @@ class TestStaticNetwork:
         with pytest.raises(ValueError, match="freeze the static subgraph first"):
             graph.network
 
+    def test_freeze_rejects_a_poi_without_access_edge(self):
+        # a drain and a plan resolve a PoI through its access edge: a graph
+        # built in code without one used to freeze, then fail at its first
+        # spawn inside a run
+        graph = SceneGraph()
+        for nid, x in (("a", 0.0), ("b", 10.0), ("c", 20.0)):
+            graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {"car": 1}, 4.0, 2.0))
+        graph.add_adjacency_edge("a", "b", 10.0)
+        graph.add_adjacency_edge("b", "c", 10.0)
+        graph.add_poi_node(PoiNode("d", 0.0, 3.0, "work", is_depot=True))
+        graph.add_access_edge("d", "a", 3.0)
+        graph.add_poi_node(PoiNode("h", 20.0, 3.0, "housing"))
+        with pytest.raises(ValueError, match="^PoI 'h' has no access edge$"):
+            graph.freeze_static()
+        with pytest.raises(ValueError, match="freeze the static subgraph first"):
+            graph.network
+        graph.add_access_edge("h", "c", 3.0)
+        graph.freeze_static()
+        assert graph.access == {"d": "a", "h": "c"}
+
     def test_unfrozen_graph_has_no_network(self):
         graph = SceneGraph()
         graph.add_path_node(PathNode("x", 0, 0, "sidewalk", {}, 1.0, 2.0))

@@ -335,11 +335,9 @@ class TestTasks:
         (task,) = state.ledger.tasks
         assert task.t_completed == pytest.approx(task.t_pred, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["static", "observed"])
-    def test_unreachable_task_is_dropped(self, mode):
-        # line a-b-c whose last sidewalk, c, is narrower than the 0.5 m
-        # agents: a task at c's PoI is dropped and counted, and the agent
-        # that drew it takes the next task
+    @staticmethod
+    def narrow_end():
+        """Line a-b-c with a depot at a and housing PoIs at b and c, where c is 0.4 m wide."""
         graph = SceneGraph()
         for nid, x, width in (("a", 0.0, 2.0), ("b", 10.0, 2.0), ("c", 20.0, 0.4)):
             graph.add_path_node(PathNode(nid, x, 0.0, "sidewalk", {"car": 1}, 5.0, width))
@@ -350,6 +348,14 @@ class TestTasks:
             graph.add_poi_node(PoiNode(pid, x, 3.0, cls, is_depot=pid == "depot"))
             graph.add_access_edge(pid, node, 3.0)
         graph.freeze_static()
+        return graph
+
+    @pytest.mark.parametrize("mode", ["static", "observed"])
+    def test_unreachable_task_is_dropped(self, mode):
+        # line a-b-c whose last sidewalk, c, is narrower than the 0.5 m
+        # agents: a task at c's PoI is dropped and counted, and the agent
+        # that drew it takes the next task
+        graph = self.narrow_end()
         fleet = FleetConfig(count=2, planner_mode=mode)
         state = SimState(graph, self.task_config(fleet=fleet), seed=3)
         first, second = state.fleet
@@ -361,6 +367,31 @@ class TestTasks:
         c = state.ledger.counters
         assert c["tasks_unreachable"] > 1 and c["tasks_completed"] > 1
         assert {task.target_poi for task in state.ledger.tasks} == {"near"}
+
+    @pytest.mark.parametrize("mode", ["static", "observed"])
+    def test_legs_plan_on_the_layer_chosen_at_set_up(self, mode, monkeypatch):
+        # static mode plans on the object-free layer, whose version stays 0,
+        # and searches an unreachable leg there once; observed mode plans on
+        # the belief and falls back to that layer once
+        searched = []
+
+        def recording(view, start, goal, agent):
+            searched.append((view, goal))
+            return plan_path(view, start, goal, agent)
+
+        monkeypatch.setattr("scenesim.kernel.plan_path", recording)
+        state = SimState(self.narrow_end(), self.task_config(
+            fleet=FleetConfig(count=1, planner_mode=mode)), seed=3)
+        bare = state.truth.network.bare
+        assert state.plan_layer is (bare if mode == "static" else state.belief)
+        assert bare.version == 0
+        agent = state.fleet[0]
+        state._assign(0.0, agent, Task("t0", "far", 0.0))
+        want = [bare] if mode == "static" else [state.belief, bare]
+        assert searched == [(view, "far") for view in want]
+        assert state.ledger.counters["tasks_unreachable"] == 1 and state.work["plans"] == 1
+        state._assign(0.0, agent, Task("t1", "near", 0.0))
+        assert agent.plan_mark == state.plan_layer.version
 
     def test_tasks_queue_when_fleet_busy(self):
         scenario = line_scenario(12, pois=((11, "housing"),))

@@ -1,10 +1,12 @@
 """OpenStreetMap import: golden micro-extracts with hand-computed geometry."""
 
 import math
+import random
 
 import pytest
 
 from scenesim.errors import EmptyNetwork, MalformedXml, NoDepotCandidate
+from scenesim.graph import EDGE_ACCESS
 from scenesim.osm import EARTH_RADIUS_M, ImportParams, import_osm
 from scenesim.scenario import load_scenario, save_scenario
 from conftest import id_adjacency
@@ -87,10 +89,11 @@ class TestGoldenFootway:
         assert graph.poi_nodes["p20"].is_depot
 
     def test_access_edge_to_nearest_path_node(self, graph):
-        node, length = graph.access["p20"]
-        assert node == "w10s0i1"
+        assert graph.access["p20"] == "w10s0i1"
+        (edge,) = [e for e in graph.static_edges if e.kind == EDGE_ACCESS]
+        assert (edge.u, edge.v) == ("p20", "w10s0i1")
         expected = math.hypot(23.0 - 50.0 / 3.0, 6.0)
-        assert length == pytest.approx(expected, rel=1e-6)
+        assert edge.length == pytest.approx(expected, rel=1e-6)
 
     def test_sidewalk_geometry_and_capacity(self, graph):
         node = graph.path_nodes["n1"]
@@ -99,6 +102,40 @@ class TestGoldenFootway:
         assert node.capacity == {"car": 2, "bicycle": 4, "trashcan": 1}
         # incident-mean segment length: n1 touches one 16.67 m segment
         assert node.segment_length == pytest.approx(50.0 / 3.0, rel=1e-6)
+
+
+class TestNearestAccessNode:
+    def test_every_access_edge_is_the_brute_force_nearest(self, tmp_path):
+        # a footway grid symmetric about the centre, its node ids shuffled
+        # against position, and a PoI on every point of the half-step
+        # lattice: a PoI on an axis lies exactly as far from two or four
+        # path nodes, and the least (distance, id) must win
+        n, s = 4, 10.0
+        coords = [(k + 0.5) * s for k in range(-n, n)]
+        ids = random.Random(1).sample(range(1, 1000), len(coords) ** 2)
+        grid = {(c, r): ids[r * len(coords) + c]
+                for c in range(len(coords)) for r in range(len(coords))}
+        nodes = {nid: (coords[c], coords[r]) for (c, r), nid in grid.items()}
+        ways = {}
+        for k in range(len(coords)):
+            ways[2000 + k] = ([grid[c, k] for c in range(len(coords))], {"highway": "footway"})
+            ways[3000 + k] = ([grid[k, r] for r in range(len(coords))], {"highway": "footway"})
+        lattice = [a * s / 2 for a in range(-2 * n, 2 * n + 1)]
+        pois = {5000 + k: (x, y, {"amenity": "cafe"})
+                for k, (x, y) in enumerate((x, y) for x in lattice for y in lattice)}
+        graph = import_osm(write(tmp_path, osm_xml({**nodes, **pois}, ways)),
+                           center=(0.0, 0.0), radius=1000.0)
+        assert len(graph.path_nodes) == len(nodes) and len(graph.poi_nodes) == len(pois)
+        lengths = {e.u: (e.v, e.length) for e in graph.static_edges if e.kind == EDGE_ACCESS}
+        ties = 0
+        for pid, poi in graph.poi_nodes.items():
+            ranked = sorted((math.dist((poi.x, poi.y), (p.x, p.y)), nid)
+                            for nid, p in graph.path_nodes.items())
+            (d, nearest), (d2, _) = ranked[:2]
+            assert graph.access[pid] == nearest, pid
+            assert lengths[pid] == (nearest, max(d, 0.1))
+            ties += d2 == d
+        assert ties >= 2 * len(lattice) - 1  # every PoI on either axis
 
 
 class TestFiltersAndPruning:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenesim.processes
-from scenesim.errors import CapacityExceeded, DuplicateId, ValidationError
+from scenesim.errors import CapacityExceeded, DuplicateId, InvalidRate, ValidationError
 from scenesim.graph import ObjectNode, PathNode, PoiNode, SceneGraph
 from scenesim.processes import (
     ATTACHED,
@@ -18,7 +18,7 @@ from scenesim.processes import (
     ProcessInstance,
     ProcessSpec,
 )
-from scenesim.stochastic import RateProfile, RandomStream, sample_exponential
+from scenesim.stochastic import RateProfile, RandomStream
 from scenesim.synthetic import grid_scenario, line_scenario
 from conftest import id_adjacency, seeded_processes
 from test_routing import reference_nearest
@@ -37,12 +37,52 @@ def make_spec(**overrides):
     return ProcessSpec(**base)
 
 
+class Variates:
+    """A stand-in stream serving scripted standard variates, scaled as ``RandomStream``'s."""
+
+    def __init__(self, uniforms, exponentials):
+        self.uniforms, self.exponentials = iter(uniforms), iter(exponentials)
+
+    def uniform(self):
+        return next(self.uniforms)
+
+    def exponential(self, mean):
+        return next(self.exponentials) * mean
+
+
 class TestSpecValidation:
     def test_needs_exactly_one_duration_parameter(self):
         with pytest.raises(ValidationError):
             make_spec(lifetime_mean=None)
         with pytest.raises(ValidationError):
             make_spec(target_population=25.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sidewalk_probability", 1.5), ("sidewalk_probability", -0.1),
+        ("sidewalk_probability", math.nan),
+        ("lifetime_mean", 0.0), ("lifetime_mean", -1.0), ("lifetime_mean", math.nan),
+    ])
+    def test_bad_probability_or_mean_rejected_at_construction(self, field, value):
+        # a drain draws without checking either, so a spec built in code is
+        # checked where it is built, not at its first spawn inside a run
+        with pytest.raises(ValidationError) as exc:
+            make_spec(**{field: value})
+        (violation,) = exc.value.violations
+        assert violation.startswith("process 'parked-cars': ") and field in violation
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_bad_target_population_rejected_at_construction(self, value):
+        with pytest.raises(ValidationError) as exc:
+            make_spec(lifetime_mean=None, target_population=value)
+        assert exc.value.violations == [
+            "process 'parked-cars': target_population: must be positive"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("sidewalk_probability", 0.0), ("sidewalk_probability", 1.0),
+        ("lifetime_mean", math.inf), ("lifetime_mean", 1e-300),
+    ])
+    def test_edge_values_accepted(self, field, value):
+        assert getattr(make_spec(**{field: value}), field) == value
 
 
 class TestInstantiation:
@@ -64,6 +104,12 @@ class TestInstantiation:
         a, b = seeded_processes(graph, [make_spec()], seed=1)
         assert a.stream.uniform() != b.stream.uniform()
 
+    def test_instance_is_built_with_its_lifetime_mean(self):
+        # a drain redraws until a lifetime is positive, so an instance has no
+        # default mean of 0 to draw from forever
+        with pytest.raises(TypeError):
+            ProcessInstance(make_spec(), "poi0", "car", RandomStream(1, "x"))
+
     def test_explicit_lifetime_mean_passes_through(self):
         graph = line_scenario(3, pois=((1, "housing"),))
         (inst,) = seeded_processes(graph, [make_spec(lifetime_mean=1234.0)], seed=1)
@@ -79,6 +125,16 @@ class TestInstantiation:
         instances = seeded_processes(graph, [spec], seed=1)
         for inst in instances:
             assert inst.lifetime_mean == pytest.approx(30.0 * 3600.0)
+
+
+    def test_balanced_mean_that_underflows_is_rejected_at_set_up(self):
+        # 1e-320 cars over 1e10 arrivals an hour balance to a mean of 0 s,
+        # from which a drain would redraw its lifetime forever
+        graph = line_scenario(3, pois=((1, "housing"),))
+        spec = make_spec(lifetime_mean=None, target_population=1e-320,
+                         rate_profile=RateProfile.constant(1e10))
+        with pytest.raises(InvalidRate, match="must be positive, got 0.0"):
+            seeded_processes(graph, [spec], seed=1)
 
 
 class TestDrain:
@@ -98,7 +154,7 @@ class TestDrain:
         out = inst.drain(0.0, graph, "obj0")
         assert graph.objects["obj0"] is out.obj
         twin.uniform()
-        assert out.obj.t_lifetime == sample_exponential(inst.lifetime_mean, twin)
+        assert out.obj.t_lifetime == twin.exponential(inst.lifetime_mean) > 0.0
 
     def test_skips_full_nodes_to_nearest_free(self):
         graph = line_scenario(5, capacity={"car": 1}, pois=((2, "housing"),))
@@ -115,6 +171,37 @@ class TestDrain:
         out = inst.drain(0.0, graph, "obj0")
         assert out.status == DISCARDED_PRIVATE and out.obj is None
         assert not graph.objects
+
+    @pytest.mark.parametrize("p, status", [(1.0, ATTACHED), (0.0, DISCARDED_PRIVATE)])
+    def test_degenerate_probabilities(self, p, status):
+        graph = line_scenario(3, capacity={"car": 100}, pois=((1, "housing"),))
+        (inst,) = seeded_processes(graph, [make_spec(sidewalk_probability=p)], seed=1)
+        assert {inst.drain(0.0, graph, f"o{k}").status for k in range(100)} == {status}
+
+    def test_sidewalk_uniform_must_fall_below_p(self):
+        # the object enters the graph iff the sidewalk uniform is below p
+        graph = line_scenario(3, pois=((1, "housing"),))
+        inst = ProcessInstance(make_spec(sidewalk_probability=0.25), "poi0", "car",
+                               Variates([0.25, 0.2499999, 0.5, 0.0], [1.0] * 4),
+                               lifetime_mean=60.0)
+        statuses = [inst.drain(0.0, graph, f"o{k}").status for k in range(4)]
+        assert statuses == [DISCARDED_PRIVATE, ATTACHED, DISCARDED_PRIVATE, ATTACHED]
+
+    def test_sidewalk_frequency(self):
+        graph = line_scenario(3, capacity={"car": 0}, pois=((1, "housing"),))
+        (inst,) = seeded_processes(graph, [make_spec(sidewalk_probability=0.4)], seed=2)
+        statuses = Counter(inst.drain(0.0, graph, f"o{k}").status for k in range(100_000))
+        assert set(statuses) == {DISCARDED_PRIVATE, DISCARDED_CAPACITY}
+        assert 0.39 <= statuses[DISCARDED_CAPACITY] / 100_000 <= 0.41
+
+    @pytest.mark.parametrize("mean, lifetime", [(60.0, 120.0), (math.inf, math.inf)])
+    def test_lifetime_draws_are_strictly_positive(self, mean, lifetime):
+        # a zero draw is redrawn: it is 0 s, or NaN (0 * inf) under an infinite mean
+        stream = Variates([0.0], [0.0, 0.0, 2.0])
+        inst = ProcessInstance(make_spec(lifetime_mean=mean), "poi0", "car", stream,
+                               lifetime_mean=mean)
+        graph = line_scenario(3, pois=((1, "housing"),))
+        assert inst.drain(0.0, graph, "o0").obj.t_lifetime == lifetime
 
     def test_exhausted_bound_discards(self):
         graph = line_scenario(3, capacity={"car": 0}, pois=((1, "housing"),))
@@ -144,7 +231,7 @@ class TestDrain:
         instances = seeded_processes(graph, [spec], seed=seed)
         inst = instances[int(rng.uniform() * len(instances))]
 
-        start, _ = graph.access[inst.poi_id]
+        start = graph.access[inst.poi_id]
         adjacency = id_adjacency(graph)
         dist = {start: 0.0}
         heap = [(0.0, start)]
@@ -178,7 +265,7 @@ class TestDrainBinding:
         # Every draw is 60 s, so each instance's lifetimes are all equal.
         scenario = grid_scenario(4, 4, capacity={"car": 1}, poi_every=5)
         poi = sorted(scenario.poi_nodes)[0]
-        access = scenario.access[poi][0]
+        access = scenario.access[poi]
 
         def copies():
             first, second = scenario.dynamic_copy(), scenario.dynamic_copy()
@@ -306,7 +393,7 @@ def test_slot_arrays_match_recount_and_reference_drain(case):
                 want_tested.append(nid)
                 return recount[(nid, cls)] < truth.path_nodes[nid].capacity.get(cls, 0)
 
-            want = reference_nearest(adjacency, truth.access[poi][0], has_room, extra)
+            want = reference_nearest(adjacency, truth.access[poi], has_room, extra)
             tested.clear()
             inst = ProcessInstance(spec, poi, cls, stream, lifetime_mean=60.0)
             with mock.patch.object(scenesim.processes, "nearest_matching_node",

@@ -84,7 +84,8 @@ class TestScenarioRoundTrip:
     def test_minimal_dict_loads(self):
         graph = scenario_from_dict(scenario_dict())
         assert graph.depot_id == "d"
-        assert graph.access["d"] == ("p0", 5.0)
+        assert graph.access["d"] == "p0"
+        assert ("access", "d", "p0", False, 5.0) in graph.static_edges
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -618,6 +619,15 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             config_from_dict(data)
         assert exc.value.violations == [f"{field}: {message}"]
+
+    def test_bad_mean_and_both_durations_each_reported(self):
+        data = config_dict()
+        data["processes"][0].update(lifetime_mean=-5.0, target_population=10.0)
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == [
+            "processes[0].lifetime_mean: must be positive",
+            "processes[0].lifetime_mean/target_population: exactly one must be set"]
 
     def test_infinite_means_radius_and_bound_accepted(self):
         data = config_dict(fleet={"sensor_radius": float("inf")},

@@ -12,19 +12,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import scenesim
-from scenesim.errors import InvalidMean, InvalidProbability, InvalidRate, ZeroRate
+from scenesim.errors import InvalidRate, ZeroRate
 from scenesim.stochastic import (
     RandomStream,
     RateProfile,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     balanced_mean_lifetime,
-    bernoulli,
     _stable_key,
     next_nhpp_interarrival,
     pcg64_seeds,
     random_streams,
-    sample_exponential,
 )
 
 
@@ -233,20 +231,18 @@ class TestNhpp:
 
 
 class TestExponential:
+    # a drain's lifetime is the first strictly positive of these draws, and a
+    # spec rejects a mean that is not positive: see tests/test_processes.py
     def test_lln_mean(self):
         stream = RandomStream(5, "exp")
-        draws = [sample_exponential(3600.0, stream) for _ in range(100_000)]
+        draws = [stream.exponential(3600.0) for _ in range(100_000)]
         assert 3550.0 <= np.mean(draws) <= 3650.0
         assert min(draws) > 0.0
-
-    def test_invalid_mean(self):
-        with pytest.raises(InvalidMean):
-            sample_exponential(0.0, RandomStream(1, "x"))
 
     def test_memorylessness(self):
         stream = RandomStream(9, "memoryless")
         mean = 100.0
-        draws = np.array([sample_exponential(mean, stream) for _ in range(200_000)])
+        draws = np.array([stream.exponential(mean) for _ in range(200_000)])
         s, t = 50.0, 80.0
         survivors = draws[draws > s]
         p_cond = np.mean(survivors > s + t)
@@ -306,6 +302,32 @@ class TestSeeding:
             assert row.tolist() == ref.generate_state(4, np.uint64).tolist(), key
         assert pcg64_seeds(seed, []).shape == (0, 4)
 
+    @pytest.mark.parametrize("seed", [1, 2**63 - 1])
+    def test_mixed_draws_refill_each_kind_in_batches_of_16(self, seed):
+        # each kind refills with its next 16 variates when a call finds its
+        # batch spent, so a reference generator that draws 16 of a kind at
+        # each such call serves the same sequence; 5 scripted runs of each
+        # kind cross both kinds' batch boundaries several times
+        sid = ("process", "cars", "poi0", "car")
+        (stream,) = random_streams(seed, [sid])
+        ref = np.random.Generator(self.reference(seed, _stable_key(sid)))
+        uniforms, exponentials, got, want = [], [], [], []
+        for k, (kind, run) in enumerate([("u", 3), ("e", 17), ("u", 20), ("e", 1), ("u", 9),
+                                         ("e", 30), ("u", 16), ("e", 16), ("u", 1), ("e", 2)]):
+            mean = 10.0 * (k + 1)
+            for _ in range(run):
+                if kind == "u":
+                    got.append(stream.uniform())
+                    if not uniforms:
+                        uniforms = ref.random(16).tolist()
+                    want.append(uniforms.pop(0))
+                else:
+                    got.append(stream.exponential(mean))
+                    if not exponentials:
+                        exponentials = ref.standard_exponential(16).tolist()
+                    want.append(exponentials.pop(0) * mean)
+        assert len(got) == 115 and got == want
+
     def test_a_lone_stream_is_a_batch_of_one(self):
         ids = ["a", ("task", "visits", "p1"), ("process", "cars", "p2", "car")]
         for sid, batched in zip(ids, random_streams(7, ids)):
@@ -348,18 +370,10 @@ class TestBalance:
         with pytest.raises(InvalidRate):
             balanced_mean_lifetime(0.01, 0)
 
+    @pytest.mark.parametrize("rate, target", [(1e10, 1e-320), (math.inf, 1.0),
+                                              (math.inf, math.inf)])
+    def test_mean_that_is_not_positive(self, rate, target):
+        # an underflowed quotient, or an overflowed rate, is no mean lifetime
+        with pytest.raises(InvalidRate):
+            balanced_mean_lifetime(rate, target)
 
-class TestBernoulli:
-    @pytest.mark.parametrize("p,expected", [(1.0, True), (0.0, False)])
-    def test_degenerate(self, p, expected):
-        stream = RandomStream(1, "bern")
-        assert all(bernoulli(p, stream) is expected for _ in range(100))
-
-    def test_frequency(self):
-        stream = RandomStream(2, "bern-freq")
-        hits = sum(bernoulli(0.4, stream) for _ in range(100_000))
-        assert 0.39 <= hits / 100_000 <= 0.41
-
-    def test_invalid_probability(self):
-        with pytest.raises(InvalidProbability):
-            bernoulli(1.5, RandomStream(1, "x"))
