@@ -97,6 +97,15 @@ class Observation(NamedTuple):
     poi_nodes: frozenset[str]
 
 
+def cells(points, side: float) -> dict[tuple[int, int], list]:
+    """The ``(id, x, y)`` points by cell ``(floor(x / side), floor(y / side))``, in input order."""
+    grid: dict[tuple[int, int], list] = {}
+    for point in points:
+        _, x, y = point
+        grid.setdefault((math.floor(x / side), math.floor(y / side)), []).append(point)
+    return grid
+
+
 def _scan(path_nodes, poi_nodes, cx: float, cy: float, r: float) -> Observation:
     """The view strictly within distance r of (cx, cy), by full scan."""
     return Observation(
@@ -116,10 +125,10 @@ class StaticNetwork:
 
     Sensor views are memoized the same way: :meth:`visible` maps (path node
     id, radius) to that node's :class:`Observation`, the one record every
-    graph gets for the run.  A miss is answered from a uniform grid of cell
-    side r built on the first miss for that radius, whose neighbouring cells
-    hold every candidate.  A zero or non-finite radius, or one too small for
-    the coordinates' precision, falls back to the full scan.
+    graph gets for the run.  A miss is answered from :func:`cells` of side r,
+    one grid per node kind built on the first miss at that radius.  A zero
+    or non-finite radius, or one too small for the coordinates' precision,
+    falls back to the full scan.
 
     ``bare``, set by :meth:`SceneGraph.freeze_static`, is the object layer
     over the same static stores that holds no objects: the static planner's.
@@ -133,8 +142,8 @@ class StaticNetwork:
         self._edges = edges
         self._slots: dict[str, list[int]] = {}
         self._visible: dict[tuple[str, float], Observation] = {}
-        # radius -> (cell x, cell y) -> ([path (id, x, y)], [PoI (id, x, y)])
-        self._grids: dict[float, dict] = {}
+        # radius -> [path node cells, PoI cells]
+        self._grids: dict[float, list[dict]] = {}
 
     @cached_property
     def ids(self) -> list[str]:
@@ -213,17 +222,6 @@ class StaticNetwork:
             self._visible[key] = hit
         return hit
 
-    def _grid(self, r: float) -> dict:
-        grid = self._grids.get(r)
-        if grid is None:
-            grid = {}
-            for kind, nodes in enumerate((self._path_nodes, self._poi_nodes)):
-                for n in nodes.values():
-                    cell = (math.floor(n.x / r), math.floor(n.y / r))
-                    grid.setdefault(cell, ([], []))[kind].append((n.id, n.x, n.y))
-            self._grids[r] = grid  # stored only once complete
-        return grid
-
     def _grid_scan(self, cx: float, cy: float, r: float):
         """Grid answer for a finite r > 0, or None when r is too small for it."""
         # A node strictly inside the radius lies in [c - r, c + r] on each
@@ -231,21 +229,21 @@ class StaticNetwork:
         # neighbourhood, with rounding at cell borders covered.  When c / r
         # overflows or loses the units digit, the span is not a few cells.
         try:
-            grid = self._grid(r)
+            if r not in self._grids:
+                self._grids[r] = [cells([(n.id, n.x, n.y) for n in nodes.values()], r)
+                                  for nodes in (self._path_nodes, self._poi_nodes)]
             x0, x1 = math.floor((cx - r) / r), math.floor((cx + r) / r)
             y0, y1 = math.floor((cy - r) / r), math.floor((cy + r) / r)
         except OverflowError:
             return None
         if x1 - x0 > 3 or y1 - y0 > 3:
             return None
-        hypot, path_ids, poi_ids = math.hypot, [], []
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                cell = grid.get((ix, iy))
-                if cell is not None:
-                    path_ids += [nid for nid, x, y in cell[0] if hypot(x - cx, y - cy) < r]
-                    poi_ids += [nid for nid, x, y in cell[1] if hypot(x - cx, y - cy) < r]
-        return Observation(frozenset(path_ids), frozenset(poi_ids))
+        hypot, views = math.hypot, []
+        for grid in self._grids[r]:  # path nodes, then PoIs
+            near = [point for ix in range(x0, x1 + 1) for iy in range(y0, y1 + 1)
+                    for point in grid.get((ix, iy), ())]
+            views.append(frozenset(nid for nid, x, y in near if hypot(x - cx, y - cy) < r))
+        return Observation(*views)
 
 
 class ObjectLayer:

@@ -12,14 +12,13 @@ geometry are synthetic placeholders.
 
 from __future__ import annotations
 
-import bisect
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyNetwork, MalformedXml, NoDepotCandidate
-from .graph import PathNode, PoiNode, SceneGraph
+from .errors import EmptyNetwork, MalformedXml, NoDepotCandidate, ValidationError
+from .graph import PathNode, PoiNode, SceneGraph, cells
 from .routing import components
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -53,8 +52,18 @@ CAPACITIES = {"car": 2, "bicycle": 4, "trashcan": 1}
 
 @dataclass
 class ImportParams:
-    max_segment: float = 25.0
+    max_segment: float = 25.0  # inf: no interpolation
     sidewalk_width: float = 2.0
+
+    def __post_init__(self):
+        faults = []  # NaN fails both comparisons
+        if not self.max_segment > 0:
+            faults.append(f"max_segment: must be positive, got {self.max_segment!r}")
+        if not 0 < self.sidewalk_width < math.inf:
+            faults.append(f"sidewalk_width: must be positive and finite, "
+                          f"got {self.sidewalk_width!r}")
+        if faults:
+            raise ValidationError(faults)
 
 
 def import_osm(xml_path, center: tuple[float, float], radius: float,
@@ -121,10 +130,8 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
     def in_range(pos):
         return abs(pos[0]) + abs(pos[1]) <= radius
 
-    segments = [
-        (a, b, l) for a, b, l in segments
-        if in_range(positions[a]) and in_range(positions[b])
-    ]
+    segments = [(a, b, l) for a, b, l in segments
+                if in_range(positions[a]) and in_range(positions[b])]
     if not segments:
         raise EmptyNetwork("no pedestrian segments within range")
 
@@ -147,10 +154,7 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         outline = [osm_nodes[r] for r in refs if r in osm_nodes]
         if not outline:
             continue
-        centroid = (
-            sum(p[0] for p in outline) / len(outline),
-            sum(p[1] for p in outline) / len(outline),
-        )
+        centroid = tuple(sum(axis) / len(outline) for axis in zip(*outline))
         if in_range(centroid):
             pois.append((f"p{way_id}", centroid, cls))
     pois.sort(key=lambda p: p[0])
@@ -166,65 +170,63 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         incident.setdefault(b, []).append(l)
 
     graph = SceneGraph()
-    for nid in sorted(component):
-        x, y = positions[nid]
+    nodes = [(nid, *positions[nid]) for nid in sorted(component)]
+    for nid, x, y in nodes:
         graph.add_path_node(PathNode(
             id=nid, x=x, y=y, semantic_class="sidewalk",
             capacity=dict(CAPACITIES),
             segment_length=sum(incident[nid]) / len(incident[nid]),
             sidewalk_width=params.sidewalk_width,
         ))
-    added = set()
+    first: dict[tuple[str, str], tuple] = {}  # a segment two ways share is one edge
     for a, b, l in segments:
-        key = (min(a, b), max(a, b))
-        if key in added:
-            continue
-        added.add(key)
+        first.setdefault((min(a, b), max(a, b)), (a, b, l))
+    for a, b, l in first.values():
         graph.add_adjacency_edge(a, b, l)
 
-    by_x = sorted((positions[nid][0], nid) for nid in component)
-    for poi_id, pos, cls in pois:
-        graph.add_poi_node(PoiNode(
-            id=poi_id, x=pos[0], y=pos[1], semantic_class=cls,
-            is_depot=(poi_id == depot_id),
-        ))
-        nearest = _nearest(by_x, positions, pos)
-        length = max(math.dist(pos, positions[nearest]), 0.1)
-        graph.add_access_edge(poi_id, nearest, length)
+    nearest = _nearest(nodes, [pos for _, pos, _ in pois])
+    for (poi_id, pos, cls), (dist, path_id) in zip(pois, nearest):
+        graph.add_poi_node(PoiNode(id=poi_id, x=pos[0], y=pos[1], semantic_class=cls,
+                                   is_depot=(poi_id == depot_id)))
+        graph.add_access_edge(poi_id, path_id, max(dist, 0.1))
 
     graph.freeze_static()
     return graph
 
 
-def _nearest(by_x: list, positions: dict, pos: tuple) -> str:
-    """The node least in ``(math.dist(pos, node), id)``, from ``by_x``: (x, id) sorted.
+def _nearest(nodes: list, points: list):
+    """Yield per point the least ``(math.dist(point, node), id)`` over ``(id, x, y)`` nodes.
 
-    No distance is below its x offset, so the search walks out from ``pos``'s
-    x both ways until every untested node lies farther along x than the best
-    distance (by a margin against rounding): none of them can win or tie.
+    Each search walks rings of :func:`cells`, about sqrt(N) to a side, out
+    from the point's cell, clamped to one cell beyond the occupied ones: that
+    weakens the bound but gives an overflowing quotient a cell.  A node in
+    ring k is over k - 1 cells away on some axis: once k - 2 cells (one of
+    slack for rounding) exceed the best distance, none from ring k on can win or tie.
     """
-    px, dist, inf = pos[0], math.dist, math.inf
-    best = (inf, "")
-    hi = bisect.bisect_left(by_x, (px,))
-    lo = hi - 1
-    while True:
-        left = px - by_x[lo][0] if lo >= 0 else inf
-        right = by_x[hi][0] - px if hi < len(by_x) else inf
-        step = min(left, right)
-        if step == inf or step > best[0] * (1 + 1e-9):
-            return best[1]
-        if left <= right:
-            nid, lo = by_x[lo][1], lo - 1
-        else:
-            nid, hi = by_x[hi][1], hi + 1
-        best = min(best, (dist(pos, positions[nid]), nid))
+    xs, ys = [x for _, x, _ in nodes], [y for _, _, y in nodes]
+    side = max(max(xs) - min(xs), max(ys) - min(ys)) / math.isqrt(len(nodes)) or 1.0
+    grid = cells(nodes, side)
+    x0, x1 = math.floor(min(xs) / side), math.floor(max(xs) / side)
+    y0, y1 = math.floor(min(ys) / side), math.floor(max(ys) / side)
+    for point in points:
+        cx = math.floor(min(max(point[0] / side, x0 - 1), x1 + 1))
+        cy = math.floor(min(max(point[1] / side, y0 - 1), y1 + 1))
+        best = (math.inf, "")
+        for k in range(max(cx - x0, x1 - cx, cy - y0, y1 - cy) + 1):
+            if (k - 2) * side > best[0]:
+                break
+            for ix in range(max(cx - k, x0), min(cx + k, x1) + 1):
+                # the ring's full side columns, or its top and bottom cells
+                rows = range(cy - k, cy + k + 1) if abs(ix - cx) == k else (cy - k, cy + k)
+                for iy in rows:
+                    for nid, x, y in grid.get((ix, iy), ()):
+                        best = min(best, (math.dist(point, (x, y)), nid))
+        yield best
 
 
 def _is_pedestrian(tags: dict) -> bool:
-    if tags.get("highway") in PEDESTRIAN_HIGHWAYS:
-        return True
-    sidewalk = tags.get("sidewalk")
-    return sidewalk is not None and sidewalk not in ("no", "none")
+    return (tags.get("highway") in PEDESTRIAN_HIGHWAYS
+            or tags.get("sidewalk") not in (None, "no", "none"))
 
 
 def _classify(tags: dict) -> str | None:

@@ -326,6 +326,36 @@ class TestScaffolding:
         assert len(graph.path_nodes) == 4
         assert graph.depot_id == "p20"
 
+    @pytest.mark.parametrize("options, faults", [
+        (["--max-segment", "0"], ["max_segment: must be positive, got 0.0"]),
+        (["--max-segment", "nan"], ["max_segment: must be positive, got nan"]),
+        (["--max-segment", "-5"], ["max_segment: must be positive, got -5.0"]),
+        (["--sidewalk-width", "0"], ["sidewalk_width: must be positive and finite, got 0.0"]),
+        (["--sidewalk-width", "-1"], ["sidewalk_width: must be positive and finite, got -1.0"]),
+        (["--sidewalk-width", "nan"], ["sidewalk_width: must be positive and finite, got nan"]),
+        (["--sidewalk-width", "inf"], ["sidewalk_width: must be positive and finite, got inf"]),
+        (["--max-segment=-inf", "--sidewalk-width", "0"],
+         ["max_segment: must be positive, got -inf",
+          "sidewalk_width: must be positive and finite, got 0.0"]),
+    ])
+    def test_bad_import_parameter_exits_two(self, tmp_path, capsys, options, faults):
+        # the extract does not exist: the parameters are checked before it is read
+        out = tmp_path / "s.json"
+        assert main(["import", str(tmp_path / "nope.osm"), str(out), "--center", "0", "0",
+                     "--radius", "200", *options]) == 2
+        assert capsys.readouterr().err == "".join(f"error: {fault}\n" for fault in faults)
+        assert not out.exists()
+
+    def test_infinite_max_segment_interpolates_nothing(self, tmp_path):
+        from test_osm import golden_extract
+
+        src = tmp_path / "extract.osm"
+        src.write_text(golden_extract())
+        out = tmp_path / "scenario.json"
+        assert main(["import", str(src), str(out), "--center", "0", "0",
+                     "--radius", "200", "--max-segment", "inf"]) == 0
+        assert sorted(load_scenario(out).path_nodes) == ["n1", "n2"]
+
     def test_missing_extract_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.osm"
         assert main(["import", str(missing), str(tmp_path / "s.json"), "--center",

@@ -7,7 +7,7 @@ import pytest
 
 from scenesim.errors import EmptyNetwork, MalformedXml, NoDepotCandidate
 from scenesim.graph import EDGE_ACCESS
-from scenesim.osm import EARTH_RADIUS_M, ImportParams, import_osm
+from scenesim.osm import EARTH_RADIUS_M, ImportParams, _nearest, import_osm
 from scenesim.scenario import load_scenario, save_scenario
 from conftest import id_adjacency
 
@@ -104,27 +104,74 @@ class TestGoldenFootway:
         assert node.segment_length == pytest.approx(50.0 / 3.0, rel=1e-6)
 
 
+def lattice_case():
+    """A footway grid symmetric about the centre, its node ids shuffled
+    against position, and a PoI on every point of the half-step lattice: a
+    PoI on an axis lies exactly as far from two or four path nodes, and the
+    least (distance, id) must win."""
+    n, s = 4, 10.0
+    coords = [(k + 0.5) * s for k in range(-n, n)]
+    ids = random.Random(1).sample(range(1, 1000), len(coords) ** 2)
+    grid = {(c, r): ids[r * len(coords) + c]
+            for c in range(len(coords)) for r in range(len(coords))}
+    nodes = {nid: (coords[c], coords[r]) for (c, r), nid in grid.items()}
+    ways = {}
+    for k in range(len(coords)):
+        ways[2000 + k] = ([grid[c, k] for c in range(len(coords))], {"highway": "footway"})
+        ways[3000 + k] = ([grid[k, r] for r in range(len(coords))], {"highway": "footway"})
+    lattice = [a * s / 2 for a in range(-2 * n, 2 * n + 1)]
+    points = [(x, y) for x in lattice for y in lattice]
+    return nodes, ways, points, ImportParams(), 2 * len(lattice) - 1  # every PoI on either axis
+
+
+def outside_case():
+    """PoIs all around a 30 m square network and up to 20 times its extent
+    away, straight out from its sides and corners and off them."""
+    nodes = {1 + c + 4 * r: (10.0 * c, 10.0 * r) for c in range(4) for r in range(4)}
+    ways = {100 + r: ([1 + c + 4 * r for c in range(4)], {"highway": "footway"})
+            for r in range(4)}
+    ways.update({200 + c: ([1 + c + 4 * r for r in range(4)], {"highway": "footway"})
+                 for c in range(4)})
+    rng = random.Random(2)
+    points = [(15.0 + d * math.cos(a), 15.0 + d * math.sin(a))
+              for d in (40.0, 100.0, 600.0) for a in (k * math.pi / 8 for k in range(16))]
+    points += [(rng.uniform(-300, 330), rng.uniform(-300, 330)) for _ in range(40)]
+    return nodes, ways, points, ImportParams(), 0
+
+
+def border_case():
+    """PoIs exactly on cell borders.  Q degrees is 2**-12, so projecting a
+    power-of-two multiple of it scales exactly; the square's larger extent
+    over isqrt(4) puts cell borders at every multiple of 2Q, and every PoI
+    lies on a cell corner, inside the square, on it and out to twice its size."""
+    q = 2.0 ** -12 / DEG_PER_M  # metres, written back to exactly 2**-12 degrees
+    nodes = {1: (0.0, 0.0), 2: (4 * q, 0.0), 3: (4 * q, 4 * q), 4: (0.0, 4 * q)}
+    ways = {10: ([1, 2, 3, 4, 1], {"highway": "footway"})}
+    steps = [k * q for k in (-8, -4, -2, 0, 2, 4, 8)]
+    points = [(x, y) for x in steps for y in steps]
+    # every PoI on the square's two mid-lines, inside it or out, is tied
+    return nodes, ways, points, ImportParams(max_segment=math.inf), 2 * len(steps) - 1
+
+
+def collinear_case():
+    """A straight footway symmetric about the y axis, so one extent is 0,
+    with PoIs on it, beside it and beyond both ends; a PoI on the y axis is
+    exactly as far from the two middle nodes."""
+    nodes = {6 + k: (10.0 * k + 5.0, 0.0) for k in range(-5, 5)}
+    ways = {100: (sorted(nodes), {"highway": "footway"})}
+    offsets = (-40.0, -5.0, 0.0, 5.0, 40.0)
+    points = [(2.5 * a, b) for a in range(-30, 31) for b in offsets]
+    return nodes, ways, points, ImportParams(), len(offsets)
+
+
 class TestNearestAccessNode:
-    def test_every_access_edge_is_the_brute_force_nearest(self, tmp_path):
-        # a footway grid symmetric about the centre, its node ids shuffled
-        # against position, and a PoI on every point of the half-step
-        # lattice: a PoI on an axis lies exactly as far from two or four
-        # path nodes, and the least (distance, id) must win
-        n, s = 4, 10.0
-        coords = [(k + 0.5) * s for k in range(-n, n)]
-        ids = random.Random(1).sample(range(1, 1000), len(coords) ** 2)
-        grid = {(c, r): ids[r * len(coords) + c]
-                for c in range(len(coords)) for r in range(len(coords))}
-        nodes = {nid: (coords[c], coords[r]) for (c, r), nid in grid.items()}
-        ways = {}
-        for k in range(len(coords)):
-            ways[2000 + k] = ([grid[c, k] for c in range(len(coords))], {"highway": "footway"})
-            ways[3000 + k] = ([grid[k, r] for r in range(len(coords))], {"highway": "footway"})
-        lattice = [a * s / 2 for a in range(-2 * n, 2 * n + 1)]
-        pois = {5000 + k: (x, y, {"amenity": "cafe"})
-                for k, (x, y) in enumerate((x, y) for x in lattice for y in lattice)}
+    @pytest.mark.parametrize("case", [lattice_case, outside_case, border_case, collinear_case],
+                             ids=["lattice", "outside", "borders", "collinear"])
+    def test_every_access_edge_is_the_brute_force_nearest(self, tmp_path, case):
+        nodes, ways, points, params, least_ties = case()
+        pois = {5000 + k: (x, y, {"amenity": "cafe"}) for k, (x, y) in enumerate(points)}
         graph = import_osm(write(tmp_path, osm_xml({**nodes, **pois}, ways)),
-                           center=(0.0, 0.0), radius=1000.0)
+                           center=(0.0, 0.0), radius=1000.0, params=params)
         assert len(graph.path_nodes) == len(nodes) and len(graph.poi_nodes) == len(pois)
         lengths = {e.u: (e.v, e.length) for e in graph.static_edges if e.kind == EDGE_ACCESS}
         ties = 0
@@ -135,7 +182,19 @@ class TestNearestAccessNode:
             assert graph.access[pid] == nearest, pid
             assert lengths[pid] == (nearest, max(d, 0.1))
             ties += d2 == d
-        assert ties >= 2 * len(lattice) - 1  # every PoI on either axis
+        assert ties >= least_ties
+
+    @pytest.mark.parametrize("nodes", [
+        # both extents 0; no import keeps a one-node component, as every
+        # segment it keeps has two ends apart
+        [("n1", 3.0, -2.0)],
+        # cells so small that a far point's quotient overflows
+        [("n1", 0.0, 0.0), ("n2", 1e-316, 0.0)],
+    ], ids=["one_node", "subnormal_extent"])
+    def test_degenerate_extents(self, nodes):
+        points = [(0.0, 0.0), (3.0, -2.0), (-7.5, 1e6), (1e-9, 0.0), (100.0, 0.0)]
+        brute_force = [min((math.dist(p, (x, y)), nid) for nid, x, y in nodes) for p in points]
+        assert list(_nearest(nodes, points)) == brute_force
 
 
 class TestFiltersAndPruning:
