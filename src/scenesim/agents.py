@@ -9,9 +9,9 @@ runs either on the network's object-free layer or on the shared belief graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import UnknownId, Unreachable
+from .errors import Unreachable
 from .graph import ObjectLayer, Observation, PathNode, SceneGraph
 from .routing import astar
 
@@ -33,14 +33,14 @@ class Agent:
     width: float
     sensor_radius: float
     state: str = IDLE_AT_DEPOT
-    path: list = field(default_factory=list)
+    path: tuple[int, ...] = ()  # the leg's network indices, as planned
     path_index: int = 0
     plan_mark: int = 0  # planning layer's version when the path was planned or last confirmed
     task: object = None
     resume_state: str = TO_TARGET  # movement phase to restore after waiting
 
     @property
-    def destination(self) -> str | None:
+    def destination(self) -> int | None:
         return self.path[-1] if self.path else None
 
 
@@ -99,7 +99,7 @@ class NodeCosts(dict):
     def __init__(self, layer: ObjectLayer, width: float, speed: float):
         super().__init__()
         self.layer, self.width, self.speed = layer, width, speed
-        self.plans: dict[tuple[str, str], tuple[tuple, float]] = {}
+        self.plans: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
 
     def __missing__(self, i: int) -> float:
         nid = self.layer.network.ids[i]
@@ -122,14 +122,14 @@ class NodeCosts(dict):
         earlier change dropped.
         """
         net = self.layer.network
-        nid, x = net.ids[i], net.positions[i]
-        pos, index, dist, k, v = net.positions, net.index, math.dist, net.kappa, self.speed
+        pos, dist, k, v = net.positions, math.dist, net.kappa, self.speed
+        x = pos[i]
         stale = []
         for key, (path, cost) in self.plans.items():
-            if nid in path:
+            if i in path:
                 stale.append(key)
             elif shrank:
-                through = dist(pos[index[key[0]]], x) + dist(x, pos[index[key[1]]])
+                through = dist(pos[key[0]], x) + dist(x, pos[key[1]])
                 if k * through / v <= cost * (1 + 1e-9):
                     stale.append(key)
         for key in stale:
@@ -145,15 +145,15 @@ def cost_table(layer: ObjectLayer, agent: Agent) -> NodeCosts:
     return table
 
 
-def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], float]:
-    """Minimum travel-time path between two path-network nodes on ``view``.
+def plan_path(view, start: int, goal: int, agent: Agent) -> tuple[tuple[int, ...], float]:
+    """Minimum travel-time path between two path nodes, by network index, on ``view``.
 
-    PoI endpoints resolve through their access edge.  Per-edge cost is
-    length/velocity plus the full dwell at the target node, from the
-    view's objects; a blocked node is never entered.  The cost of a path
-    therefore equals the time an agent needs to traverse it when the world
-    matches the view.  The observed planner passes the belief; the static
-    planner passes ``network.bare``, where every segment is empty.
+    Per-edge cost is length/velocity plus the full dwell at the target
+    node, from the view's objects; a blocked node is never entered.  The
+    cost of a path therefore equals the time an agent needs to traverse it
+    when the world matches the view.  The observed planner passes the
+    belief; the static planner passes ``network.bare``, where every segment
+    is empty.
 
     The path follows the goal-rooted rule of :func:`routing.astar`, so its
     every suffix is the plan from that suffix's first node.  The search runs
@@ -163,33 +163,20 @@ def plan_path(view, start: str, goal: str, agent: Agent) -> tuple[list[str], flo
     the agent's width and speed, which the view keeps current as its objects
     change.  Its result is memoized in the table's ``plans`` per (start,
     goal) and kept until a change of the view's objects could alter it
-    (:meth:`NodeCosts.forget`); on ``bare`` nothing ever changes.  Every
-    call returns a fresh list.
+    (:meth:`NodeCosts.forget`); on ``bare`` nothing ever changes.  A call
+    returns the memo's entry, whose path is an immutable tuple.
     """
-    start = _resolve(view, start)
-    goal = _resolve(view, goal)
-    net = view.network
-    ids, index = net.ids, net.index
-    for nid in (start, goal):
-        if nid not in index:
-            raise UnknownId(nid)
     costs = cost_table(view, agent)
     plan = costs.plans.get((start, goal))
     if plan is None:
+        net = view.network
         try:
-            path, cost = astar(net.predecessors, net.bound_positions.__getitem__,
-                               index[start], index[goal], agent.default_velocity,
-                               costs.__getitem__)
+            path, cost = astar(net.predecessors, net.bound_positions, start, goal,
+                               agent.default_velocity, costs.__getitem__)
         except Unreachable:
-            raise Unreachable(f"no path from {start!r} to {goal!r}") from None
-        plan = costs.plans[start, goal] = (tuple(ids[i] for i in path), cost)
-    return list(plan[0]), plan[1]
-
-
-def _resolve(view, node_id: str) -> str:
-    if node_id in view.poi_nodes:
-        return view.access[node_id]
-    return node_id
+            raise Unreachable(f"no path from {net.ids[start]!r} to {net.ids[goal]!r}") from None
+        plan = costs.plans[start, goal] = (tuple(path), cost)
+    return plan
 
 
 def observe(truth: SceneGraph, agent: Agent) -> Observation:

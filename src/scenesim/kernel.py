@@ -195,8 +195,8 @@ class SimState:
         obs = observe(self.truth, agent)
         self.ledger.on_merge(t, obs, self.belief.merge_observation(obs))
 
-    def _plan(self, agent: Agent, start: str, goal: str):
-        """Plan a leg on ``plan_layer``: (path, cost).
+    def _plan(self, agent: Agent, start: int, goal: int):
+        """Plan a leg between network indices on ``plan_layer``: (path, cost).
 
         In observed mode a leg the belief blocks is planned on the network's
         object-free layer instead, as the en-route replan keeps its committed
@@ -212,7 +212,7 @@ class SimState:
                 raise
         return plan_path(bare, start, goal, agent)
 
-    def _commit(self, agent: Agent, path: list):
+    def _commit(self, agent: Agent, path: tuple):
         """Set the agent on ``path`` from its start, marked at the planning layer's version."""
         agent.path = path
         agent.path_index = 0
@@ -272,9 +272,11 @@ class SimState:
 
     def _assign(self, t: float, agent: Agent, task: Task):
         """FIFO assignment; prediction is the round-trip cost on the planner view."""
+        index = self.truth.network.index  # the depot and the PoI, by their access nodes
+        depot, target = index[self._depot_node], index[self.truth.access[task.target_poi]]
         try:
-            path_out, cost_out = self._plan(agent, agent.current_node, task.target_poi)
-            cost_back = self._plan(agent, task.target_poi, agent.current_node)[1]
+            path_out, cost_out = self._plan(agent, depot, target)
+            cost_back = self._plan(agent, target, depot)[1]
         except Unreachable:  # no route there or back: drop the task, keep the agent first
             self.ledger.counters["tasks_unreachable"] += 1
             self.idle_agents.appendleft(agent)
@@ -294,13 +296,11 @@ class SimState:
 
     def _advance(self, agent: Agent, t: float):
         network = self.truth.network
-        next_node = agent.path[agent.path_index + 1]
-        j = network.index[next_node]
+        i, j = agent.path[agent.path_index:agent.path_index + 2]
         # the shortest parallel edge: the length the planner's labels charged
-        length = min(length for i, length in network.neighbours[network.index[agent.current_node]]
-                     if i == j)
+        length = min(length for k, length in network.neighbours[i] if k == j)
         self.schedule(t + length / agent.default_velocity, AGENT_NODE_ENTRY,
-                      (agent.id, next_node))
+                      (agent.id, network.ids[j]))
 
     def _handle_agent_node_entry(self, t: float, payload):
         agent_id, node = payload
@@ -310,17 +310,17 @@ class SimState:
         self._merge_observation(agent, t)
 
         # on ``bare``, whose version stays 0, no plan ever needs checking
-        layer = self.plan_layer
-        if agent.plan_mark != layer.version and node != agent.destination:
+        layer, i = self.plan_layer, agent.path[agent.path_index]
+        if agent.plan_mark != layer.version and i != agent.destination:
             plan = cost_table(layer, agent).plans.get((agent.path[0], agent.destination))
-            if plan is not None and plan[0] == tuple(agent.path):
+            if plan is not None and plan[0] == agent.path:
                 # the belief still plans this path, so by the goal-rooted
                 # rule a replan would return the rest of it
                 self.work["replans_skipped"] += 1
             else:
                 self.work["replans"] += 1
                 try:
-                    agent.path = plan_path(layer, node, agent.destination, agent)[0]
+                    agent.path = plan_path(layer, i, agent.destination, agent)[0]
                     agent.path_index = 0
                 except Unreachable:
                     pass  # keep the committed path; physics will decide
@@ -329,7 +329,7 @@ class SimState:
         self._start_dwell_or_wait(agent, t)
 
     def _start_dwell_or_wait(self, agent: Agent, t: float):
-        dwell = cost_table(self.truth, agent)[self.truth.network.index[agent.current_node]]
+        dwell = cost_table(self.truth, agent)[agent.path[agent.path_index]]
         if dwell == math.inf:
             agent.resume_state = agent.state
             agent.state = WAITING
@@ -350,8 +350,7 @@ class SimState:
         agent = self._agents_by_id[agent_id]
         if agent.state != WAITING:
             return
-        i = self.truth.network.index[agent.current_node]
-        if cost_table(self.truth, agent)[i] == math.inf:
+        if cost_table(self.truth, agent)[agent.path[agent.path_index]] == math.inf:
             return
         self.waiting_at[agent.current_node].remove(agent)
         agent.state = agent.resume_state
@@ -360,7 +359,8 @@ class SimState:
 
     def _leg_complete(self, agent: Agent, t: float):
         if agent.state == TO_TARGET:
-            path_back = self._plan(agent, agent.current_node, self._depot_node)[0]
+            depot = self.truth.network.index[self._depot_node]
+            path_back = self._plan(agent, agent.destination, depot)[0]
             agent.state = RETURNING
             self._commit(agent, path_back)
             if len(path_back) == 1:
@@ -374,7 +374,7 @@ class SimState:
             self.ledger.counters["tasks_completed"] += 1
             agent.task = None
             agent.state = IDLE_AT_DEPOT
-            agent.path = []
+            agent.path = ()
             agent.path_index = 0
             self.idle_agents.append(agent)
             self._try_dispatch(t)

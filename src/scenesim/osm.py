@@ -79,16 +79,24 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
     lon0, lat0 = center
     cos_lat0 = math.cos(math.radians(lat0))
 
-    def project(lon, lat):
-        x = math.radians(lon - lon0) * cos_lat0 * EARTH_RADIUS_M
-        y = math.radians(lat - lat0) * EARTH_RADIUS_M
+    def project(el):
+        """The node's position in metres from the center; MalformedXml unless finite."""
+        lon, lat = el.get("lon"), el.get("lat")
+        try:
+            x = math.radians(float(lon) - lon0) * cos_lat0 * EARTH_RADIUS_M
+            y = math.radians(float(lat) - lat0) * EARTH_RADIUS_M
+        except (TypeError, ValueError):  # missing, or not a number
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MalformedXml(f"{xml_path}: node {el.get('id')!r} has no finite position "
+                               f"(lon={lon!r}, lat={lat!r})")
         return x, y
 
     osm_nodes: dict[str, tuple[float, float]] = {}
     node_tags: dict[str, dict] = {}
     for el in root.iter("node"):
         nid = el.get("id")
-        osm_nodes[nid] = project(float(el.get("lon")), float(el.get("lat")))
+        osm_nodes[nid] = project(el)
         tags = {t.get("k"): t.get("v") for t in el.iter("tag")}
         if tags:
             node_tags[nid] = tags

@@ -85,8 +85,8 @@ def least_cost_per_metre(edges, positions, dwell) -> float:
     return kappa if kappa < math.inf else 0.0
 
 
-def astar(in_edges, positions, start, goal, speed: float,
-          node_cost) -> tuple[list, float]:
+def astar(in_edges, positions, start: int, goal: int, speed: float,
+          node_cost) -> tuple[list[int], float]:
     """Minimum travel-time path from ``start`` to ``goal``, rooted at the goal.
 
     ``in_edges[s]`` lists the edges ``(u, length)`` into ``s``.  The labels
@@ -108,16 +108,17 @@ def astar(in_edges, positions, start, goal, speed: float,
     still pops after them.  A node reached again with a lower label is
     expanded again, so float rounding cannot leave a wrong label behind.  A
     node's cost is read when the search expands it, and the start's never.
-    Nodes may be any ordered hashable keys of ``in_edges``.
+    Nodes are the indices 0..n-1 of the lists ``in_edges`` and ``positions``.
     """
     if start == goal:
         return [start], 0.0
-    sx, sy = positions(start)
+    sx, sy = positions[start]
     hypot, inf = math.hypot, math.inf
     push, pop = heapq.heappush, heapq.heappop
-    x, y = positions(goal)
-    label = {goal: 0.0}
-    succ = {}
+    x, y = positions[goal]
+    n = len(in_edges)
+    label, succ = [inf] * n, [n] * n
+    label[goal] = 0.0
     # among equal f the start (h = 0, so the largest label) pops last, after
     # every successor that could tie for the label of a node on its path
     heap = [(hypot(x - sx, y - sy) / speed, 0.0, goal)]
@@ -136,11 +137,11 @@ def astar(in_edges, positions, start, goal, speed: float,
             continue
         for u, length in in_edges[node]:
             cu = length / speed + step + c
-            old = label.get(u, inf)
+            old = label[u]
             if cu < old:
                 label[u] = cu
                 succ[u] = node
-                x, y = positions(u)
+                x, y = positions[u]
                 push(heap, (cu + hypot(x - sx, y - sy) / speed, cu, u))
             elif cu == old and node < succ[u]:
                 succ[u] = node

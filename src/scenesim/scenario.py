@@ -58,7 +58,9 @@ def save_scenario(graph: SceneGraph, path, name: str = "scenario",
             for e in sorted(graph.static_edges, key=lambda e: (e.kind, e.u, e.v))
         ],
     }
-    Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    with open(path, "w") as f:  # streamed: no whole-file string in memory
+        json.dump(data, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def load_scenario(path) -> SceneGraph:

@@ -1,5 +1,6 @@
 import pytest
 
+from scenesim.agents import plan_path
 from scenesim.graph import EDGE_ADJACENCY, PathNode, PoiNode, SceneGraph
 from scenesim.processes import instantiate_processes, process_keys
 from scenesim.stochastic import random_streams
@@ -55,6 +56,30 @@ def id_adjacency(graph):
             if not edge.directed:
                 adjacency[edge.v].append((edge.u, edge.length))
     return adjacency
+
+
+def plan_ids(view, start, goal, agent):
+    """:func:`plan_path` between path node ids: (the path's ids, cost).
+
+    The planner takes and returns network indices; tests name nodes by id,
+    mapped through ``network.index`` on the way in and ``network.ids`` out.
+    """
+    net = view.network
+    path, cost = plan_path(view, net.index[start], net.index[goal], agent)
+    return [net.ids[i] for i in path], cost
+
+
+def indexed_graph(edges, positions, costs):
+    """A graph keyed by node name, as ``astar`` reads it: by index in sorted name order.
+
+    ``edges``, ``positions`` and ``costs`` map every name to its edge list
+    ``[(name, length)]``, its position and its cost; each comes back as a
+    list, the edges naming their other end by index.
+    """
+    names = sorted(edges)
+    index = {name: i for i, name in enumerate(names)}
+    return ([[(index[u], length) for u, length in edges[name]] for name in names],
+            [positions[name] for name in names], [costs[name] for name in names])
 
 
 def seeded_processes(graph, specs, seed):

@@ -23,7 +23,7 @@ from scenesim.processes import ProcessSpec
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream, RateProfile, next_nhpp_interarrival
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import id_adjacency
+from conftest import id_adjacency, indexed_graph
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -228,9 +228,10 @@ def test_06_planner_oracle(capsys):
             expected = nx.dijkstra_path_length(G, src, dst)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             expected = None
+        # names in sorted order are the indices 0..n-1 that astar reads
+        in_edges, positions, costs = indexed_graph(adjacency, positions, penalties)
         try:
-            _, cost = astar(adjacency, positions.__getitem__, src, dst, 1.0,
-                            penalties.__getitem__)
+            _, cost = astar(in_edges, positions, 0, len(nodes) - 1, 1.0, costs.__getitem__)
         except Exception:
             cost = None
         if expected is None:

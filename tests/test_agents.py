@@ -17,12 +17,12 @@ from scenesim.agents import (
     observe,
     plan_path,
 )
-from scenesim.errors import UnknownId, Unreachable
+from scenesim.errors import Unreachable
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar, least_cost_per_metre
 from scenesim.stochastic import RandomStream
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import id_adjacency
+from conftest import id_adjacency, indexed_graph, plan_ids
 
 # Hypothesis examples per planner property and seeds per oracle; a longer CI
 # step sets this to run every one of them at that count
@@ -79,7 +79,7 @@ class TestPlanPath:
     def test_obstacle_free_matches_shortest_distance(self):
         graph = line_scenario(5)
         agent = make_agent()
-        path, _ = plan_path(graph.network.bare, "v0", "v4", agent)
+        path, _ = plan_ids(graph.network.bare, "v0", "v4", agent)
         assert path == ["v0", "v1", "v2", "v3", "v4"]
 
     def test_penalized_route_avoided(self):
@@ -102,13 +102,13 @@ class TestPlanPath:
         agent = make_agent(node="a")
         belief = ObservedGraph(graph)
 
-        path, _ = plan_path(belief, "a", "b", agent)
+        path, _ = plan_ids(belief, "a", "b", agent)
         assert path == ["a", "m", "b"]
 
         # ~30 s penalty at m: free area 15 m^2, 11.25 m^2 occupied -> nu=0.25
         add_object(graph, "o1", "m", area=11.25)
         belief.merge_observation(graph.radius_subgraph((50, 0), 1.0))
-        path, _ = plan_path(belief, "a", "b", agent)
+        path, _ = plan_ids(belief, "a", "b", agent)
         assert path == ["a", "d1", "d2", "b"]
 
     def test_blocked_node_excluded(self):
@@ -117,24 +117,25 @@ class TestPlanPath:
         belief = ObservedGraph(graph)
         belief.merge_observation(graph.radius_subgraph((10, 0), 1.0))
         with pytest.raises(Unreachable):
-            plan_path(belief, "v0", "v2", make_agent())
+            plan_ids(belief, "v0", "v2", make_agent())
 
     def test_poi_endpoints_resolve_via_access_edge(self):
         graph = line_scenario(4, pois=((3, "housing"),))
-        path, _ = plan_path(graph.network.bare, "depot", "poi0", make_agent())
+        path, _ = plan_ids(graph.network.bare, graph.access["depot"], graph.access["poi0"],
+                           make_agent())
         assert path[0] == "v0" and path[-1] == "v3"
 
     def test_static_ignores_objects(self):
         graph = line_scenario(3, capacity={"car": 9})
         add_object(graph, "o1", "v1", area=100.0)
-        path, cost = plan_path(graph.network.bare, "v0", "v2", make_agent())
+        path, cost = plan_ids(graph.network.bare, "v0", "v2", make_agent())
         assert path == ["v0", "v1", "v2"]
         # 2 edges of 10 m plus 2 entered nodes of 10 m segment at 1 m/s
         assert cost == pytest.approx(40.0)
 
     def test_path_edges_are_adjacent(self):
         graph = line_scenario(6)
-        path, _ = plan_path(graph.network.bare, "v0", "v5", make_agent())
+        path, _ = plan_ids(graph.network.bare, "v0", "v5", make_agent())
         adjacency = id_adjacency(graph)
         for u, v in zip(path, path[1:]):
             assert any(n == v for n, _ in adjacency[u])
@@ -146,9 +147,9 @@ class TestPlanPath:
         graph = short_edge_scenario()
         want = reference_plan(graph, "a", "b", make_agent(node="a"), mode)
         assert want == (["a", "f", "b"], 22.0)
-        assert plan_path(planner_view(graph, mode), "a", "b", make_agent(node="a")) == want
+        assert plan_ids(planner_view(graph, mode), "a", "b", make_agent(node="a")) == want
         belief = ObservedGraph(graph)
-        assert plan_path(planner_view(belief, mode), "a", "b", make_agent(node="a")) == want
+        assert plan_ids(planner_view(belief, mode), "a", "b", make_agent(node="a")) == want
 
 
 def short_edge_scenario():
@@ -201,10 +202,8 @@ class TestAstarOracle:
                 if not math.isinf(w) and (not G.has_edge(a, b) or G[a][b]["weight"] > w):
                     G.add_edge(a, b, weight=w)
 
-        def node_cost(nid):
-            return penalties[nid]
-
         positions = kappa_positions(adjacency, positions, penalties)
+        in_edges, positions, costs = indexed_graph(adjacency, positions, penalties)
         src, dst = nodes[0], nodes[-1]
         try:
             expected = nx.dijkstra_path_length(G, src, dst)
@@ -212,11 +211,11 @@ class TestAstarOracle:
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             reachable = False
         if reachable:
-            _, cost = astar(adjacency, positions.__getitem__, src, dst, 1.0, node_cost)
+            _, cost = astar(in_edges, positions, 0, n - 1, 1.0, costs.__getitem__)
             assert cost == pytest.approx(expected, abs=1e-9)
         else:
             with pytest.raises(Unreachable):
-                astar(adjacency, positions.__getitem__, src, dst, 1.0, node_cost)
+                astar(in_edges, positions, 0, n - 1, 1.0, costs.__getitem__)
 
 
     @pytest.mark.parametrize("seed", range(examples(12)))
@@ -250,16 +249,17 @@ class TestAstarOracle:
                     G.add_edge(a, b, weight=w)
 
         positions = kappa_positions(in_edges, positions, penalties)
+        in_edges, positions, costs = indexed_graph(in_edges, positions, penalties)
         src, dst = nodes[0], nodes[-1]
         if nx.has_path(G, src, dst):
-            path, cost = astar(in_edges, positions.__getitem__, src, dst, 1.0,
-                               penalties.__getitem__)
+            path, cost = astar(in_edges, positions, 0, n - 1, 1.0, costs.__getitem__)
+            path = [nodes[i] for i in path]
             assert cost == pytest.approx(nx.dijkstra_path_length(G, src, dst), abs=1e-9)
             assert path[0] == src and path[-1] == dst
             assert all(G.has_edge(a, b) for a, b in zip(path, path[1:]))
         else:
             with pytest.raises(Unreachable):
-                astar(in_edges, positions.__getitem__, src, dst, 1.0, penalties.__getitem__)
+                astar(in_edges, positions, 0, n - 1, 1.0, costs.__getitem__)
 
 
 class TestForget:
@@ -278,7 +278,8 @@ class TestForget:
     @pytest.fixture
     def table(self):
         table = NodeCosts(grid_scenario(10, 5), 0.5, 1.0)
-        table.plans["g02", "g09"] = (self.PLAN, 250.0)
+        index = table.layer.network.index
+        table.plans[index["g02"], index["g09"]] = (tuple(index[nid] for nid in self.PLAN), 250.0)
         return table
 
     @staticmethod
@@ -328,19 +329,19 @@ class TestForget:
         # and keeps the plan, and the loss that frees f must still drop it
         graph, agent = short_edge_scenario(), make_agent(node="a")
         add_object(graph, "big", "f", area=1.5)
-        assert plan_path(graph, "a", "b", agent) == (["a", "m", "b"], 102.0)
+        assert plan_ids(graph, "a", "b", agent) == (["a", "m", "b"], 102.0)
         add_object(graph, "small", "f", area=0.25)
         assert graph.node_costs[0.5, 1.0].plans
         graph.remove_object("big")
-        assert plan_path(graph, "a", "b", agent)[0] == ["a", "f", "b"]
+        assert plan_ids(graph, "a", "b", agent)[0] == ["a", "f", "b"]
 
     def test_short_edge_puts_a_far_node_inside_the_ellipse(self):
         # planned via m at 102 s while f was believed blocked; f lies 806 m
         # of straight line off, but its 10 m edges make the route 22 s
         graph = short_edge_scenario()
         for shrank in (True, False):
-            table = NodeCosts(graph, 0.5, 1.0)
-            table.plans["a", "b"] = (("a", "m", "b"), 102.0)
+            table, index = NodeCosts(graph, 0.5, 1.0), graph.network.index
+            table.plans[index["a"], index["b"]] = ((index["a"], index["m"], index["b"]), 102.0)
             assert self.kept(table, ("f", shrank)) is not shrank
 
 
@@ -505,18 +506,18 @@ def test_compiled_planner_matches_reference_search(case):
             for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
                 want = outcome(reference_plan, view, start, goal, agent, mode)
                 layer = planner_view(view, mode)
-                assert outcome(plan_path, layer, start, goal, agent) == want
+                assert outcome(plan_ids, layer, start, goal, agent) == want
                 # a repeat, served from the table's plan memo when a plan exists
-                assert outcome(plan_path, layer, start, goal, agent) == want
+                assert outcome(plan_ids, layer, start, goal, agent) == want
                 if isinstance(want[0], list):
                     # every suffix of a plan is the plan from its first node
                     path = want[0]
                     for k in range(1, len(path)):
-                        suffix = plan_path(layer, path[k], goal, agent)
+                        suffix = plan_ids(layer, path[k], goal, agent)
                         assert suffix == reference_plan(view, path[k], goal, agent, mode)
                         assert suffix[0] == path[k:]
     copy = truth.dynamic_copy()
-    assert (outcome(plan_path, copy.network.bare, start, goal, agent)
+    assert (outcome(plan_ids, copy.network.bare, start, goal, agent)
             == outcome(reference_plan, copy, start, goal, agent, PLANNER_STATIC))
 
 
@@ -543,10 +544,9 @@ def assert_kept_plans_exact(layer):
     for table in layer.node_costs.values():
         fresh = NodeCosts(layer, table.width, table.speed)
         for (start, goal), (path, cost) in table.plans.items():
-            want, want_cost = astar(net.predecessors, net.bound_positions.__getitem__,
-                                    net.index[start], net.index[goal], table.speed,
-                                    fresh.__getitem__)
-            assert path == tuple(net.ids[i] for i in want)
+            want, want_cost = astar(net.predecessors, net.bound_positions, start, goal,
+                                    table.speed, fresh.__getitem__)
+            assert path == tuple(want)
             assert cost.hex() == want_cost.hex()
 
 
@@ -561,7 +561,7 @@ def test_kept_plans_match_a_fresh_search(case):
         if op == "plan":
             agent = make_agent(velocity=value)
             for layer in (belief, truth):
-                outcome(plan_path, layer, *arg, agent)
+                outcome(plan_ids, layer, *arg, agent)
         else:
             change_objects(truth, belief, (op, arg, value), serial)
         for layer in (belief, truth):
@@ -575,36 +575,40 @@ class TestCompiledPlanner:
         belief = ObservedGraph(graph)
         belief.merge_observation(graph.network.visible("v1", 1.0))
         with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v2'$"):
-            plan_path(belief, "v0", "v2", make_agent())
+            plan_ids(belief, "v0", "v2", make_agent())
 
     def test_narrow_goal_is_unreachable(self):
         graph = line_scenario(4)
         agent = make_agent(width=2.0)  # every sidewalk is 2 m wide
         for mode in (PLANNER_OBSERVED, PLANNER_STATIC):
-            assert plan_path(planner_view(graph, mode), "v1", "v1", agent) == (["v1"], 0.0)
+            assert plan_ids(planner_view(graph, mode), "v1", "v1", agent) == (["v1"], 0.0)
             with pytest.raises(Unreachable, match=r"^no path from 'v0' to 'v3'$"):
-                plan_path(planner_view(graph, mode), "v0", "v3", agent)
+                plan_ids(planner_view(graph, mode), "v0", "v3", agent)
 
     @pytest.mark.parametrize("mode", [PLANNER_OBSERVED, PLANNER_STATIC])
     def test_narrow_node_is_detoured(self, narrow_detour, mode):
         # a-b-c would cost 30 s, but b's 0.4 m sidewalk blocks a 0.5 m agent
         agent = make_agent(node="a")
         for view in (narrow_detour, ObservedGraph(narrow_detour)):
-            assert (plan_path(planner_view(view, mode), "a", "c", agent)
+            assert (plan_ids(planner_view(view, mode), "a", "c", agent)
                     == (["a", "d", "e", "c"], 55.0))
         # a narrower agent still takes the short route
-        assert (plan_path(planner_view(narrow_detour, mode), "a", "c",
-                          make_agent(node="a", width=0.3)) == (["a", "b", "c"], 30.0))
+        assert (plan_ids(planner_view(narrow_detour, mode), "a", "c",
+                         make_agent(node="a", width=0.3)) == (["a", "b", "c"], 30.0))
 
-    def test_static_memo_returns_fresh_lists(self):
+    def test_static_memo_returns_its_immutable_entry(self):
+        # a copy's object-free layer shares the memo, and every call returns
+        # the memo's own entry, whose path no caller can alter
         graph = line_scenario(4)
         agent = make_agent()
-        path, cost = plan_path(graph.network.bare, "v0", "v3", agent)
-        path.append("junk")
-        again = plan_path(graph.dynamic_copy().network.bare, "v0", "v3", agent)
-        assert again == (["v0", "v1", "v2", "v3"], cost)
+        v0, v3 = graph.network.index["v0"], graph.network.index["v3"]
+        plan = plan_path(graph.network.bare, v0, v3, agent)
+        assert plan_path(graph.dynamic_copy().network.bare, v0, v3, agent) is plan
+        assert isinstance(plan[0], tuple)
+        assert plan_ids(graph.network.bare, "v0", "v3", agent) == (["v0", "v1", "v2", "v3"],
+                                                                    plan[1])
         table = graph.network.bare.node_costs[agent.width, agent.default_velocity]
-        assert table.plans == {("v0", "v3"): (("v0", "v1", "v2", "v3"), cost)}
+        assert table.plans == {(v0, v3): plan}
 
     def test_plan_memo_is_exact(self, monkeypatch):
         # a belief plan is kept until a merge drops a cost its search read
@@ -626,21 +630,17 @@ class TestCompiledPlanner:
             with monkeypatch.context() as m:
                 m.setattr("scenesim.agents.cost_table",
                           lambda layer, a: NodeCosts(layer, a.width, a.default_velocity))
-                return plan_path(belief, "v0", "v3", agent)
+                return plan_ids(belief, "v0", "v3", agent)
 
-        first = plan_path(belief, "v0", "v3", agent)
+        first = plan_ids(belief, "v0", "v3", agent)
         assert len(calls) == 1 and "v2" in read and "v7" not in read
         add_object(graph, "far", "v7", area=1.5)
         assert belief.merge_observation(graph.network.visible("v7", 1.0))
-        assert plan_path(belief, "v0", "v3", agent) == first == fresh_plan()
+        assert plan_ids(belief, "v0", "v3", agent) == first == fresh_plan()
         assert len(calls) == 2  # only the fresh table searched
 
         add_object(graph, "near", "v2", area=1.5)
         assert belief.merge_observation(graph.network.visible("v2", 1.0))
-        again = plan_path(belief, "v0", "v3", agent)
+        again = plan_ids(belief, "v0", "v3", agent)
         assert len(calls) == 3
         assert again == fresh_plan() and again[1] > first[1]
-
-    def test_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownId):
-            plan_path(line_scenario(3).network.bare, "v0", "nope", make_agent())

@@ -346,6 +346,23 @@ class TestScaffolding:
         assert capsys.readouterr().err == "".join(f"error: {fault}\n" for fault in faults)
         assert not out.exists()
 
+    @pytest.mark.parametrize("attribute", [
+        'lon="1e308"', 'lon="abc"', 'lon="nan"', 'lon="-inf"', "",  # "": no lon at all
+    ])
+    def test_node_without_a_finite_position_exits_one(self, tmp_path, capsys, attribute):
+        # 1e308 degrees projects to an infinite x; each is one error naming the node
+        from test_osm import golden_extract
+
+        src = tmp_path / "extract.osm"
+        src.write_text(re.sub(r'(<node id="3") lon="[^"]*"', rf"\1 {attribute}",
+                              golden_extract()))
+        out = tmp_path / "scenario.json"
+        assert main(["import", str(src), str(out), "--center", "0", "0",
+                     "--radius", "inf"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {src}: node '3' has no finite position (lon=")
+        assert not out.exists()
+
     def test_infinite_max_segment_interpolates_nothing(self, tmp_path):
         from test_osm import golden_extract
 

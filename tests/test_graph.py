@@ -19,7 +19,6 @@ from scenesim.agents import (
     cost_table,
     node_velocity,
     observe,
-    plan_path,
 )
 from scenesim.errors import (
     CapacityExceeded,
@@ -40,7 +39,7 @@ from scenesim.graph import (
     up_to_date,
 )
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import id_adjacency
+from conftest import id_adjacency, plan_ids
 
 
 def obj(oid, node, cls="car", area=1.0):
@@ -551,7 +550,7 @@ def test_node_costs_match_fresh_costs(ops):
         for layer in (graph, belief):
             for agent in agents:  # the planner creates and reads the tables
                 try:
-                    plan_path(layer, "v0", "v5", agent)
+                    plan_ids(layer, "v0", "v5", agent)
                 except Unreachable:
                     pass
             assert layer.node_costs.keys() == keys
@@ -737,7 +736,7 @@ class TestStaticNetwork:
         tiny_graph.attach_object(obj("o1", "v1", area=5.0))
         bare = tiny_graph.network.bare
         for width, speed in ((0.5, 2.0), (0.5, 1.5), (2.0, 2.0)):
-            plan_path(bare, "v0", "v0", Agent("a", "v0", speed, width, 0.0))
+            plan_ids(bare, "v0", "v0", Agent("a", "v0", speed, width, 0.0))
         assert {key: [table[i] for i in range(3)] for key, table in bare.node_costs.items()} == {
             (0.5, 2.0): [10.0 / 2.0] * 3,
             (0.5, 1.5): [10.0 / 1.5] * 3,
@@ -745,7 +744,7 @@ class TestStaticNetwork:
 
     def test_shared_by_copies_and_belief(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v0"))
-        plan_path(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0))
+        plan_ids(tiny_graph, "v0", "v2", Agent("a", "v0", 1.0, 0.5, 0.0))
         bare = tiny_graph.network.bare
         copy = tiny_graph.dynamic_copy()
         for layer in (copy, ObservedGraph(copy), ObservedGraph(tiny_graph)):

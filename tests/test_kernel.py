@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import scenesim
 from scenesim.agents import NodeCosts, Task, WAITING, cost_table, plan_path
+from scenesim.cli import TraceWriter
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
 from scenesim.graph import (ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph,
@@ -38,6 +39,7 @@ from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile, random_streams
 from scenesim.routing import astar
 from scenesim.synthetic import grid_scenario, line_scenario
+from conftest import plan_ids
 
 HOUR = 3600.0
 
@@ -271,9 +273,9 @@ class TestTasks:
         state.belief.merge_observation(
             state.truth.radius_subgraph((0.0, 0.0), math.inf))
         state.run()
-        agent = state.fleet[0]
-        free = sum(plan_path(state.truth.network.bare, a, b, agent)[1]
-                   for a, b in (("v0", "poi0"), ("poi0", "v0")))
+        agent, poi = state.fleet[0], scenario.access["poi0"]
+        free = sum(plan_ids(state.truth.network.bare, a, b, agent)[1]
+                   for a, b in (("v0", poi), (poi, "v0")))
         assert state.ledger.tasks, "no completed tasks"
         for task in state.ledger.tasks:
             assert task.t_pred - task.t_assigned > free * (1 + 1e-9)
@@ -376,7 +378,7 @@ class TestTasks:
         searched = []
 
         def recording(view, start, goal, agent):
-            searched.append((view, goal))
+            searched.append((view, view.network.ids[goal]))
             return plan_path(view, start, goal, agent)
 
         monkeypatch.setattr("scenesim.kernel.plan_path", recording)
@@ -388,7 +390,7 @@ class TestTasks:
         agent = state.fleet[0]
         state._assign(0.0, agent, Task("t0", "far", 0.0))
         want = [bare] if mode == "static" else [state.belief, bare]
-        assert searched == [(view, "far") for view in want]
+        assert searched == [(view, "c") for view in want]  # far's access node
         assert state.ledger.counters["tasks_unreachable"] == 1 and state.work["plans"] == 1
         state._assign(0.0, agent, Task("t1", "near", 0.0))
         assert agent.plan_mark == state.plan_layer.version
@@ -547,6 +549,20 @@ class TestGoldenOutputs:
         write_outputs(ledgers, scenario, tmp_path)
         assert output_digest(tmp_path, ("node_gaps.csv",)) == expected
 
+    @pytest.mark.parametrize("planner, expected", [
+        ("observed", "dd4d457b172a033de7161a12548e35010d052bf46a337e0acc2ebc6c9540c045"),
+        ("static", "209898ef5f4502fefd051cb13d3570ffc9434ad5dc409b73751ccd1f24189e90"),
+    ])
+    def test_trace_digest(self, tmp_path, planner, expected):
+        # the event trace byte for byte: a payload that named a node by
+        # anything but its id would pass every CSV digest above
+        run_replications(grid_scenario(8, 6), golden_config(planner, 3), 2, base_seed=5,
+                         trace_factory=lambda i: TraceWriter(tmp_path / f"trace_{i}.ndjson"))
+        h = hashlib.sha256()
+        for i in range(2):
+            h.update((tmp_path / f"trace_{i}.ndjson").read_bytes())
+        assert h.hexdigest() == expected
+
     @pytest.mark.parametrize("planner", ["observed", "static"])
     def test_replan_skip_is_output_neutral(self, tmp_path, monkeypatch, planner):
         # a skipped en-route replan must be one that would have returned the
@@ -636,7 +652,8 @@ class TestReplanSkip:
         def record(t, kind, payload):
             if kind == AGENT_NODE_ENTRY:
                 agent = state._agents_by_id[payload[0]]
-                entries.append((agent, payload[1], agent.plan_mark, agent.destination))
+                entries.append((agent, payload[1], agent.plan_mark,
+                                state.truth.network.ids[agent.destination]))
 
         def merging(agent, t):
             merge(agent, t)
@@ -675,7 +692,7 @@ class TestReplanSkip:
         state.truth.attach_object(block)
         state.belief.merge_observation(state.truth.network.visible("v3", 1.0))
         state._assign(0.0, agent, Task("t0", "poi0", 0.0))
-        assert agent.path == ["v0", "v1", "v2", "v3", "v4"]
+        assert [state.truth.network.ids[i] for i in agent.path] == ["v0", "v1", "v2", "v3", "v4"]
         assert self.kept_plan(state, agent) is None
         assert agent.plan_mark == state.belief.version == 1
         # the belief does not change on the way, so the agent never replans
@@ -687,12 +704,13 @@ class TestReplanSkip:
         state, agent, block = self.blocked_line()
         state._assign(0.0, agent, Task("t0", "poi0", 0.0))
         assert self.kept_plan(state, agent) == (
-            tuple(agent.path), plan_path(state.belief, "v0", "v4", agent)[1])
+            tuple(agent.path), plan_ids(state.belief, "v0", "v4", agent)[1])
         state.truth.attach_object(block)
         # entering v1, the agent sees v3 blocked ahead: the replan fails
         state.run(10.0 / agent.default_velocity)
         assert agent.current_node == "v1" and state.work["replans"] == 1
-        assert agent.path == ["v0", "v1", "v2", "v3", "v4"] and agent.path_index == 1
+        assert [state.truth.network.ids[i] for i in agent.path] == ["v0", "v1", "v2", "v3", "v4"]
+        assert agent.path_index == 1
         assert self.kept_plan(state, agent) is None
         assert agent.plan_mark == state.belief.version > 0
         # no replan at v2 or v3 until the belief changes again
@@ -719,8 +737,9 @@ class TestReplanSkip:
         monkeypatch.setattr("scenesim.agents.astar", counting)
         state._assign(0.0, agent, Task("t0", "poi00", 0.0))
         assert searches == [("g06", "g00"), ("g00", "g06")]
-        back = cost_table(state.belief, agent).plans[("g00", "g06")]
-        off_path = sorted(read - set(agent.path) - set(back[0]))
+        index = state.truth.network.index
+        back = cost_table(state.belief, agent).plans[(index["g00"], index["g06"])]
+        off_path = sorted(read - {ids[i] for i in agent.path + back[0]})
         assert off_path
         state.truth.attach_object(ObjectNode("gain", "car", 0.0, 1e9, 4.0, off_path[0]))
         assert state.belief.merge_observation(state.truth.network.visible(off_path[0], 1.0))
