@@ -22,7 +22,7 @@ from .processes import ProcessSpec, ProcessInstance, instantiate_processes
 from .agents import Agent, Task, node_penalty, node_velocity, observe, plan_path
 from .config import FleetConfig, SimConfig, TaskSpec
 from .kernel import SimState, run_replications
-from .metrics import MetricsLedger, task_delay
+from .metrics import MetricsLedger, signed_task_delay
 from .scenario import load_config, load_scenario, save_scenario
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .routing import astar
 IDLE_AT_DEPOT = "idle_at_depot"
 TO_TARGET = "to_target"
 RETURNING = "returning"
-WAITING = "waiting"
 
 PLANNER_STATIC = "static"
 PLANNER_OBSERVED = "observed"
@@ -32,12 +31,11 @@ class Agent:
     default_velocity: float
     width: float
     sensor_radius: float
-    state: str = IDLE_AT_DEPOT
+    state: str = IDLE_AT_DEPOT  # a waiting agent keeps its leg; the kernel's waiting_at holds it
     path: tuple[int, ...] = ()  # the leg's network indices, as planned
     path_index: int = 0
     plan_mark: int = 0  # planning layer's version when the path was planned or last confirmed
     task: object = None
-    resume_state: str = TO_TARGET  # movement phase to restore after waiting
 
     @property
     def destination(self) -> int | None:

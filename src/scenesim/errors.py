@@ -41,10 +41,6 @@ class EmptyMeasurement(ScenesimError):
     """Metric requested over a zero-length measurement window."""
 
 
-class DegenerateTask(ScenesimError):
-    """Task completed in zero time; normalized delay undefined."""
-
-
 class ParseError(ScenesimError):
     """Scenario/config file could not be parsed."""
 

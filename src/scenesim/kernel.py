@@ -20,7 +20,6 @@ from .agents import (
     PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
-    WAITING,
     Agent,
     Task,
     cost_table,
@@ -331,8 +330,6 @@ class SimState:
     def _start_dwell_or_wait(self, agent: Agent, t: float):
         dwell = cost_table(self.truth, agent)[agent.path[agent.path_index]]
         if dwell == math.inf:
-            agent.resume_state = agent.state
-            agent.state = WAITING
             self.waiting_at.setdefault(agent.current_node, []).append(agent)
             return
         self.schedule(t + dwell, AGENT_NODE_EXIT, (agent.id, agent.current_node))
@@ -348,12 +345,11 @@ class SimState:
 
     def _handle_wait_retry(self, t: float, agent_id: str):
         agent = self._agents_by_id[agent_id]
-        if agent.state != WAITING:
+        waiting = self.waiting_at.get(agent.current_node, ())
+        if (agent not in waiting
+                or cost_table(self.truth, agent)[agent.path[agent.path_index]] == math.inf):
             return
-        if cost_table(self.truth, agent)[agent.path[agent.path_index]] == math.inf:
-            return
-        self.waiting_at[agent.current_node].remove(agent)
-        agent.state = agent.resume_state
+        waiting.remove(agent)
         self._merge_observation(agent, t)
         self._start_dwell_or_wait(agent, t)
 

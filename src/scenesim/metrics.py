@@ -18,7 +18,7 @@ from itertools import chain
 from operator import add, sub
 from pathlib import Path
 
-from .errors import DegenerateTask, EmptyMeasurement
+from .errors import EmptyMeasurement
 from .stochastic import SECONDS_PER_HOUR, hour_of_day
 
 
@@ -29,15 +29,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def task_delay(task) -> float:
-    """Normalized prediction error |t_pred - t_true| / t_true (durations)."""
-    return abs(signed_task_delay(task))
+def signed_task_delay(task) -> float | None:
+    """Normalized prediction error (t_pred - t_true) / t_true (durations).
 
-
-def signed_task_delay(task) -> float:
+    None for a task completed in zero time, whose delay is undefined.
+    """
     true_duration = task.t_completed - task.t_assigned
     if true_duration <= 0:
-        raise DegenerateTask(f"task {task.id!r} completed in zero time")
+        return None
     return (task.t_pred - task.t_assigned - true_duration) / true_duration
 
 
@@ -206,15 +205,14 @@ class MetricsLedger:
         """Keep tasks assigned inside the measurement window."""
         if task.t_assigned >= self.warmup_end:
             self.tasks.append(task)
-            if task.t_completed - task.t_assigned <= 0:
+            if signed_task_delay(task) is None:
                 self.counters["degenerate_tasks"] += 1
         else:
             self.counters["tasks_warmup"] += 1
 
     def mean_task_delay_pct(self) -> float | None:
         """Mean normalized delay over non-degenerate tasks; reading has no side effects."""
-        delays = [task_delay(task) for task in self.tasks
-                  if task.t_completed - task.t_assigned > 0]
+        delays = [abs(d) for d in map(signed_task_delay, self.tasks) if d is not None]
         if not delays:
             return None
         return 100.0 * sum(delays) / len(delays)
@@ -235,18 +233,16 @@ class MetricsLedger:
 
 
 def summary_metrics(ledger: MetricsLedger, path_node_ids) -> dict:
-    delay = ledger.mean_task_delay_pct()
-    row = {
+    return {
         "rtf": ledger.rtf,
         "up_to_date_share_pct": ledger.up_to_date_share(path_node_ids),
-        "mean_task_delay_pct": delay,
+        "mean_task_delay_pct": ledger.mean_task_delay_pct(),
         "tasks_completed": len(ledger.tasks),
         "objects_spawned": ledger.counters["spawned"],
         "objects_expired": ledger.counters["expired"],
         "discarded_private": ledger.counters["discarded_private"],
         "discarded_capacity": ledger.counters["discarded_capacity"],
     }
-    return row
 
 
 def _mean_std(values):
@@ -316,9 +312,9 @@ def write_outputs(ledgers, graph, outdir):
                                             "t_pred", "t_completed", "signed_delay"]) as writer:
         for i, ledger in enumerate(ledgers):
             for task in ledger.tasks:
-                degenerate = task.t_completed - task.t_assigned <= 0
+                delay = signed_task_delay(task)
                 writer.writerow([
                     i, task.id, fmt(task.t_issued), fmt(task.t_assigned),
                     fmt(task.t_pred), fmt(task.t_completed),
-                    "" if degenerate else fmt(signed_task_delay(task)),
+                    "" if delay is None else fmt(delay),
                 ])

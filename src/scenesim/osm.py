@@ -70,13 +70,22 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
                params: ImportParams | None = None) -> SceneGraph:
     """Construct a validated, frozen scene graph from an OSM XML extract."""
     params = params or ImportParams()
+    lon0, lat0 = center
+    faults = []  # NaN fails every comparison; an infinite radius prunes nothing
+    if not math.isfinite(lon0):
+        faults.append(f"center: longitude must be finite, got {lon0!r}")
+    if not -90 < lat0 < 90:
+        faults.append(f"center: latitude must lie in (-90, 90), got {lat0!r}")
+    if not radius >= 0:
+        faults.append(f"radius: must not be negative, got {radius!r}")
+    if faults:
+        raise ValidationError(faults)
     try:
         tree = ET.parse(Path(xml_path))
     except ET.ParseError as exc:
         raise MalformedXml(f"{xml_path}: {exc}") from exc
     root = tree.getroot()
 
-    lon0, lat0 = center
     cos_lat0 = math.cos(math.radians(lat0))
 
     def project(el):
@@ -147,12 +156,12 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
     component = _largest_component(segments)
     segments = [(a, b, l) for a, b, l in segments if a in component]
 
-    # 5. classify PoI candidates (tagged nodes and building ways)
+    # 5. classify PoI candidates: tagged nodes pn<id>, building ways p<id>
     pois: list[tuple[str, tuple[float, float], str]] = []
     for nid in sorted(node_tags):
         cls = _classify(node_tags[nid])
         if cls is not None and nid in osm_nodes and in_range(osm_nodes[nid]):
-            pois.append((f"p{nid}", osm_nodes[nid], cls))
+            pois.append((f"pn{nid}", osm_nodes[nid], cls))
     for way_id, refs, tags in ways:
         cls = _classify(tags)
         if cls is None:

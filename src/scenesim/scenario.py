@@ -220,7 +220,11 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         v = v if v is None else str(v)
         try:
             if kind == "adjacency":
-                add_adjacency(u, v, float(spec["length"]), bool(spec.get("directed", False)))
+                directed = spec.get("directed", False)
+                if directed is not True and directed is not False:
+                    report(f"edges[{i}].directed: expected true or false, got {directed!r}")
+                    continue
+                add_adjacency(u, v, float(spec["length"]), directed)
             elif kind == "access":
                 add_access(u, v, float(spec["length"]))
             else:

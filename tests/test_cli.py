@@ -337,6 +337,17 @@ class TestScaffolding:
         (["--max-segment=-inf", "--sidewalk-width", "0"],
          ["max_segment: must be positive, got -inf",
           "sidewalk_width: must be positive and finite, got 0.0"]),
+        (["--center", "nan", "0"], ["center: longitude must be finite, got nan"]),
+        (["--center", "inf", "0"], ["center: longitude must be finite, got inf"]),
+        (["--center", "0", "91"], ["center: latitude must lie in (-90, 90), got 91.0"]),
+        (["--center", "0", "-90"], ["center: latitude must lie in (-90, 90), got -90.0"]),
+        (["--center", "0", "nan"], ["center: latitude must lie in (-90, 90), got nan"]),
+        (["--radius", "nan"], ["radius: must not be negative, got nan"]),
+        (["--radius", "-1"], ["radius: must not be negative, got -1.0"]),
+        (["--center", "inf", "91", "--radius=-inf"],
+         ["center: longitude must be finite, got inf",
+          "center: latitude must lie in (-90, 90), got 91.0",
+          "radius: must not be negative, got -inf"]),
     ])
     def test_bad_import_parameter_exits_two(self, tmp_path, capsys, options, faults):
         # the extract does not exist: the parameters are checked before it is read

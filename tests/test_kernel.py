@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scenesim
-from scenesim.agents import NodeCosts, Task, WAITING, cost_table, plan_path
+from scenesim.agents import NodeCosts, Task, cost_table, plan_path
 from scenesim.cli import TraceWriter
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.errors import TimeTravel, Unreachable
@@ -423,7 +423,7 @@ class TestWaiting:
         task = Task(id="t0", target_poi="poi0", t_issued=0.0)
         state._assign(0.0, agent, task)
         state.run(200.0)
-        assert agent.state == WAITING and agent.current_node == "v1"
+        assert agent.current_node == "v1" and agent in state.waiting_at["v1"]
 
         state.run()
         assert task.t_completed is not None
@@ -485,12 +485,12 @@ GOLDEN_FILES = ("daily_trends.csv", "arrivals_by_node_hour.csv", "heatmap.csv",
 GOLDEN_PLACES = frozenset({"housing", "retail", "leisure", "work"})
 
 
-def golden_config(planner, agents):
+def golden_config(planner, agents, footprint_area=6.0):
     # two cars of 6 m^2 take 12 of a node's 15 m^2 free area, so believed
     # costs vary from node to node and the observed planner replans en route
     return SimConfig(
         processes=[ProcessSpec("cars", GOLDEN_PLACES, frozenset({"car"}),
-                               RateProfile.constant(2.0), footprint_area=6.0,
+                               RateProfile.constant(2.0), footprint_area=footprint_area,
                                lifetime_mean=2 * HOUR)],
         tasks=([TaskSpec("visits", GOLDEN_PLACES, RateProfile.constant(0.5))]
                if agents else []),
@@ -562,6 +562,27 @@ class TestGoldenOutputs:
         for i in range(2):
             h.update((tmp_path / f"trace_{i}.ndjson").read_bytes())
         assert h.hexdigest() == expected
+
+    @pytest.mark.parametrize("planner, csv_digest, trace_digest", [
+        ("observed", "9d49458384ec9f10b1dff9c41dbb5e60ee8a038768a0cd40a978a2e01fe2fac9",
+         "07fe3849f10c4f4d550d872dfae741838c5c437040541a2573f9592533e1d843"),
+        ("static", "78803069d8696e9f079bff130cf4c27537fcc8f504deb6d43bbc261515b29174",
+         "69f7caabadc19377116deb73fbde68f876a6679cd3693864afac3dd91a627153"),
+    ])
+    def test_blocked_digest(self, tmp_path, planner, csv_digest, trace_digest):
+        # cars of 7.5 m^2: two fill a node's 15 m^2 free area, so agents meet
+        # truly blocked nodes and wait there for an expiry (63 waits observed,
+        # 68 static); the outputs and the trace pin the wait path
+        scenario = grid_scenario(8, 6)
+        ledgers = run_replications(
+            scenario, golden_config(planner, 3, footprint_area=7.5), 2, base_seed=5,
+            trace_factory=lambda i: TraceWriter(tmp_path / f"trace_{i}.ndjson"))
+        assert all(ledger.counters["tasks_completed"] > 0 for ledger in ledgers)
+        write_outputs(ledgers, scenario, tmp_path)
+        assert output_digest(tmp_path) == csv_digest
+        traces = [(tmp_path / f"trace_{i}.ndjson").read_bytes() for i in range(2)]
+        assert all(b'"kind": "wait_retry"' in trace for trace in traces)
+        assert hashlib.sha256(b"".join(traces)).hexdigest() == trace_digest
 
     @pytest.mark.parametrize("planner", ["observed", "static"])
     def test_replan_skip_is_output_neutral(self, tmp_path, monkeypatch, planner):
@@ -697,7 +718,7 @@ class TestReplanSkip:
         assert agent.plan_mark == state.belief.version == 1
         # the belief does not change on the way, so the agent never replans
         state.run(60.0 / agent.default_velocity)
-        assert agent.current_node == "v3" and agent.state == WAITING
+        assert agent.current_node == "v3" and agent in state.waiting_at["v3"]
         assert state.work["replans"] == state.work["replans_skipped"] == 0
 
     def test_path_kept_after_unreachable_is_no_belief_plan(self):
@@ -715,7 +736,7 @@ class TestReplanSkip:
         assert agent.plan_mark == state.belief.version > 0
         # no replan at v2 or v3 until the belief changes again
         state.run(60.0 / agent.default_velocity)
-        assert agent.current_node == "v3" and agent.state == WAITING
+        assert agent.current_node == "v3" and agent in state.waiting_at["v3"]
         assert state.work["replans"] == 1 and state.work["replans_skipped"] == 0
 
     def test_return_leg_reuses_its_dispatch_plan_after_an_off_path_gain(self, monkeypatch):

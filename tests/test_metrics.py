@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from scenesim.agents import Task
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
-from scenesim.errors import DegenerateTask, EmptyMeasurement
+from scenesim.errors import EmptyMeasurement
 from scenesim.graph import ObjectNode, Observation, ObservedGraph
 from scenesim.kernel import SimState, run_replications
 from scenesim.metrics import (
@@ -18,7 +18,6 @@ from scenesim.metrics import (
     fmt,
     signed_task_delay,
     summary_metrics,
-    task_delay,
     write_outputs,
 )
 from scenesim.processes import ProcessSpec
@@ -55,17 +54,17 @@ def line_world(n=3):
 
 class TestTaskDelay:
     def test_exact_prediction_is_zero(self):
-        assert task_delay(make_task()) == 0.0
+        assert abs(signed_task_delay(make_task())) == 0.0
 
     def test_ten_percent_underestimate(self):
         # predicted 100 s, took 110 s -> |100 - 110| / 110
         task = make_task(t_pred=100.0, t_completed=110.0)
-        assert task_delay(task) == pytest.approx(10.0 / 110.0)
+        assert abs(signed_task_delay(task)) == pytest.approx(10.0 / 110.0)
         assert signed_task_delay(task) == pytest.approx(-10.0 / 110.0)
 
     def test_relative_to_assignment_not_issue_time(self):
         task = make_task(t_assigned=50.0, t_pred=150.0, t_completed=250.0)
-        assert task_delay(task) == pytest.approx(0.5)
+        assert abs(signed_task_delay(task)) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("t_assigned,t_pred,t_completed", [
         (0.0, 100.0, 110.0), (0.0, 150.0, 110.0), (0.1, 0.2, 0.3), (0.1, 0.7, 0.3),
@@ -76,12 +75,10 @@ class TestTaskDelay:
         true_duration = t_completed - t_assigned
         # the unsigned formula, and IEEE division is sign-symmetric
         want = abs((t_pred - t_assigned) - true_duration) / true_duration
-        assert task_delay(task).hex() == want.hex()
-        assert task_delay(task).hex() == abs(signed_task_delay(task)).hex()
+        assert abs(signed_task_delay(task)).hex() == want.hex()
 
-    def test_zero_duration_raises(self):
-        with pytest.raises(DegenerateTask):
-            task_delay(make_task(t_completed=0.0))
+    def test_zero_duration_has_no_delay(self):
+        assert signed_task_delay(make_task(t_completed=0.0)) is None
 
 
 class TestCorrectnessIntervals:

@@ -244,8 +244,20 @@ class TestFiltersAndPruning:
         ways = {10: ([1, 2], {"highway": "footway"})}
         path = write(tmp_path, osm_xml(nodes, ways))
         graph = import_osm(path, center=(0.0, 0.0), radius=200.0)
-        assert graph.poi_nodes["p100"].semantic_class == "education"
+        assert graph.poi_nodes["pn100"].semantic_class == "education"
 
+    def test_node_and_way_sharing_an_id_are_two_pois(self, tmp_path):
+        # OSM numbers nodes and ways separately: a tagged node 7 and a
+        # building way 7 are two PoIs, pn7 and p7
+        nodes = {1: (0.0, 0.0), 2: (40.0, 0.0),
+                 3: (20.0, -4.0), 4: (30.0, -4.0), 5: (30.0, -8.0),
+                 7: (5.0, 5.0, {"shop": "bakery"})}
+        ways = {7: ([3, 4, 5, 3], {"building": "house"}),
+                10: ([1, 2], {"highway": "footway"})}
+        graph = import_osm(write(tmp_path, osm_xml(nodes, ways)), center=(0.0, 0.0),
+                           radius=200.0)
+        assert {pid: poi.semantic_class for pid, poi in graph.poi_nodes.items()} == {
+            "pn7": "retail", "p7": "housing"}
 
     def test_closed_outline_missing_its_closing_node(self, tmp_path):
         # the extract lacks node 10, which opens and closes the outline: the

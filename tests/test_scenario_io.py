@@ -419,6 +419,18 @@ class TestScenarioValidation:
         del data["edges"][-1]
         assert violations_of(data) == "path network is not connected"
 
+    @pytest.mark.parametrize("directed", ["false", 0, 1])
+    def test_directed_must_be_a_boolean(self, tmp_path, capsys, directed):
+        # a string "false" or a 0/1 once read as bool(): "false" made a one-way edge
+        path = tmp_path / "s.json"
+        save_scenario(grid_scenario(3, 2), path)
+        data = json.loads(path.read_text())
+        data["edges"][2]["directed"] = directed
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: edges[2].directed: expected true or false, got {directed!r}"]
+
     def test_all_violations_reported_together(self):
         data = scenario_dict(depot=None)
         data["path_nodes"][0]["capacity"]["scooter"] = 1
