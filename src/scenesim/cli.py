@@ -23,7 +23,7 @@ from .agents import PLANNER_MODES
 from .errors import ScenesimError, ValidationError
 from .kernel import run_replications
 from .metrics import write_outputs
-from .osm import ImportParams, import_osm
+from .osm import import_osm
 from .scenario import (
     load_config,
     load_scenario,
@@ -102,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_import(args) -> int:
-    params = ImportParams(max_segment=args.max_segment,
-                          sidewalk_width=args.sidewalk_width)
-    graph = import_osm(args.osm_xml, tuple(args.center), args.radius, params)
+    graph = import_osm(args.osm_xml, tuple(args.center), args.radius,
+                       max_segment=args.max_segment, sidewalk_width=args.sidewalk_width)
     name = args.name or Path(args.output).stem
     save_scenario(graph, args.output, name=name,
                   center=tuple(args.center), radius=args.radius)

@@ -48,6 +48,9 @@ DEFAULT_REGISTRY = ClassRegistry(
     objects=frozenset({"car", "bicycle", "trashcan"}),
 )
 
+# object class -> slot count, at every path node a builder makes by default
+DEFAULT_CAPACITY = {"car": 2, "bicycle": 4, "trashcan": 1}
+
 
 class PathNode(NamedTuple):
     id: str
@@ -504,6 +507,22 @@ class SceneGraph(ObjectLayer):
         if r < 0:
             raise ValueError("radius must be non-negative")
         return _scan(self.path_nodes, self.poi_nodes, center[0], center[1], r)
+
+
+def build_scene(path_nodes, edges, pois,
+                registry: ClassRegistry = DEFAULT_REGISTRY) -> SceneGraph:
+    """Add the path nodes, adjacency ``(u, v, length)`` edges and ``(PoiNode, access
+    node id, access length)`` triples, each in the order given; freeze the scene."""
+    graph = SceneGraph(registry)
+    for node in path_nodes:
+        graph.add_path_node(node)
+    for u, v, length in edges:
+        graph.add_adjacency_edge(u, v, length)
+    for poi, path_id, length in pois:
+        graph.add_poi_node(poi)
+        graph.add_access_edge(poi.id, path_id, length)
+    graph.freeze_static()
+    return graph
 
 
 class ObservedGraph(ObjectLayer):

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .agents import (
     IDLE_AT_DEPOT,
+    PLANNER_OBSERVED,
     PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
@@ -62,12 +63,13 @@ class SimState:
 
     def __init__(self, scenario: SceneGraph, config: SimConfig, seed: int,
                  trace=None):
-        self.config = config
         self.truth = scenario.dynamic_copy()
         self.belief = ObservedGraph(self.truth)
         # the layer every leg is planned on: a planner mode is a choice of layer
-        self.plan_layer = (self.truth.network.bare
-                           if config.fleet.planner_mode == PLANNER_STATIC else self.belief)
+        layers = {PLANNER_STATIC: self.truth.network.bare, PLANNER_OBSERVED: self.belief}
+        if config.fleet.planner_mode not in layers:
+            raise ValueError(f"unknown planner mode {config.fleet.planner_mode!r}")
+        self.plan_layer = layers[config.fleet.planner_mode]
         self.clock = 0.0
         self.t_end = config.duration
         self._search_bound = config.drain_search_bound
@@ -127,7 +129,7 @@ class SimState:
     # -- scheduling -------------------------------------------------------------
 
     def schedule(self, t: float, kind: str, payload):
-        if t < self.clock:
+        if not t >= self.clock:  # NaN fails too
             raise TimeTravel(f"{kind} scheduled at {t} before clock {self.clock}")
         heapq.heappush(self._queue, (t, KIND_PRIORITY[kind], self._seq, kind, payload))
         self._seq += 1
@@ -154,11 +156,11 @@ class SimState:
         A run may be split into segments, ``run(t1)`` then ``run()``: the
         ledger is finalized once the clock reaches the configured end, and
         ``rtf`` is the simulated time over the wall time of all segments.
-        A ``t_end`` before the clock or past the configured end raises and changes nothing.
+        A ``t_end`` before the clock, past the configured end or NaN raises and changes nothing.
         """
         if t_end is None:
             t_end = self.t_end
-        if t_end < self.clock:
+        if not t_end >= self.clock:  # NaN fails too
             raise TimeTravel(f"run to {t_end} before clock {self.clock}")
         if t_end > self.t_end:
             raise ValueError(f"run to {t_end} past the configured end {self.t_end}")

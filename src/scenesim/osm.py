@@ -6,19 +6,19 @@ component, map tagged buildings/amenities to place classes, pick the
 building nearest the center as depot, link every PoI to its nearest path
 node via an access edge, and assign sidewalk geometry and capacities.
 
-The tag-to-class mapping ships as data below; the capacities and sidewalk
-geometry are synthetic placeholders.
+The tag-to-class mapping ships as data below; the capacities (every
+builder's ``DEFAULT_CAPACITY``) and sidewalk geometry are synthetic
+placeholders.
 """
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyNetwork, MalformedXml, NoDepotCandidate, ValidationError
-from .graph import PathNode, PoiNode, SceneGraph, cells
+from .graph import DEFAULT_CAPACITY, PathNode, PoiNode, SceneGraph, build_scene, cells
 from .routing import components
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -46,30 +46,15 @@ TAG_MAP = (
     ("building", "detached", "housing"),
 )
 
-# object class -> slot count, at every path node
-CAPACITIES = {"car": 2, "bicycle": 4, "trashcan": 1}
-
-
-@dataclass
-class ImportParams:
-    max_segment: float = 25.0  # inf: no interpolation
-    sidewalk_width: float = 2.0
-
-    def __post_init__(self):
-        faults = []  # NaN fails both comparisons
-        if not self.max_segment > 0:
-            faults.append(f"max_segment: must be positive, got {self.max_segment!r}")
-        if not 0 < self.sidewalk_width < math.inf:
-            faults.append(f"sidewalk_width: must be positive and finite, "
-                          f"got {self.sidewalk_width!r}")
-        if faults:
-            raise ValidationError(faults)
-
 
 def import_osm(xml_path, center: tuple[float, float], radius: float,
-               params: ImportParams | None = None) -> SceneGraph:
-    """Construct a validated, frozen scene graph from an OSM XML extract."""
-    params = params or ImportParams()
+               max_segment: float = 25.0, sidewalk_width: float = 2.0) -> SceneGraph:
+    """Construct a validated, frozen scene graph from an OSM XML extract.
+
+    ``max_segment`` is the longest path segment kept before interpolation
+    splits it (inf: none is split), and ``sidewalk_width`` every path
+    node's width.  Every bad input is reported at once.
+    """
     lon0, lat0 = center
     faults = []  # NaN fails every comparison; an infinite radius prunes nothing
     if not math.isfinite(lon0):
@@ -78,6 +63,10 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         faults.append(f"center: latitude must lie in (-90, 90), got {lat0!r}")
     if not radius >= 0:
         faults.append(f"radius: must not be negative, got {radius!r}")
+    if not max_segment > 0:
+        faults.append(f"max_segment: must be positive, got {max_segment!r}")
+    if not 0 < sidewalk_width < math.inf:
+        faults.append(f"sidewalk_width: must be positive and finite, got {sidewalk_width!r}")
     if faults:
         raise ValidationError(faults)
     try:
@@ -132,7 +121,7 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
             length = math.dist(pa, pb)
             if length <= 0:
                 continue
-            pieces = max(1, math.ceil(length / params.max_segment))
+            pieces = max(1, math.ceil(length / max_segment))
             prev = f"n{a}"
             for j in range(1, pieces):
                 frac = j / pieces
@@ -182,33 +171,24 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
 
     # 6. assemble: capacities, incident-mean segment length, access edges
     incident: dict[str, list[float]] = {}
+    first: dict[tuple[str, str], tuple] = {}  # a segment two ways share is one edge
     for a, b, l in segments:
         incident.setdefault(a, []).append(l)
         incident.setdefault(b, []).append(l)
-
-    graph = SceneGraph()
-    nodes = [(nid, *positions[nid]) for nid in sorted(component)]
-    for nid, x, y in nodes:
-        graph.add_path_node(PathNode(
-            id=nid, x=x, y=y, semantic_class="sidewalk",
-            capacity=dict(CAPACITIES),
-            segment_length=sum(incident[nid]) / len(incident[nid]),
-            sidewalk_width=params.sidewalk_width,
-        ))
-    first: dict[tuple[str, str], tuple] = {}  # a segment two ways share is one edge
-    for a, b, l in segments:
         first.setdefault((min(a, b), max(a, b)), (a, b, l))
-    for a, b, l in first.values():
-        graph.add_adjacency_edge(a, b, l)
-
+    nodes = [(nid, *positions[nid]) for nid in sorted(component)]
     nearest = _nearest(nodes, [pos for _, pos, _ in pois])
-    for (poi_id, pos, cls), (dist, path_id) in zip(pois, nearest):
-        graph.add_poi_node(PoiNode(id=poi_id, x=pos[0], y=pos[1], semantic_class=cls,
-                                   is_depot=(poi_id == depot_id)))
-        graph.add_access_edge(poi_id, path_id, max(dist, 0.1))
-
-    graph.freeze_static()
-    return graph
+    return build_scene(
+        (PathNode(id=nid, x=x, y=y, semantic_class="sidewalk",
+                  capacity=dict(DEFAULT_CAPACITY),
+                  segment_length=sum(incident[nid]) / len(incident[nid]),
+                  sidewalk_width=sidewalk_width)
+         for nid, x, y in nodes),
+        first.values(),
+        ((PoiNode(id=poi_id, x=pos[0], y=pos[1], semantic_class=cls,
+                  is_depot=(poi_id == depot_id)), path_id, max(dist, 0.1))
+         for (poi_id, pos, cls), (dist, path_id) in zip(pois, nearest)),
+    )
 
 
 def _nearest(nodes: list, points: list):

@@ -51,10 +51,6 @@ class RateProfile:
     def mean_rate_per_second(self) -> float:
         return sum(self.hourly_rates) / 24.0 / SECONDS_PER_HOUR
 
-    def rate_per_second(self, t: float) -> float:
-        """Rate in effect at simulation time t (seconds), daily periodic."""
-        return self.per_second[hour_of_day(t)]
-
     @classmethod
     def constant(cls, per_hour: float) -> "RateProfile":
         return cls(tuple([per_hour] * 24))

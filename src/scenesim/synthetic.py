@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import ClassRegistry, DEFAULT_REGISTRY, PathNode, PoiNode, SceneGraph
+from .graph import (ClassRegistry, DEFAULT_CAPACITY, DEFAULT_REGISTRY, PathNode, PoiNode,
+                    SceneGraph, build_scene)
 
 
 def grid_scenario(
@@ -23,51 +24,30 @@ def grid_scenario(
     The depot PoI sits next to the node closest to the grid center.  Node ids
     are zero-padded so lexicographic order matches row-major grid order.
     """
-    capacity = capacity if capacity is not None else {"car": 2, "bicycle": 4, "trashcan": 1}
+    capacity = capacity if capacity is not None else DEFAULT_CAPACITY
     segment_length = segment_length if segment_length is not None else spacing / 2
-    graph = SceneGraph(registry)
     width = len(str(rows * cols - 1))
+    grid = list(itertools.product(range(rows), range(cols)))  # row-major (r, c)
+    depot = (rows // 2, cols // 2)
 
     def nid(r, c):
         return f"g{r * cols + c:0{width}d}"
 
-    for r in range(rows):
-        for c in range(cols):
-            graph.add_path_node(PathNode(
-                id=nid(r, c), x=c * spacing, y=r * spacing,
-                semantic_class="sidewalk", capacity=dict(capacity),
-                segment_length=segment_length, sidewalk_width=sidewalk_width,
-            ))
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                graph.add_adjacency_edge(nid(r, c), nid(r, c + 1), spacing)
-            if r + 1 < rows:
-                graph.add_adjacency_edge(nid(r, c), nid(r + 1, c), spacing)
-
-    depot_r, depot_c = rows // 2, cols // 2
-    graph.add_poi_node(PoiNode(
-        id="depot", x=depot_c * spacing + 2.0, y=depot_r * spacing + 2.0,
-        semantic_class="work", is_depot=True,
-    ))
-    graph.add_access_edge("depot", nid(depot_r, depot_c), 3.0)
-
-    classes = itertools.cycle(poi_classes)
-    serial = 0
-    for r in range(rows):
-        for c in range(cols):
-            if (r * cols + c) % poi_every != 0 or (r, c) == (depot_r, depot_c):
-                continue
-            poi_id = f"poi{serial:0{width}d}"
-            serial += 1
-            graph.add_poi_node(PoiNode(
-                id=poi_id, x=c * spacing + 2.0, y=r * spacing + 2.0,
-                semantic_class=next(classes),
-            ))
-            graph.add_access_edge(poi_id, nid(r, c), 3.0)
-
-    graph.freeze_static()
-    return graph
+    sites = ((r, c) for r, c in grid if (r * cols + c) % poi_every == 0 and (r, c) != depot)
+    pois = itertools.chain([("depot", *depot, "work")], (
+        (f"poi{serial:0{width}d}", r, c, cls)
+        for serial, ((r, c), cls) in enumerate(zip(sites, itertools.cycle(poi_classes)))))
+    return build_scene(
+        (PathNode(id=nid(r, c), x=c * spacing, y=r * spacing,
+                  semantic_class="sidewalk", capacity=dict(capacity),
+                  segment_length=segment_length, sidewalk_width=sidewalk_width)
+         for r, c in grid),
+        ((nid(r, c), nid(r2, c2), spacing) for r, c in grid
+         for r2, c2 in ((r, c + 1), (r + 1, c)) if r2 < rows and c2 < cols),
+        ((PoiNode(id=poi_id, x=c * spacing + 2.0, y=r * spacing + 2.0, semantic_class=cls,
+                  is_depot=(poi_id == "depot")), nid(r, c), 3.0) for poi_id, r, c, cls in pois),
+        registry,
+    )
 
 
 def line_scenario(
@@ -84,33 +64,21 @@ def line_scenario(
 
     The depot attaches next to node ``depot_at``.
     """
-    capacity = capacity if capacity is not None else {"car": 2, "bicycle": 4, "trashcan": 1}
-    graph = SceneGraph(registry)
+    capacity = capacity if capacity is not None else DEFAULT_CAPACITY
     width = len(str(max(n - 1, 1)))
 
     def nid(i):
         return f"v{i:0{width}d}"
 
-    for i in range(n):
-        graph.add_path_node(PathNode(
-            id=nid(i), x=i * spacing, y=0.0, semantic_class="sidewalk",
-            capacity=dict(capacity), segment_length=segment_length,
-            sidewalk_width=sidewalk_width,
-        ))
-    for i in range(n - 1):
-        graph.add_adjacency_edge(nid(i), nid(i + 1), spacing)
-
-    graph.add_poi_node(PoiNode(
-        id="depot", x=depot_at * spacing, y=3.0,
-        semantic_class="work", is_depot=True,
-    ))
-    graph.add_access_edge("depot", nid(depot_at), 3.0)
-    for serial, (index, cls) in enumerate(pois):
-        poi_id = f"poi{serial}"
-        graph.add_poi_node(PoiNode(
-            id=poi_id, x=index * spacing, y=3.0, semantic_class=cls,
-        ))
-        graph.add_access_edge(poi_id, nid(index), 3.0)
-
-    graph.freeze_static()
-    return graph
+    sites = itertools.chain([("depot", depot_at, "work")],
+                            ((f"poi{serial}", i, cls) for serial, (i, cls) in enumerate(pois)))
+    return build_scene(
+        (PathNode(id=nid(i), x=i * spacing, y=0.0, semantic_class="sidewalk",
+                  capacity=dict(capacity), segment_length=segment_length,
+                  sidewalk_width=sidewalk_width)
+         for i in range(n)),
+        ((nid(i), nid(i + 1), spacing) for i in range(n - 1)),
+        ((PoiNode(id=poi_id, x=i * spacing, y=3.0, semantic_class=cls,
+                  is_depot=(poi_id == "depot")), nid(i), 3.0) for poi_id, i, cls in sites),
+        registry,
+    )

@@ -368,12 +368,11 @@ def test_10_partial_observability(capsys):
 
 def test_11_importer_golden(tmp_path, capsys):
     from test_osm import golden_extract, osm_xml
-    from scenesim.osm import ImportParams, import_osm
+    from scenesim.osm import import_osm
 
     src = tmp_path / "golden.osm"
     src.write_text(golden_extract())
-    graph = import_osm(src, center=(0.0, 0.0), radius=200.0,
-                       params=ImportParams(max_segment=20.0))
+    graph = import_osm(src, center=(0.0, 0.0), radius=200.0, max_segment=20.0)
     golden_ok = (
         sorted(graph.path_nodes) == ["n1", "n2", "w10s0i1", "w10s0i2"]
         and sorted(graph.poi_nodes) == ["p20"]

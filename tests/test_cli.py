@@ -348,6 +348,10 @@ class TestScaffolding:
          ["center: longitude must be finite, got inf",
           "center: latitude must lie in (-90, 90), got 91.0",
           "radius: must not be negative, got -inf"]),
+        (["--center", "nan", "0", "--radius", "-1", "--max-segment", "0"],
+         ["center: longitude must be finite, got nan",
+          "radius: must not be negative, got -1.0",
+          "max_segment: must be positive, got 0.0"]),
     ])
     def test_bad_import_parameter_exits_two(self, tmp_path, capsys, options, faults):
         # the extract does not exist: the parameters are checked before it is read

@@ -82,11 +82,20 @@ class TestScheduling:
         popped = [heapq.heappop(state._queue)[4] for _ in range(3)]
         assert popped == ["b", "a", "c"]
 
-    def test_past_event_rejected(self):
+    @pytest.mark.parametrize("t", [9.0, math.nan])
+    def test_past_event_rejected(self, t):
+        # a NaN time would break the queue's heap order
         state = SimState(line_scenario(3), empty_config(), seed=1)
         state.clock = 10.0
         with pytest.raises(TimeTravel):
-            state.schedule(9.0, SPAWN, None)
+            state.schedule(t, SPAWN, None)
+
+    @pytest.mark.parametrize("mode", ["Static", "", "psychic"])
+    def test_unknown_planner_mode_rejected(self, mode):
+        # a code-built config skips the loader's check: a misspelling must not plan as observed
+        config = SimConfig(fleet=FleetConfig(planner_mode=mode))
+        with pytest.raises(ValueError, match=f"unknown planner mode {mode!r}"):
+            SimState(line_scenario(3), config, seed=1)
 
     @pytest.mark.parametrize("section", ["processes", "tasks"])
     def test_sources_sharing_a_payload_rejected(self, section):
@@ -789,14 +798,16 @@ class TestSplitRun:
         assert rows[0] == rows[1]
         assert csv_outputs(tmp_path / "whole") == csv_outputs(tmp_path / "split")
 
-    def test_run_before_clock_rejected(self):
+    @pytest.mark.parametrize("t_end", [100.0, math.nan])
+    def test_run_before_clock_rejected(self, t_end):
+        # a NaN end would set the clock to NaN, and a later run continue from it
         config = golden_config("observed", 3)
         state = SimState(grid_scenario(8, 6), config, seed=5)
         state.run(200.0)
         before = (state.clock, list(state._queue), state._seq, state.wall_s,
                   state.rtf, dict(state.ledger.counters))
         with pytest.raises(TimeTravel):
-            state.run(100.0)
+            state.run(t_end)
         assert (state.clock, list(state._queue), state._seq, state.wall_s,
                 state.rtf, dict(state.ledger.counters)) == before
         with pytest.raises(TimeTravel):

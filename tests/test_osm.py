@@ -7,7 +7,7 @@ import pytest
 
 from scenesim.errors import EmptyNetwork, MalformedXml, NoDepotCandidate
 from scenesim.graph import EDGE_ACCESS
-from scenesim.osm import EARTH_RADIUS_M, ImportParams, _nearest, import_osm
+from scenesim.osm import EARTH_RADIUS_M, _nearest, import_osm
 from scenesim.scenario import load_scenario, save_scenario
 from conftest import id_adjacency
 
@@ -61,8 +61,7 @@ class TestGoldenFootway:
     @pytest.fixture()
     def graph(self, tmp_path):
         path = write(tmp_path, golden_extract())
-        return import_osm(path, center=(0.0, 0.0), radius=200.0,
-                          params=ImportParams(max_segment=20.0))
+        return import_osm(path, center=(0.0, 0.0), radius=200.0, max_segment=20.0)
 
     def test_segment_interpolation(self, graph):
         # 50 m at max 20 m per piece -> 3 pieces, 2 interpolated nodes
@@ -121,7 +120,7 @@ def lattice_case():
         ways[3000 + k] = ([grid[k, r] for r in range(len(coords))], {"highway": "footway"})
     lattice = [a * s / 2 for a in range(-2 * n, 2 * n + 1)]
     points = [(x, y) for x in lattice for y in lattice]
-    return nodes, ways, points, ImportParams(), 2 * len(lattice) - 1  # every PoI on either axis
+    return nodes, ways, points, {}, 2 * len(lattice) - 1  # every PoI on either axis
 
 
 def outside_case():
@@ -136,7 +135,7 @@ def outside_case():
     points = [(15.0 + d * math.cos(a), 15.0 + d * math.sin(a))
               for d in (40.0, 100.0, 600.0) for a in (k * math.pi / 8 for k in range(16))]
     points += [(rng.uniform(-300, 330), rng.uniform(-300, 330)) for _ in range(40)]
-    return nodes, ways, points, ImportParams(), 0
+    return nodes, ways, points, {}, 0
 
 
 def border_case():
@@ -150,7 +149,7 @@ def border_case():
     steps = [k * q for k in (-8, -4, -2, 0, 2, 4, 8)]
     points = [(x, y) for x in steps for y in steps]
     # every PoI on the square's two mid-lines, inside it or out, is tied
-    return nodes, ways, points, ImportParams(max_segment=math.inf), 2 * len(steps) - 1
+    return nodes, ways, points, {"max_segment": math.inf}, 2 * len(steps) - 1
 
 
 def collinear_case():
@@ -161,7 +160,7 @@ def collinear_case():
     ways = {100: (sorted(nodes), {"highway": "footway"})}
     offsets = (-40.0, -5.0, 0.0, 5.0, 40.0)
     points = [(2.5 * a, b) for a in range(-30, 31) for b in offsets]
-    return nodes, ways, points, ImportParams(), len(offsets)
+    return nodes, ways, points, {}, len(offsets)
 
 
 class TestNearestAccessNode:
@@ -171,7 +170,7 @@ class TestNearestAccessNode:
         nodes, ways, points, params, least_ties = case()
         pois = {5000 + k: (x, y, {"amenity": "cafe"}) for k, (x, y) in enumerate(points)}
         graph = import_osm(write(tmp_path, osm_xml({**nodes, **pois}, ways)),
-                           center=(0.0, 0.0), radius=1000.0, params=params)
+                           center=(0.0, 0.0), radius=1000.0, **params)
         assert len(graph.path_nodes) == len(nodes) and len(graph.poi_nodes) == len(pois)
         lengths = {e.u: (e.v, e.length) for e in graph.static_edges if e.kind == EDGE_ACCESS}
         ties = 0
@@ -267,7 +266,7 @@ class TestFiltersAndPruning:
         ways = {10: ([1, 2], {"highway": "footway"}),
                 30: ([10, 11, 12, 13, 10], {"building": "house"})}
         graph = import_osm(write(tmp_path, osm_xml(nodes, ways)), center=(0.0, 0.0),
-                           radius=200.0, params=ImportParams(max_segment=20.0))
+                           radius=200.0, max_segment=20.0)
         poi = graph.poi_nodes["p30"]
         assert (poi.x, poi.y) == (pytest.approx(80.0 / 3.0, rel=1e-6),
                                   pytest.approx(-6.0, rel=1e-6))

@@ -1,5 +1,6 @@
 """Scenario JSON and run-config YAML: round trips and validation."""
 
+import hashlib
 import json
 import math
 
@@ -24,6 +25,7 @@ from scenesim.scenario import (
     write_config_template,
 )
 from scenesim.routing import components
+from scenesim.stochastic import hour_of_day
 from scenesim.synthetic import grid_scenario, line_scenario
 from conftest import id_adjacency
 
@@ -80,6 +82,34 @@ class TestScenarioRoundTrip:
         save_scenario(graph, a)
         save_scenario(graph, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("build, saved, static", [
+        # the benchmark's two scenes
+        (lambda: grid_scenario(100, 100),
+         "8470ac054968b53695437e2858662127d471db3de89be8a7eda20ce5c2b8d384",
+         "e32ef4038951674cb915ea8b747143ca33155716f22c9330e68b00f2fb707ecc"),
+        (lambda: grid_scenario(40, 20),
+         "69c3d631ffc7a5c187d3b79194af4a7028e05afe98957f0c783a3106237b21a5",
+         "fae8c756d83d58e188f4fa592521f0a4b76770dc25daab7f2acc74d090c58688"),
+        (lambda: grid_scenario(7, 5, spacing=12.5, capacity={"car": 1, "trashcan": 3},
+                               poi_every=3),
+         "06641e305e1432453edd6447b57ed2df78738ad07c98efe4d4d1d41d82d99fc9",
+         "ecc18e553ba462b40b6f96f1b1aed75f93293ebf8107401d6aa37b3c3eeb9323"),
+        (lambda: line_scenario(6, pois=((1, "retail"), (4, "housing"), (5, "leisure")),
+                               depot_at=3),
+         "9000c0c9e14cb236e2ab823ea3cd75d16c7cd77f28acfc653ae0aedd317839dc",
+         "e3668f1920ddb7e0a5309043d18a6dd84f71f71eb27d62766b11b900d8289c55"),
+        (lambda: line_scenario(1),
+         "1d80706b32014da23a7557b299c3bcf336a299404114a9273890324360e62efb",
+         "3bde93ddd44209d679235a8bab1119b654867cdf6f9200344142979e2a4a18b0"),
+    ], ids=["grid_100x100", "grid_40x20", "grid_custom", "line_pois", "line_1"])
+    def test_builders_pinned(self, tmp_path, build, saved, static):
+        # a builder refactor must leave every scene byte for byte as it was
+        graph = build()
+        path = tmp_path / "scenario.json"
+        save_scenario(graph, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == saved
+        assert graph.static_hash() == static
 
     def test_minimal_dict_loads(self):
         graph = scenario_from_dict(scenario_dict())
@@ -504,7 +534,7 @@ class TestConfig:
         assert cfg.seed == 9
         assert cfg.fleet.count == 2
         assert len(cfg.processes) == 1 and len(cfg.tasks) == 1
-        assert cfg.processes[0].rate_profile.rate_per_second(0.0) == 1.0 / 3600.0
+        assert cfg.processes[0].rate_profile.per_second[hour_of_day(0.0)] == 1.0 / 3600.0
 
     def test_class_references_checked_against_scenario(self):
         graph = line_scenario(3, pois=((1, "housing"),))

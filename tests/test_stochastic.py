@@ -20,6 +20,7 @@ from scenesim.stochastic import (
     SECONDS_PER_HOUR,
     balanced_mean_lifetime,
     _stable_key,
+    hour_of_day,
     next_nhpp_interarrival,
     pcg64_seeds,
     random_streams,
@@ -47,8 +48,8 @@ class TestRateProfile:
 
     def test_rate_lookup_is_daily_periodic(self):
         profile = RateProfile(tuple(range(24)))
-        assert profile.rate_per_second(5.5 * 3600) == 5 / 3600
-        assert profile.rate_per_second(5.5 * 3600 + SECONDS_PER_DAY) == 5 / 3600
+        assert profile.per_second[hour_of_day(5.5 * 3600)] == 5 / 3600
+        assert profile.per_second[hour_of_day(5.5 * 3600 + SECONDS_PER_DAY)] == 5 / 3600
 
 
 finite_rates = st.one_of(
@@ -63,7 +64,7 @@ def test_precomputed_rates_are_bit_equal(rates, times):
     profile = RateProfile(tuple(rates))
     for t in times + [0.0, 3599.999, 3600.0, SECONDS_PER_DAY - 1e-9, SECONDS_PER_DAY]:
         hour = int((t % SECONDS_PER_DAY) // SECONDS_PER_HOUR)
-        assert profile.rate_per_second(t).hex() == (rates[hour] / 3600).hex()
+        assert profile.per_second[hour_of_day(t)].hex() == (rates[hour] / 3600).hex()
     assert profile.max_rate_per_second.hex() == (max(profile.hourly_rates) / 3600).hex()
 
 
@@ -116,7 +117,7 @@ def rate_lookup_interarrival(profile, t_now, stream):
     t = t_now
     while True:
         t += stream.exponential(1.0 / lam_max)
-        if stream.uniform() * lam_max <= profile.rate_per_second(t):
+        if stream.uniform() * lam_max <= profile.per_second[hour_of_day(t)]:
             dt = t - t_now
             if dt > 0.0:
                 return dt
