@@ -19,7 +19,7 @@ from .stochastic import (
     next_nhpp_interarrival,
 )
 from .processes import ProcessSpec, ProcessInstance, instantiate_processes
-from .agents import Agent, Task, node_penalty, node_velocity, observe, plan_path
+from .agents import Agent, Task, node_velocity, observe, plan_path
 from .config import FleetConfig, SimConfig, TaskSpec
 from .kernel import SimState, run_replications
 from .metrics import MetricsLedger, signed_task_delay

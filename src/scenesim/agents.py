@@ -74,13 +74,6 @@ def dwell_time(node: PathNode, footprint_sum: float, agent_width: float,
     return math.inf if nu == 0.0 else node.segment_length / nu
 
 
-def node_penalty(node: PathNode, footprint_sum: float, agent_width: float,
-                 default_velocity: float) -> float:
-    """Additional traversal time caused by obstacles; inf when blocked."""
-    return (dwell_time(node, footprint_sum, agent_width, default_velocity)
-            - node.segment_length / default_velocity)
-
-
 class NodeCosts(dict):
     """Network index -> a layer's node cost for agents of one width and speed.
 

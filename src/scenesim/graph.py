@@ -53,6 +53,8 @@ DEFAULT_CAPACITY = {"car": 2, "bicycle": 4, "trashcan": 1}
 
 
 class PathNode(NamedTuple):
+    """A sidewalk node.  Nodes may share one ``capacity`` map, so nothing mutates it."""
+
     id: str
     x: float
     y: float
@@ -365,26 +367,28 @@ class SceneGraph(ObjectLayer):
 
     def add_adjacency_edge(self, u: str, v: str, length: float, directed: bool = False):
         self._check_mutable_static()
-        if u not in self.path_nodes or v not in self.path_nodes:
+        a, b = self.path_nodes.get(u), self.path_nodes.get(v)
+        if a is None or b is None:
             raise UnknownId(f"adjacency edge {u!r}-{v!r} references unknown path node")
         if not 0 < length < math.inf:  # NaN fails too
             raise ValueError(f"edge {u!r}-{v!r} length: must be positive and finite, "
                              f"got {length!r}")
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        edge = (EDGE_ADJACENCY, u, v, directed, length)
+        # the nodes' own id strings, one per id; tuple.__new__ skips Edge.__new__
+        edge = (EDGE_ADJACENCY, a.id, b.id, directed, length)
         self.static_edges.append(tuple.__new__(Edge, edge))
 
     def add_access_edge(self, poi_id: str, path_id: str, length: float):
         self._check_mutable_static()
-        if poi_id not in self.poi_nodes or path_id not in self.path_nodes:
+        poi, node = self.poi_nodes.get(poi_id), self.path_nodes.get(path_id)
+        if poi is None or node is None:
             raise UnknownId(f"access edge {poi_id!r}-{path_id!r} references unknown node")
         if poi_id in self.access:
             raise DuplicateId(f"poi {poi_id!r} already has an access edge")
         if not 0 < length < math.inf:
             raise ValueError(f"access edge {poi_id!r}-{path_id!r} length: must be positive "
                              f"and finite, got {length!r}")
-        self.access[poi_id] = path_id
-        edge = (EDGE_ACCESS, poi_id, path_id, False, length)
+        self.access[poi.id] = node.id
+        edge = (EDGE_ACCESS, poi.id, node.id, False, length)
         self.static_edges.append(tuple.__new__(Edge, edge))
 
     def freeze_static(self):
@@ -438,7 +442,9 @@ class SceneGraph(ObjectLayer):
         return self.occupancy[object_class]
 
     def free_capacity(self, path_id: str, object_class: str) -> int:
-        i = self.network.index[path_id]
+        i = self.network.index.get(path_id)
+        if i is None:
+            raise UnknownId(f"{path_id!r} is not a path node")
         return self.network.slots(object_class)[i] - self.occupied(object_class)[i]
 
     def static_hash(self) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from functools import reduce
@@ -58,7 +59,7 @@ class MetricsLedger:
         self._next_sample_t = first_hour
         self.true_arrivals = Counter()      # (node, hour-of-day) -> count
         self.observed_arrivals = Counter()  # (node, hour-of-day) -> count
-        self._views: dict[frozenset, list[float]] = {}  # view's path nodes -> merge times
+        self._views: dict[frozenset, array] = {}  # view's path nodes -> merge times
         self._by_node: dict | None = None  # _times_by_node(), kept once finalized
         self.tasks: list = []
         self.counters = Counter()
@@ -128,16 +129,6 @@ class MetricsLedger:
             for key, (s, n) in sorted(self._live_bins.items())
         }
 
-    def mean_live(self, object_class: str) -> float:
-        total = n = 0
-        for (cls, _), (s, samples) in self._live_bins.items():
-            if cls == object_class:
-                total += s
-                n += samples
-        if n == 0:
-            raise EmptyMeasurement(f"no live-count samples for {object_class!r}")
-        return total / n
-
     # -- arrivals and observations ---------------------------------------------
 
     def on_true_arrival(self, t: float, node: str):
@@ -162,10 +153,13 @@ class MetricsLedger:
             if new and in_window:
                 self.observed_arrivals[(node, hour_of_day(t))] += new
         if in_window:
-            self._views.setdefault(observation.path_nodes, []).append(t)
+            times = self._views.get(observation.path_nodes)
+            if times is None:
+                times = self._views[observation.path_nodes] = array("d")
+            times.append(t)
 
     def _times_by_node(self) -> dict:
-        """node -> the merge-time lists of the logged views that cover it.
+        """node -> the merge-time arrays of the logged views that cover it.
 
         Once the ledger is finalized the log is complete, so the expansion
         is kept: the heatmap and the gap readers share one.

@@ -178,9 +178,9 @@ def import_osm(xml_path, center: tuple[float, float], radius: float,
         first.setdefault((min(a, b), max(a, b)), (a, b, l))
     nodes = [(nid, *positions[nid]) for nid in sorted(component)]
     nearest = _nearest(nodes, [pos for _, pos, _ in pois])
+    capacity = dict(DEFAULT_CAPACITY)  # one mapping, shared by every node
     return build_scene(
-        (PathNode(id=nid, x=x, y=y, semantic_class="sidewalk",
-                  capacity=dict(DEFAULT_CAPACITY),
+        (PathNode(id=nid, x=x, y=y, semantic_class="sidewalk", capacity=capacity,
                   segment_length=sum(incident[nid]) / len(incident[nid]),
                   sidewalk_width=sidewalk_width)
          for nid, x, y in nodes),

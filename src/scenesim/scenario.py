@@ -13,8 +13,6 @@ import json
 import math
 from pathlib import Path
 
-import yaml
-
 from .agents import PLANNER_MODES
 from .config import FleetConfig, SimConfig, TaskSpec
 from .errors import ParseError, ValidationError
@@ -157,44 +155,62 @@ def scenario_from_dict(data: dict) -> SceneGraph:
 
     # An entry is parsed whole before it is checked, so a field that does not
     # parse is its one violation; field paths are formatted only to report one.
+    # One object per distinct value: class names and checked lengths come from
+    # their tables, and a capacity map that raised no violation is parsed once.
     isfinite, inf = math.isfinite, math.inf
+    names, numbers, capacities = {}, {}, {}  # capacities: map's items -> parsed map
 
-    def placed(where: str, i: int, x: float, y: float, cls) -> bool:
-        """Report a node's non-finite position or bad class; False for the latter."""
+    def shared(length: float) -> float:
+        """``length`` from the number table if it is positive and finite, else as is."""
+        return numbers.setdefault(length, length) if 0 < length < inf else length
+
+    def placed(where: str, i: int, x: float, y: float, cls) -> str | None:
+        """Report a node's non-finite position or bad class; the class name, None if bad."""
         if not (isfinite(x) and isfinite(y)):
             report(f"{where}[{i}].position: not finite")
         if not isinstance(cls, str):
             report(f"{where}[{i}].class: expected a string")
-            return False
+            return None
         if places is None or cls in places:
-            return True
+            return names.setdefault(cls, cls)
         report(f"{where}[{i}].class: undeclared {cls!r}")
-        return False
+        return None
 
     for i, spec in _entries(data, "path_nodes", violations):
         try:
             nid, x, y, cls = str(spec["id"]), float(spec["x"]), float(spec["y"]), spec["class"]
             given = spec.get("capacity", {})
-            # a fractional count is left out here and reported below
-            capacity = {k: int(v) for k, v in given.items() if not _fractional(v)}
+            key = tuple(given.items())
+            try:
+                capacity = capacities.get(key)
+            except TypeError:  # an unhashable count: the parse below reports it
+                key = capacity = None
+            fresh = capacity is None
+            if fresh:  # a fractional count is left out here and reported below
+                capacity = {k: int(v) for k, v in given.items() if not _fractional(v)}
             segment, width = float(spec["segment_length"]), float(spec["sidewalk_width"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"path_nodes[{i}]: {exc!r}")
             continue
-        placed("path_nodes", i, x, y, cls)
-        for k, v in given.items():
-            if objects is not None and k not in objects:
-                report(f"path_nodes[{i}].capacity: undeclared class {k!r}")
-            if k not in capacity:
-                report(f"path_nodes[{i}].capacity[{k}]: expected an integer, got {v!r}")
-            elif capacity[k] < 0:
-                report(f"path_nodes[{i}].capacity[{k}]: negative")
+        cls = placed("path_nodes", i, x, y, cls)
+        if fresh:
+            count = len(violations)
+            for k, v in given.items():
+                if objects is not None and k not in objects:
+                    report(f"path_nodes[{i}].capacity: undeclared class {k!r}")
+                if k not in capacity:
+                    report(f"path_nodes[{i}].capacity[{k}]: expected an integer, got {v!r}")
+                elif capacity[k] < 0:
+                    report(f"path_nodes[{i}].capacity[{k}]: negative")
+            if key is not None and len(violations) == count:
+                capacities[key] = capacity
         if not 0 < segment < inf:  # NaN fails too
             report(f"path_nodes[{i}].segment_length: must be positive and finite")
         if not 0 < width < inf:
             report(f"path_nodes[{i}].sidewalk_width: must be positive and finite")
         try:
-            graph.add_path_node(PathNode(nid, x, y, cls, capacity, segment, width))
+            graph.add_path_node(PathNode(nid, x, y, cls, capacity, shared(segment),
+                                         shared(width)))
         except Exception as exc:
             report(f"path_nodes[{i}]: {exc}")
 
@@ -205,7 +221,8 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"poi_nodes[{i}]: {exc!r}")
             continue
-        if placed("poi_nodes", i, x, y, cls) and cls == "sidewalk":
+        cls = placed("poi_nodes", i, x, y, cls)
+        if cls == "sidewalk":
             report(f"poi_nodes[{i}].class: PoI may not be a sidewalk")
         try:
             graph.add_poi_node(PoiNode(pid, x, y, cls, pid == depot))
@@ -224,9 +241,9 @@ def scenario_from_dict(data: dict) -> SceneGraph:
                 if directed is not True and directed is not False:
                     report(f"edges[{i}].directed: expected true or false, got {directed!r}")
                     continue
-                add_adjacency(u, v, float(spec["length"]), directed)
+                add_adjacency(u, v, shared(float(spec["length"])), directed)
             elif kind == "access":
-                add_access(u, v, float(spec["length"]))
+                add_access(u, v, shared(float(spec["length"])))
             else:
                 report(f"edges[{i}].kind: unknown {kind!r}")
         except Exception as exc:
@@ -257,6 +274,7 @@ def _path_network_connected(graph: SceneGraph) -> bool:
 
 def load_config(path, graph: SceneGraph | None = None) -> SimConfig:
     """Parse a YAML run config; validate class references against the scenario."""
+    import yaml  # only a run config is YAML, so importing scenesim leaves it unloaded
     return config_from_dict(_read(path, yaml.safe_load, yaml.YAMLError), graph)
 
 

@@ -24,7 +24,7 @@ def grid_scenario(
     The depot PoI sits next to the node closest to the grid center.  Node ids
     are zero-padded so lexicographic order matches row-major grid order.
     """
-    capacity = capacity if capacity is not None else DEFAULT_CAPACITY
+    capacity = dict(capacity if capacity is not None else DEFAULT_CAPACITY)  # one per scene
     segment_length = segment_length if segment_length is not None else spacing / 2
     width = len(str(rows * cols - 1))
     grid = list(itertools.product(range(rows), range(cols)))  # row-major (r, c)
@@ -39,7 +39,7 @@ def grid_scenario(
         for serial, ((r, c), cls) in enumerate(zip(sites, itertools.cycle(poi_classes)))))
     return build_scene(
         (PathNode(id=nid(r, c), x=c * spacing, y=r * spacing,
-                  semantic_class="sidewalk", capacity=dict(capacity),
+                  semantic_class="sidewalk", capacity=capacity,
                   segment_length=segment_length, sidewalk_width=sidewalk_width)
          for r, c in grid),
         ((nid(r, c), nid(r2, c2), spacing) for r, c in grid
@@ -64,7 +64,7 @@ def line_scenario(
 
     The depot attaches next to node ``depot_at``.
     """
-    capacity = capacity if capacity is not None else DEFAULT_CAPACITY
+    capacity = dict(capacity if capacity is not None else DEFAULT_CAPACITY)  # one per scene
     width = len(str(max(n - 1, 1)))
 
     def nid(i):
@@ -74,7 +74,7 @@ def line_scenario(
                             ((f"poi{serial}", i, cls) for serial, (i, cls) in enumerate(pois)))
     return build_scene(
         (PathNode(id=nid(i), x=i * spacing, y=0.0, semantic_class="sidewalk",
-                  capacity=dict(capacity), segment_length=segment_length,
+                  capacity=capacity, segment_length=segment_length,
                   sidewalk_width=sidewalk_width)
          for i in range(n)),
         ((nid(i), nid(i + 1), spacing) for i in range(n - 1)),

@@ -1,6 +1,6 @@
 import pytest
 
-from scenesim.agents import plan_path
+from scenesim.agents import dwell_time, plan_path
 from scenesim.graph import EDGE_ADJACENCY, PathNode, PoiNode, SceneGraph
 from scenesim.processes import instantiate_processes, process_keys
 from scenesim.stochastic import random_streams
@@ -40,6 +40,18 @@ def narrow_detour():
 
 def build_line(n, capacity=None, pois=(), **kwargs):
     return line_scenario(n, capacity=capacity, pois=pois, **kwargs)
+
+
+def node_penalty(node, footprint_sum, agent_width, default_velocity):
+    """The time obstacles add to crossing ``node``: its dwell less the empty segment's."""
+    return (dwell_time(node, footprint_sum, agent_width, default_velocity)
+            - node.segment_length / default_velocity)
+
+
+def mean_live(ledger, object_class):
+    """The mean of every hourly live-count sample of ``object_class`` in ``ledger``."""
+    bins = [b for (cls, _), b in ledger._live_bins.items() if cls == object_class]
+    return sum(s for s, _ in bins) / sum(n for _, n in bins)
 
 
 def id_adjacency(graph):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scenesim.agents import node_penalty, node_velocity
+from scenesim.agents import node_velocity
 from scenesim.cli import main as cli_main
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
 from scenesim.graph import ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph, up_to_date
@@ -23,7 +23,7 @@ from scenesim.processes import ProcessSpec
 from scenesim.routing import astar
 from scenesim.stochastic import RandomStream, RateProfile, next_nhpp_interarrival
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import id_adjacency, indexed_graph
+from conftest import id_adjacency, indexed_graph, mean_live, node_penalty
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -144,7 +144,7 @@ def test_04_population_balance(capsys):
         duration=50 * DAY, warmup=2 * DAY, seed=6)
     state = SimState(scenario, config, seed=6)
     state.run()
-    mean = state.ledger.mean_live("car")
+    mean = mean_live(state.ledger, "car")
     report(capsys, 4, "long-run live population within 5% of the balance target",
            abs(mean / 100.0 - 1.0) <= 0.05, f"mean {mean:.2f} vs 100")
 

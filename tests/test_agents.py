@@ -12,7 +12,6 @@ from scenesim.agents import (
     NodeCosts,
     PLANNER_OBSERVED,
     PLANNER_STATIC,
-    node_penalty,
     node_velocity,
     observe,
     plan_path,
@@ -22,7 +21,7 @@ from scenesim.graph import ObjectNode, ObservedGraph, PathNode, SceneGraph
 from scenesim.routing import astar, least_cost_per_metre
 from scenesim.stochastic import RandomStream
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import id_adjacency, indexed_graph, plan_ids
+from conftest import id_adjacency, indexed_graph, node_penalty, plan_ids
 
 # Hypothesis examples per planner property and seeds per oracle; a longer CI
 # step sets this to run every one of them at that count

@@ -85,6 +85,10 @@ class TestAttachRemove:
         assert before == after
         assert tiny_graph.occupancy["car"] == [0, 0, 0]
 
+    def test_free_capacity_of_unknown_node_raises(self, tiny_graph):
+        with pytest.raises(UnknownId, match="'nope' is not a path node"):
+            tiny_graph.free_capacity("nope", "car")
+
     def test_remove_twice_raises(self, tiny_graph):
         tiny_graph.attach_object(obj("o1", "v1"))
         tiny_graph.remove_object("o1")

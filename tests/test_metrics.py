@@ -23,6 +23,7 @@ from scenesim.metrics import (
 from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile
 from scenesim.synthetic import line_scenario
+from conftest import mean_live
 
 HOUR = 3600.0
 
@@ -168,14 +169,13 @@ class TestLiveCounts:
         assert counts[("car", 0)] == 0.0  # sampled at t=0
         assert counts[("car", 1)] == 1.0
         assert counts[("car", 2)] == 2.0
-        assert led.mean_live("car") == pytest.approx(1.0)
+        assert mean_live(led, "car") == pytest.approx(1.0)
 
-    def test_no_samples_raises(self):
+    def test_no_samples_past_the_end(self):
         # first on-the-hour sample after warmup would land past t_end
         led = MetricsLedger(100.0, HOUR / 2, ["car"])
         led.finalize()
-        with pytest.raises(EmptyMeasurement):
-            led.mean_live("car")
+        assert led.live_count_by_hour() == {}
 
     def test_hour_of_day_folding(self):
         led = MetricsLedger(0.0, 49 * HOUR, ["car"])

@@ -111,6 +111,42 @@ class TestScenarioRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == saved
         assert graph.static_hash() == static
 
+    def test_loaded_scene_keeps_one_object_per_value(self, tmp_path):
+        # every edge end and access target is its node's own id string, and
+        # equal capacity maps, class names and lengths are one object each
+        path = tmp_path / "scenario.json"
+        save_scenario(grid_scenario(4, 3), path)
+        graph = load_scenario(path)
+        paths, pois = graph.path_nodes, graph.poi_nodes
+        for kind, u, v, _, _ in graph.static_edges:
+            assert u is (paths if kind == "adjacency" else pois)[u].id
+            assert v is paths[v].id
+        for poi_id, path_id in graph.access.items():
+            assert poi_id is pois[poi_id].id and path_id is paths[path_id].id
+        nodes = list(paths.values())
+        for field in ("capacity", "semantic_class", "segment_length", "sidewalk_width"):
+            assert len({id(getattr(n, field)) for n in nodes}) == 1, field
+        assert len({id(e.length) for e in graph.static_edges if e.kind == "adjacency"}) == 1
+
+    def test_equal_capacities_share_one_mapping(self, tmp_path):
+        data = scenario_dict()
+        data["path_nodes"].append(
+            {"id": "p2", "x": 20.0, "y": 0.0, "class": "sidewalk", "capacity": {"car": 1},
+             "segment_length": 10.0, "sidewalk_width": 2.0})
+        data["edges"].append({"kind": "adjacency", "u": "p1", "v": "p2", "length": 10.0})
+        path, resaved = tmp_path / "scenario.json", tmp_path / "resaved.json"
+        path.write_text(json.dumps(data))
+        graph = load_scenario(path)
+        p0, p1, p2 = (graph.path_nodes[f"p{i}"].capacity for i in range(3))
+        assert p0 is p1 and p0 == {"car": 2}
+        assert p2 is not p0 and p2 == {"car": 1}
+        built = grid_scenario(3, 2)
+        assert len({id(n.capacity) for n in built.path_nodes.values()}) == 1
+        # saving the loaded scene gives back the bytes it was loaded from
+        save_scenario(built, path)
+        save_scenario(load_scenario(path), resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_minimal_dict_loads(self):
         graph = scenario_from_dict(scenario_dict())
         assert graph.depot_id == "d"
@@ -284,6 +320,38 @@ class TestScenarioValidation:
         data["path_nodes"][0]["capacity"]["car"] = 3.0
         capacity = scenario_from_dict(data).path_nodes["p0"].capacity
         assert capacity == {"car": 3} and type(capacity["car"]) is int
+
+    def test_repeated_capacity_faults_reported_per_node(self, tmp_path):
+        # a bad map that several nodes share is reported at every one of them,
+        # with each node's own index, among nodes that share a good map
+        try:
+            int([1])
+        except TypeError as exc:
+            unconvertible = repr(exc)  # its wording varies with the Python version
+        capacities = [{"car": 2}, {"car": 1.5}, {"boat": 1}, {"car": 1.5}, {"car": 2},
+                      {"car": [1]}, {"boat": 1}, {"car": 1.5}]
+        data = scenario_dict(
+            path_nodes=[{"id": f"p{i}", "x": 10.0 * i, "y": 0.0, "class": "sidewalk",
+                         "capacity": capacity, "segment_length": 10.0, "sidewalk_width": 2.0}
+                        for i, capacity in enumerate(capacities)],
+            edges=[{"kind": "adjacency", "u": f"p{i}", "v": f"p{i + 1}", "length": 10.0}
+                   for i in range(len(capacities) - 1)]
+            + [{"kind": "access", "u": "d", "v": "p0", "length": 5.0}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == "; ".join([
+            "path_nodes[1].capacity[car]: expected an integer, got 1.5",
+            "path_nodes[2].capacity: undeclared class 'boat'",
+            "path_nodes[3].capacity[car]: expected an integer, got 1.5",
+            f"path_nodes[5]: {unconvertible}",
+            "path_nodes[6].capacity: undeclared class 'boat'",
+            "path_nodes[7].capacity[car]: expected an integer, got 1.5",
+            "edges[4]: adjacency edge 'p4'-'p5' references unknown path node",
+            "edges[5]: adjacency edge 'p5'-'p6' references unknown path node",
+            "path network is not connected",
+        ])
 
     def test_numeric_poi_id_with_string_depot(self):
         data = scenario_dict(depot="5")

@@ -357,6 +357,22 @@ class TestSeeding:
         assert "'scenesim.stochastic'" in modules and "'scenesim.cli'" in modules
         assert loaded == "False"
 
+    def test_import_leaves_yaml_unloaded(self):
+        # only a run config is YAML, so yaml is loaded by load_config, not on import
+        src = Path(scenesim.__file__).resolve().parent
+        code = ("import importlib, pkgutil, sys\n"
+                f"for m in pkgutil.iter_modules([{str(src)!r}]):\n"
+                "    importlib.import_module('scenesim.' + m.name)\n"
+                "print('yaml' in sys.modules)\n"
+                "from scenesim.scenario import load_config\n"
+                f"load_config({str(src / 'data' / 'micro_config.yaml')!r})\n"
+                "print('yaml' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True"]
+
 
 class TestBalance:
     def test_littles_law_algebra(self):
