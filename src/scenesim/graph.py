@@ -13,6 +13,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import inf, isfinite
 from typing import NamedTuple
 
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     UnknownId,
     UnknownStaticNode,
 )
-from .routing import least_cost_per_metre
+from .routing import components, least_cost_per_metre
 
 EDGE_ADJACENCY = "adjacency"
 EDGE_ACCESS = "access"
@@ -326,6 +328,62 @@ class ObjectLayer:
                 table.forget(i, shrank)
 
 
+# -- static rules: each returns a record's faults as "<field>: <problem>", in field
+# order; a class set of None (a rejected list's) judges no class undeclared
+
+
+def _placed_faults(x: float, y: float, cls, places) -> list[str]:
+    faults = [] if isfinite(x) and isfinite(y) else ["position: not finite"]
+    if not isinstance(cls, str):
+        faults.append("class: expected a string")
+    elif places is not None and cls not in places:
+        faults.append(f"class: undeclared {cls!r}")
+    return faults
+
+
+def path_node_faults(node: PathNode, places, objects, checked: set) -> list[str]:
+    """Position, class, capacity, segment length, sidewalk width.  A capacity map found
+    faultless joins ``checked`` by ``id`` (the caller keeps it alive): it is checked once."""
+    _, x, y, cls, capacity, segment, width = node
+    faults = _placed_faults(x, y, cls, places)
+    if id(capacity) not in checked:
+        count = len(faults)
+        for k, v in capacity.items():
+            if objects is not None and k not in objects:
+                faults.append(f"capacity: undeclared class {k!r}")
+            if not isinstance(v, int):
+                faults.append(f"capacity[{k}]: expected an integer, got {v!r}")
+            elif v < 0:
+                faults.append(f"capacity[{k}]: negative")
+        if len(faults) == count:
+            checked.add(id(capacity))
+    if not 0 < segment < inf:  # NaN fails too
+        faults.append("segment_length: must be positive and finite")
+    if not 0 < width < inf:
+        faults.append("sidewalk_width: must be positive and finite")
+    return faults
+
+
+def poi_faults(node: PoiNode, places) -> list[str]:
+    """Position and class; a declared class must not be a sidewalk."""
+    _, x, y, cls, _ = node
+    faults = _placed_faults(x, y, cls, places)
+    if cls == "sidewalk" and (places is None or "sidewalk" in places):
+        faults.append("class: PoI may not be a sidewalk")
+    return faults
+
+
+def scene_faults(graph: "SceneGraph") -> list[str]:
+    """Each PoI without an access edge, then a path network that is not weakly connected."""
+    faults = [f"poi {poi_id!r}: missing access edge"
+              for poi_id in graph.poi_nodes if poi_id not in graph.access]
+    roots = components(graph.path_nodes, ((u, v) for kind, u, v, _, _ in graph.static_edges
+                                          if kind == EDGE_ADJACENCY))
+    if len(set(roots.values())) > 1:
+        faults.append("path network is not connected")
+    return faults
+
+
 class SceneGraph(ObjectLayer):
     """True world state: static infrastructure plus live objects.
 
@@ -392,25 +450,26 @@ class SceneGraph(ObjectLayer):
         self.static_edges.append(tuple.__new__(Edge, edge))
 
     def freeze_static(self):
-        """Lock the static subgraph: finite positions, positive finite geometry, PoI access."""
+        """Lock the static subgraph; ``ValueError`` names its first fault, by record, under
+        the loader's rules: :func:`path_node_faults`, :func:`poi_faults`, :func:`scene_faults`."""
         if self._network is None:
-            for poi_id in self.poi_nodes:
-                if poi_id not in self.access:
-                    raise ValueError(f"PoI {poi_id!r} has no access edge")
-            for kind, nodes in (("path node", self.path_nodes), ("PoI", self.poi_nodes)):
-                for node in nodes.values():
-                    if not (math.isfinite(node.x) and math.isfinite(node.y)):
-                        raise ValueError(f"{kind} {node.id!r} position: must be finite, "
-                                         f"got {(node.x, node.y)!r}")
-            for node in self.path_nodes.values():
-                for name in ("segment_length", "sidewalk_width"):
-                    if not 0 < getattr(node, name) < math.inf:  # NaN fails too
-                        raise ValueError(f"path node {node.id!r} {name}: must be positive "
-                                         f"and finite, got {getattr(node, name)!r}")
-            self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.static_edges)
-            bare = self._network.bare = ObjectLayer()
-            bare._share_static(self)
-            bare.version = 0  # nothing merges into it, so a plan on it never ages
+            places, objects, checked = self.registry.places, self.registry.objects, set()
+            fault = next(chain(
+                (f"path node {node.id!r} {fault}" for node in self.path_nodes.values()
+                 for fault in path_node_faults(node, places, objects, checked)),
+                (f"PoI {node.id!r} {fault}" for node in self.poi_nodes.values()
+                 for fault in poi_faults(node, places)),
+                scene_faults(self)), None)
+            if fault is not None:
+                raise ValueError(fault)
+            self._compile_static()
+
+    def _compile_static(self):
+        """Freeze without checking: for a caller that has reported every fault itself."""
+        self._network = StaticNetwork(self.path_nodes, self.poi_nodes, self.static_edges)
+        bare = self._network.bare = ObjectLayer()
+        bare._share_static(self)
+        bare.version = 0  # nothing merges into it, so a plan on it never ages
 
     def _check_mutable_static(self):
         if self._network is not None:

@@ -286,8 +286,10 @@ def write_outputs(ledgers, graph, outdir):
                      ["replication", "node", "hour", "true_count", "observed_count"]) as writer:
         for i, ledger in enumerate(ledgers):
             true, observed = ledger.true_arrivals, ledger.observed_arrivals
+            # one sorted list of the keys, and no union set beside it
+            keys = sorted(chain(true, (key for key in observed if key not in true)))
             writer.writerows((i, node, hour, true[(node, hour)], observed[(node, hour)])
-                             for node, hour in sorted(true.keys() | observed.keys()))
+                             for node, hour in keys)
 
     with _csv_writer(outdir / "heatmap.csv",
                      ["replication", "node", "x", "y", "observations"]) as writer:

@@ -16,9 +16,9 @@ from pathlib import Path
 from .agents import PLANNER_MODES
 from .config import FleetConfig, SimConfig, TaskSpec
 from .errors import ParseError, ValidationError
-from .graph import EDGE_ADJACENCY, ClassRegistry, PathNode, PoiNode, SceneGraph
+from .graph import (ClassRegistry, PathNode, PoiNode, SceneGraph, path_node_faults, poi_faults,
+                    scene_faults)
 from .processes import ProcessSpec, spec_violations
-from .routing import components
 from .stochastic import RateProfile
 
 SCENARIO_VERSION = 1
@@ -80,8 +80,10 @@ def _read(path, parse, parse_error) -> dict:
 
 
 def _section(data: dict, key: str, violations: list) -> dict:
-    """The mapping under ``data[key]`` ({} when absent); anything else is a violation."""
-    section = data.get(key) or {}
+    """The mapping under ``data[key]`` ({} when absent or null); anything else is a violation."""
+    section = data.get(key)
+    if section is None:
+        return {}
     if not isinstance(section, dict):
         violations.append(f"{key}: expected a mapping")
         return {}
@@ -97,8 +99,10 @@ def _listed(value, where: str, violations: list, default=()) -> list:
 
 
 def _entries(data: dict, key: str, violations: list):
-    """Yield (index, mapping) per entry under ``data[key]``; anything else is a violation."""
-    for i, entry in enumerate(_listed(data.get(key) or [], key, violations)):
+    """Yield (index, mapping) per entry under ``data[key]`` (none when absent or null);
+    anything else is a violation."""
+    entries = data.get(key)
+    for i, entry in enumerate(() if entries is None else _listed(entries, key, violations)):
         if isinstance(entry, dict):
             yield i, entry
         else:
@@ -152,29 +156,20 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         report("depot: no depot declared")
     elif not any(str(p.get("id")) == str(depot_id) for _, p in pois):
         report(f"depot: {depot_id!r} is not a PoI node")
+    if len(flagged) == 1 and str(depot_id) != flagged[0]:
+        report(f"depot: {depot_id!r} conflicts with is_depot on {flagged[0]!r}")
 
-    # An entry is parsed whole before it is checked, so a field that does not
-    # parse is its one violation; field paths are formatted only to report one.
-    # One object per distinct value: class names and checked lengths come from
-    # their tables, and a capacity map that raised no violation is parsed once.
-    isfinite, inf = math.isfinite, math.inf
-    names, numbers, capacities = {}, {}, {}  # capacities: map's items -> parsed map
+    # An entry is parsed whole before its record's faults are checked, so a
+    # field that does not parse is its one violation.  One object per distinct
+    # value: class names and positive finite lengths come from their tables,
+    # and each distinct capacity map is parsed once (a fractional count kept,
+    # for its fault to name it) and, once faultless, not checked again.
+    inf = math.inf
+    names, numbers, capacities, checked = {}, {}, {}, set()
 
     def shared(length: float) -> float:
         """``length`` from the number table if it is positive and finite, else as is."""
         return numbers.setdefault(length, length) if 0 < length < inf else length
-
-    def placed(where: str, i: int, x: float, y: float, cls) -> str | None:
-        """Report a node's non-finite position or bad class; the class name, None if bad."""
-        if not (isfinite(x) and isfinite(y)):
-            report(f"{where}[{i}].position: not finite")
-        if not isinstance(cls, str):
-            report(f"{where}[{i}].class: expected a string")
-            return None
-        if places is None or cls in places:
-            return names.setdefault(cls, cls)
-        report(f"{where}[{i}].class: undeclared {cls!r}")
-        return None
 
     for i, spec in _entries(data, "path_nodes", violations):
         try:
@@ -185,32 +180,22 @@ def scenario_from_dict(data: dict) -> SceneGraph:
                 capacity = capacities.get(key)
             except TypeError:  # an unhashable count: the parse below reports it
                 key = capacity = None
-            fresh = capacity is None
-            if fresh:  # a fractional count is left out here and reported below
-                capacity = {k: int(v) for k, v in given.items() if not _fractional(v)}
+            if capacity is None:
+                capacity = {k: v if _fractional(v) else int(v) for k, v in given.items()}
+                if key is not None:
+                    capacities[key] = capacity
             segment, width = float(spec["segment_length"]), float(spec["sidewalk_width"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"path_nodes[{i}]: {exc!r}")
             continue
-        cls = placed("path_nodes", i, x, y, cls)
-        if fresh:
-            count = len(violations)
-            for k, v in given.items():
-                if objects is not None and k not in objects:
-                    report(f"path_nodes[{i}].capacity: undeclared class {k!r}")
-                if k not in capacity:
-                    report(f"path_nodes[{i}].capacity[{k}]: expected an integer, got {v!r}")
-                elif capacity[k] < 0:
-                    report(f"path_nodes[{i}].capacity[{k}]: negative")
-            if key is not None and len(violations) == count:
-                capacities[key] = capacity
-        if not 0 < segment < inf:  # NaN fails too
-            report(f"path_nodes[{i}].segment_length: must be positive and finite")
-        if not 0 < width < inf:
-            report(f"path_nodes[{i}].sidewalk_width: must be positive and finite")
+        if isinstance(cls, str):
+            cls = names.setdefault(cls, cls)
+        node = PathNode(nid, x, y, cls, capacity, shared(segment), shared(width))
+        faults = path_node_faults(node, places, objects, checked)
+        if faults:
+            violations.extend(f"path_nodes[{i}].{fault}" for fault in faults)
         try:
-            graph.add_path_node(PathNode(nid, x, y, cls, capacity, shared(segment),
-                                         shared(width)))
+            graph.add_path_node(node)
         except Exception as exc:
             report(f"path_nodes[{i}]: {exc}")
 
@@ -221,11 +206,14 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             report(f"poi_nodes[{i}]: {exc!r}")
             continue
-        cls = placed("poi_nodes", i, x, y, cls)
-        if cls == "sidewalk":
-            report(f"poi_nodes[{i}].class: PoI may not be a sidewalk")
+        if isinstance(cls, str):
+            cls = names.setdefault(cls, cls)
+        node = PoiNode(pid, x, y, cls, pid == depot)
+        faults = poi_faults(node, places)
+        if faults:
+            violations.extend(f"poi_nodes[{i}].{fault}" for fault in faults)
         try:
-            graph.add_poi_node(PoiNode(pid, x, y, cls, pid == depot))
+            graph.add_poi_node(node)
         except Exception as exc:
             report(f"poi_nodes[{i}]: {exc}")
 
@@ -249,24 +237,11 @@ def scenario_from_dict(data: dict) -> SceneGraph:
         except Exception as exc:
             report(f"edges[{i}]: {exc}")
 
-    for poi_id in graph.poi_nodes:
-        if poi_id not in graph.access:
-            report(f"poi {poi_id!r}: missing access edge")
-
-    if graph.path_nodes and not _path_network_connected(graph):
-        report("path network is not connected")
-
+    violations.extend(scene_faults(graph))
     if violations:
         raise ValidationError(violations)
-    graph.freeze_static()
+    graph._compile_static()  # every fault freeze_static checks is reported above
     return graph
-
-
-def _path_network_connected(graph: SceneGraph) -> bool:
-    """Weak connectivity: the adjacency edges, directed ones too, join the path nodes into one."""
-    roots = components(graph.path_nodes, ((u, v) for kind, u, v, _, _ in graph.static_edges
-                                          if kind == EDGE_ADJACENCY))
-    return len(set(roots.values())) == 1
 
 
 # -- config -----------------------------------------------------------------------

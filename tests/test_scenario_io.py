@@ -3,23 +3,24 @@
 import hashlib
 import json
 import math
+import re
 
 import networkx as nx
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from scenesim import graph as graph_module
 from scenesim.cli import main
 from scenesim.config import SimConfig
 from scenesim.errors import ParseError, ValidationError
-from scenesim.graph import PathNode, PoiNode, SceneGraph
+from scenesim.graph import PathNode, PoiNode, SceneGraph, scene_faults
 from scenesim.kernel import run_replications
 from scenesim.scenario import (
     CONFIG_TEMPLATE,
     config_from_dict,
     load_config,
     load_scenario,
-    _path_network_connected,
     save_scenario,
     scenario_from_dict,
     write_config_template,
@@ -153,6 +154,16 @@ class TestScenarioRoundTrip:
         assert graph.access["d"] == "p0"
         assert ("access", "d", "p0", False, 5.0) in graph.static_edges
 
+    def test_load_checks_connectivity_once(self, tmp_path, monkeypatch):
+        # the loader reports the scene's faults and compiles it without a second check
+        path = tmp_path / "grid.json"
+        save_scenario(grid_scenario(4, 3), path)
+        calls = []
+        monkeypatch.setattr(graph_module, "components",
+                            lambda *args: calls.append(args) or components(*args))
+        load_scenario(path)
+        assert len(calls) == 1
+
     def test_malformed_json_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -175,6 +186,22 @@ class TestScenarioValidation:
                               "length": 5.0})
         text = violations_of(data)
         assert "d" in text and "e" in text and "multiple" in text
+
+    def test_depot_field_and_flag_must_agree(self, tmp_path):
+        # a field naming one PoI and a flag on another used to load silently,
+        # with the field's depot
+        path = tmp_path / "grid.json"
+        save_scenario(grid_scenario(3, 3), path)
+        data = json.loads(path.read_text())
+        pois = {p["id"]: p for p in data["poi_nodes"]}
+        pois["poi0"]["is_depot"] = True
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations == ["depot: 'depot' conflicts with is_depot on 'poi0'"]
+        # a field and a flag that name the same PoI stay valid
+        del pois["poi0"]["is_depot"]
+        pois["depot"]["is_depot"] = True
+        assert scenario_from_dict(data).depot_id == "depot"
 
     def test_missing_depot(self):
         assert "no depot" in violations_of(scenario_dict(depot=None))
@@ -483,6 +510,23 @@ class TestScenarioValidation:
          ["classes: expected a mapping", "poi_nodes: expected a list",
           "depot: 'd' is not a PoI node", "path_nodes: expected a list",
           "edges: expected a list"]),
+        # only a missing or null section reads as empty; a falsy one of the
+        # wrong type is its own violation
+        ({"edges": None}, ["poi 'd': missing access edge", "path network is not connected"]),
+        *(({"edges": falsy}, ["edges: expected a list", "poi 'd': missing access edge",
+                              "path network is not connected"])
+          for falsy in ({}, 0, "", False)),
+        *(({"poi_nodes": falsy}, ["poi_nodes: expected a list", "depot: 'd' is not a PoI node",
+                                  "edges[1]: access edge 'd'-'p0' references unknown node"])
+          for falsy in ({}, 0, "", False)),
+        *(({"path_nodes": falsy},
+           ["path_nodes: expected a list",
+            "edges[0]: adjacency edge 'p0'-'p1' references unknown path node",
+            "edges[1]: access edge 'd'-'p0' references unknown node",
+            "poi 'd': missing access edge"])
+          for falsy in ({}, 0, "", False)),
+        ({"classes": []}, ["classes: expected a mapping"]),
+        ({"classes": ["x"]}, ["classes: expected a mapping"]),
     ])
     def test_section_faults_reported_exactly(self, overrides, violations):
         with pytest.raises(ValidationError) as exc:
@@ -538,6 +582,67 @@ class TestScenarioValidation:
         assert len(exc.value.violations) >= 3
 
 
+def faulty_scene(record, edit) -> SceneGraph:
+    """An unfrozen line a-b-c, depot d at a and house h at c, with ``edit`` applied.
+
+    ``record`` "b" or "h" replaces that node's fields by ``edit``; "scene" leaves
+    out the edge ``edit`` names (the access edge "h"-"c" or the adjacency "b"-"c").
+    """
+    graph = SceneGraph()
+    for nid, x in (("a", 0.0), ("b", 10.0), ("c", 20.0)):
+        node = PathNode(nid, x, 0.0, "sidewalk", {"car": 1}, 4.0, 2.0)
+        graph.add_path_node(node._replace(**edit) if record == nid else node)
+    for poi, at in ((PoiNode("d", 0.0, 3.0, "work", is_depot=True), "a"),
+                    (PoiNode("h", 20.0, 3.0, "housing"), "c")):
+        graph.add_poi_node(poi._replace(**edit) if record == poi.id else poi)
+        if (record, edit) != ("scene", (poi.id, at)):
+            graph.add_access_edge(poi.id, at, 3.0)
+    for u, v in (("a", "b"), ("b", "c")):
+        if (record, edit) != ("scene", (u, v)):
+            graph.add_adjacency_edge(u, v, 10.0)
+    return graph
+
+
+class TestOneHomePerRule:
+    """A scene built in code and one loaded from its file break a rule with one fault text."""
+
+    @pytest.mark.parametrize("record, edit, fault", [
+        ("b", {"x": math.nan}, "position: not finite"),
+        ("b", {"y": math.inf}, "position: not finite"),
+        ("b", {"semantic_class": ["sidewalk"]}, "class: expected a string"),
+        ("b", {"semantic_class": "harbor"}, "class: undeclared 'harbor'"),
+        ("b", {"capacity": {"boat": 1}}, "capacity: undeclared class 'boat'"),
+        ("b", {"capacity": {"car": 1.5}}, "capacity[car]: expected an integer, got 1.5"),
+        ("b", {"capacity": {"car": -1}}, "capacity[car]: negative"),
+        ("b", {"segment_length": 0.0}, "segment_length: must be positive and finite"),
+        ("b", {"sidewalk_width": math.nan}, "sidewalk_width: must be positive and finite"),
+        ("h", {"x": -math.inf}, "position: not finite"),
+        ("h", {"semantic_class": "harbor"}, "class: undeclared 'harbor'"),
+        ("h", {"semantic_class": "sidewalk"}, "class: PoI may not be a sidewalk"),
+        ("scene", ("h", "c"), "poi 'h': missing access edge"),
+        ("scene", ("b", "c"), "path network is not connected"),
+    ])
+    def test_loader_and_freeze_report_one_fault(self, tmp_path, record, edit, fault):
+        graph = faulty_scene(record, edit)
+        path = tmp_path / "scene.json"
+        save_scenario(graph, path)  # path nodes a, b, c and PoIs d, h, by id
+        loaded = {"b": f"path_nodes[1].{fault}", "h": f"poi_nodes[1].{fault}"}.get(record, fault)
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert exc.value.violations == [loaded]
+        frozen = {"b": f"path node 'b' {fault}", "h": f"PoI 'h' {fault}"}.get(record, fault)
+        with pytest.raises(ValueError, match=f"^{re.escape(frozen)}$"):
+            graph.freeze_static()
+        with pytest.raises(ValueError, match="freeze the static subgraph first"):
+            graph.network
+
+    def test_faultless_scene_loads_and_freezes(self, tmp_path):
+        graph = faulty_scene(None, None)
+        save_scenario(graph, tmp_path / "scene.json")
+        graph.freeze_static()
+        assert load_scenario(tmp_path / "scene.json").static_hash() == graph.static_hash()
+
+
 @st.composite
 def small_networks(draw):
     """1-7 path nodes, up to 8 edges (directed, self-loops and parallels allowed), maybe a PoI."""
@@ -566,7 +671,8 @@ def test_connectivity_is_weak_connectivity(case):
     if poi_at is not None:
         graph.add_poi_node(PoiNode("p", 0.0, 1.0, "housing"))
         graph.add_access_edge("p", f"v{poi_at}", 1.0)
-    assert _path_network_connected(graph) == nx.is_weakly_connected(oracle)
+    # the PoI has its access edge, so connectivity is the one fault possible
+    assert (scene_faults(graph) == []) == nx.is_weakly_connected(oracle)
     by_root = {}
     for node, root in components(graph.path_nodes, ((u, v) for u, v, _ in edges)).items():
         by_root.setdefault(root, set()).add(node)
@@ -805,6 +911,13 @@ class TestConfig:
         assert exc.value.violations == ["tasks: expected a list",
                                         "fleet: expected a mapping",
                                         "sim: expected a mapping"]
+        # a falsy section of the wrong type is no empty one; a null one is
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(config_dict(fleet=[], sim=0, tasks={}))
+        assert exc.value.violations == ["tasks: expected a list",
+                                        "fleet: expected a mapping",
+                                        "sim: expected a mapping"]
+        assert config_from_dict(config_dict(fleet=None, sim=None, tasks=None)).tasks == []
 
     def test_template_round_trips(self, tmp_path):
         path = tmp_path / "config.yaml"
