@@ -24,13 +24,7 @@ from .errors import ScenesimError, ValidationError
 from .kernel import run_replications
 from .metrics import write_outputs
 from .osm import import_osm
-from .scenario import (
-    load_config,
-    load_scenario,
-    run_control_violations,
-    save_scenario,
-    write_config_template,
-)
+from .scenario import load_config, load_scenario, save_scenario, write_config_template
 
 
 def main(argv=None) -> int:
@@ -123,25 +117,14 @@ def cmd_validate(args) -> int:
 
 
 def _apply_overrides(config, args):
-    if args.replications is not None:
-        config.replications = args.replications
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.days is not None:
-        config.duration = args.days * 86400.0
-    if args.warmup_hours is not None:
-        config.warmup = args.warmup_hours * 3600.0
+    """``config`` with the run's overrides, checked as the config file's values are."""
+    changes = {key: getattr(args, arg) * unit for arg, key, unit in (
+        ("replications", "replications", 1), ("seed", "seed", 1),
+        ("days", "duration", 86400.0), ("warmup_hours", "warmup", 3600.0))
+        if getattr(args, arg) is not None}
     if args.planner is not None:
-        config.fleet = dataclasses.replace(config.fleet, planner_mode=args.planner)
-    _check_run_control(config)
-    return config
-
-
-def _check_run_control(config):
-    violations = run_control_violations(config.duration, config.warmup,
-                                        config.replications)
-    if violations:
-        raise ValidationError(violations)
+        changes["fleet"] = dataclasses.replace(config.fleet, planner_mode=args.planner)
+    return dataclasses.replace(config, **changes)
 
 
 def cmd_run(args) -> int:
@@ -169,13 +152,11 @@ def cmd_run(args) -> int:
 def cmd_sample(args) -> int:
     graph = load_scenario(args.scenario)
     config = load_config(args.config, graph)
-    if args.seed is not None:
-        config.seed = args.seed
-    config.duration = args.days * 86400.0
-    config.warmup = min(config.warmup, config.duration / 2)
-    _check_run_control(config)
-    config.tasks = []
-    config.fleet = dataclasses.replace(config.fleet, count=0)
+    duration = args.days * 86400.0
+    config = dataclasses.replace(
+        config, seed=config.seed if args.seed is None else args.seed, duration=duration,
+        warmup=min(config.warmup, duration / 2), tasks=[],
+        fleet=dataclasses.replace(config.fleet, count=0))
     ledgers = run_replications(graph, config, 1, config.seed)
     write_outputs(ledgers, graph, Path(args.out))
     print(f"sampled {args.days} day(s) of ground truth into {args.out}")

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .agents import (
     IDLE_AT_DEPOT,
-    PLANNER_OBSERVED,
     PLANNER_STATIC,
     RETURNING,
     TO_TARGET,
@@ -28,7 +27,7 @@ from .agents import (
     plan_path,
 )
 from .config import SimConfig, TaskSpec
-from .errors import TimeTravel, Unreachable, ZeroRate
+from .errors import TimeTravel, Unreachable, ValidationError, ZeroRate
 from .graph import ObservedGraph, SceneGraph, up_to_date
 from .metrics import MetricsLedger
 from .processes import instantiate_processes, process_keys
@@ -63,13 +62,13 @@ class SimState:
 
     def __init__(self, scenario: SceneGraph, config: SimConfig, seed: int,
                  trace=None):
+        if faults := config.class_faults(scenario.registry):  # the config checks the rest
+            raise ValidationError(faults)
         self.truth = scenario.dynamic_copy()
         self.belief = ObservedGraph(self.truth)
         # the layer every leg is planned on: a planner mode is a choice of layer
-        layers = {PLANNER_STATIC: self.truth.network.bare, PLANNER_OBSERVED: self.belief}
-        if config.fleet.planner_mode not in layers:
-            raise ValueError(f"unknown planner mode {config.fleet.planner_mode!r}")
-        self.plan_layer = layers[config.fleet.planner_mode]
+        self.plan_layer = (self.truth.network.bare if config.fleet.planner_mode == PLANNER_STATIC
+                           else self.belief)
         self.clock = 0.0
         self.t_end = config.duration
         self._search_bound = config.drain_search_bound
@@ -114,17 +113,13 @@ class SimState:
         self.waiting_at: dict[str, list[Agent]] = {}
         self._agents_by_id = {a.id: a for a in self.fleet}
         # event payload -> (kind, source): a process instance or a task
-        # source, each with a ``spec`` and its own ``stream``
-        self._sources: dict[tuple, tuple] = {}
-        sources = [((inst.spec.name, inst.poi_id, inst.object_class), SPAWN, inst)
-                   for inst in self.instances]
-        sources += [((spec.name, poi_id), TASK_ARRIVAL, TaskSource(spec, stream))
-                    for (spec, poi_id), stream in zip(tasks, streams[len(keys):])]
-        for payload, kind, source in sources:
-            if payload in self._sources:
-                raise ValueError(f"two {kind} sources share the payload {payload!r}: "
-                                 f"give each process and task generator its own name")
-            self._sources[payload] = (kind, source)
+        # source, each with a ``spec`` and its own ``stream``; the config's
+        # unique names make each payload unique
+        self._sources: dict[tuple, tuple] = {
+            (inst.spec.name, inst.poi_id, inst.object_class): (SPAWN, inst)
+            for inst in self.instances}
+        self._sources.update(((spec.name, poi_id), (TASK_ARRIVAL, TaskSource(spec, stream)))
+                             for (spec, poi_id), stream in zip(tasks, streams[len(keys):]))
 
     # -- scheduling -------------------------------------------------------------
 

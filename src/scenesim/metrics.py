@@ -45,7 +45,7 @@ class MetricsLedger:
     """Accumulators for one replication; mutated only by its kernel."""
 
     def __init__(self, warmup_end: float, t_end: float, object_classes):
-        if t_end <= warmup_end:
+        if not t_end > warmup_end:  # NaN fails too
             raise ValueError("t_end must exceed warmup_end")
         self.warmup_end = warmup_end
         self.t_end = t_end
@@ -91,9 +91,7 @@ class MetricsLedger:
 
     def up_to_date_share(self, path_node_ids) -> float:
         """Mean over path nodes of the correct-time fraction, in percent."""
-        window = self.t_end - self.warmup_end
-        if window <= 0:
-            raise EmptyMeasurement("measurement window is empty")
+        window = self.t_end - self.warmup_end  # positive: the constructor checks it
         if not self._finalized:
             raise RuntimeError("finalize() must run before reading shares")
         total = 0.0

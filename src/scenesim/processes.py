@@ -8,6 +8,7 @@ free capacity, and draws exponential lifetimes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,18 @@ DEFAULT_SEARCH_BOUND = 300.0
 ATTACHED = "attached"
 DISCARDED_PRIVATE = "discarded_private"
 DISCARDED_CAPACITY = "discarded_capacity"
+
+
+def positive_faults(key: str, value, finite: bool = False) -> list[str]:
+    """``key``'s fault unless ``value`` is positive, and finite if ``finite``; NaN is neither."""
+    if not value > 0:
+        return [f"{key}: must be positive"]
+    return [f"{key}: must be finite"] if finite and value == math.inf else []
+
+
+def footprint_faults(footprint_area) -> list[str]:
+    """An object footprint is positive and finite; the loader checks it before the means parse."""
+    return positive_faults("footprint_area", footprint_area, finite=True)
 
 
 def spec_violations(lifetime_mean, target_population, sidewalk_probability) -> list[str]:
@@ -44,7 +57,7 @@ def spec_violations(lifetime_mean, target_population, sidewalk_probability) -> l
 class ProcessSpec:
     """Declares one object-spawning rule for a set of place classes.
 
-    ``spec_violations`` is checked here, so a drain draws without checking.
+    Its rule functions are checked here, so a drain draws without checking.
     """
 
     name: str
@@ -57,9 +70,8 @@ class ProcessSpec:
     target_population: float | None = None
 
     def __post_init__(self):
-        faults = spec_violations(self.lifetime_mean, self.target_population,
-                                 self.sidewalk_probability)
-        if faults:
+        if faults := footprint_faults(self.footprint_area) + spec_violations(
+                self.lifetime_mean, self.target_population, self.sidewalk_probability):
             raise ValidationError([f"process {self.name!r}: {fault}" for fault in faults])
 
 

@@ -54,8 +54,6 @@ def nearest_matching_node(adjacency, start, predicate, bound: float):
         if node in visited:
             continue
         visited.add(node)
-        if d > bound:
-            return None
         if node != start and predicate(node):
             return node
         for nbr, length in adjacency[node]:

@@ -13,12 +13,12 @@ import json
 import math
 from pathlib import Path
 
-from .agents import PLANNER_MODES
-from .config import FleetConfig, SimConfig, TaskSpec
+from .config import (FleetConfig, SimConfig, TaskSpec, run_control_violations,
+                     search_bound_faults, undeclared)
 from .errors import ParseError, ValidationError
 from .graph import (ClassRegistry, PathNode, PoiNode, SceneGraph, path_node_faults, poi_faults,
                     scene_faults)
-from .processes import ProcessSpec, spec_violations
+from .processes import ProcessSpec, footprint_faults, spec_violations
 from .stochastic import RateProfile
 
 SCENARIO_VERSION = 1
@@ -262,9 +262,7 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         """The class names listed under ``spec[key]``; undeclared ones are reported in order."""
         names = _listed(spec[key], f"{where}.{key}", violations)
         if universe is not None:
-            for name in dict.fromkeys(names):
-                if name not in universe:
-                    violations.append(f"{where}.{key}: undeclared class {name!r}")
+            violations.extend(f"{where}.{fault}" for fault in undeclared(key, names, universe))
         return frozenset(names)
 
     def rates(spec, where) -> list:
@@ -288,13 +286,6 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             violations.append(f"{where}.{key}: expected a number, got {value!r}")
             return default
 
-    def positive(where, value, finite=False):
-        # NaN fails the comparison and is reported too
-        if not value > 0:
-            violations.append(f"{where}: must be positive")
-        elif finite and value == math.inf:
-            violations.append(f"{where}: must be finite")
-
     # a name keys its sources' event payloads and random streams
     processes, names = [], set()
     for i, spec in _entries(data, "processes", violations):
@@ -305,25 +296,17 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
             source_classes = classes(spec, where, "source_classes", places)
             object_classes = classes(spec, where, "object_classes", objects)
             profile = RateProfile(tuple(rates(spec, where)))
-            footprint = float(spec["footprint_area"])
-            positive(f"{where}.footprint_area", footprint, finite=True)
+            footprint, before = float(spec["footprint_area"]), len(violations)
+            violations.extend(f"{where}.{fault}" for fault in footprint_faults(footprint))
             means = {key: float(spec[key]) for key in ("lifetime_mean", "target_population")
                      if spec.get(key) is not None}
             sidewalk_p = float(spec.get("sidewalk_probability", 1.0))
-            faults = spec_violations(means.get("lifetime_mean"),
-                                     means.get("target_population"), sidewalk_p)
-            if faults:  # reported keyed by field here, so the spec is not built to raise them
-                violations.extend(f"{where}.{fault}" for fault in faults)
+            violations.extend(f"{where}.{fault}" for fault in spec_violations(
+                means.get("lifetime_mean"), means.get("target_population"), sidewalk_p))
+            if len(violations) > before:  # reported keyed by field, so the spec is not built
                 continue
-            processes.append(ProcessSpec(
-                name=name,
-                source_classes=source_classes,
-                object_classes=object_classes,
-                rate_profile=profile,
-                footprint_area=footprint,
-                sidewalk_probability=sidewalk_p,
-                **means,
-            ))
+            processes.append(ProcessSpec(name, source_classes, object_classes, profile,
+                                         footprint, sidewalk_p, **means))
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 
@@ -333,69 +316,35 @@ def config_from_dict(data: dict, graph: SceneGraph | None = None) -> SimConfig:
         try:
             name = spec.get("name", f"tasks{i}")
             unique(name, where, names)
-            tasks.append(TaskSpec(
-                name=name,
-                place_classes=classes(spec, where, "place_classes", places),
-                rate_profile=RateProfile(tuple(rates(spec, where))),
-            ))
+            tasks.append(TaskSpec(name, classes(spec, where, "place_classes", places),
+                                  RateProfile(tuple(rates(spec, where)))))
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"{where}: {exc!r}")
 
     fleet_data, default = _section(data, "fleet", violations), FleetConfig()
-    fleet = FleetConfig(
-        planner_mode=fleet_data.get("planner_mode", default.planner_mode),
-        **{key: number(fleet_data, "fleet", key, getattr(default, key))
-           for key in ("count", "default_velocity", "agent_width", "sensor_radius")},
-    )
-    if fleet.planner_mode not in PLANNER_MODES:
-        violations.append(f"fleet.planner_mode: unknown {fleet.planner_mode!r}")
-    if fleet.count < 0:
-        violations.append("fleet.count: must be >= 0")
-    positive("fleet.default_velocity", fleet.default_velocity, finite=True)
-    positive("fleet.agent_width", fleet.agent_width, finite=True)
-    # an infinite radius sees the whole scene
-    if not fleet.sensor_radius >= 0:
-        violations.append("fleet.sensor_radius: must be non-negative")
+    try:  # the fleet checks its own rules when built
+        fleet = FleetConfig(
+            planner_mode=fleet_data.get("planner_mode", default.planner_mode),
+            **{key: number(fleet_data, "fleet", key, getattr(default, key))
+               for key in ("count", "default_velocity", "agent_width", "sensor_radius")},
+        )
+    except ValidationError as exc:
+        violations.extend(exc.violations)
 
     sim, default = _section(data, "sim", violations), SimConfig()
     duration = number(sim, "sim", "duration_days", default.duration / 86400.0) * 86400.0
     warmup = number(sim, "sim", "warmup_hours", default.warmup / 3600.0) * 3600.0
     replications = number(sim, "sim", "replications", default.replications)
-    violations.extend(run_control_violations(duration, warmup, replications))
+    violations.extend(f"sim.{fault}" for fault in
+                      run_control_violations(duration, warmup, replications))
     bound = number(sim, "sim", "drain_search_bound", default.drain_search_bound)
-    positive("sim.drain_search_bound", bound)
+    violations.extend(f"sim.{fault}" for fault in search_bound_faults(bound))
     seed = number(sim, "sim", "seed", default.seed)
 
     if violations:
         raise ValidationError(violations)
-    return SimConfig(
-        processes=processes,
-        tasks=tasks,
-        fleet=fleet,
-        duration=duration,
-        warmup=warmup,
-        replications=replications,
-        seed=seed,
-        drain_search_bound=bound,
-    )
-
-
-def run_control_violations(duration: float, warmup: float, replications: int) -> list[str]:
-    """Violated run-control rules, for config files and CLI overrides alike.
-
-    ``duration`` and ``warmup`` are in seconds; NaN fails every comparison
-    and is reported like any other out-of-range value.  The warm-up is held
-    against the duration only when that is valid, so it is reported once.
-    """
-    violations = []
-    duration_ok = 0 < duration < math.inf
-    if not duration_ok:
-        violations.append("sim.duration_days: must be positive and finite")
-    if not 0 <= warmup or (duration_ok and warmup >= duration):
-        violations.append("sim.warmup_hours: must lie inside the run duration")
-    if replications < 1:
-        violations.append("sim.replications: must be >= 1")
-    return violations
+    return SimConfig(processes=processes, tasks=tasks, fleet=fleet, duration=duration,
+                     warmup=warmup, replications=replications, seed=seed, drain_search_bound=bound)
 
 
 CONFIG_TEMPLATE = """\

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from scenesim.agents import dwell_time, plan_path
@@ -129,3 +132,12 @@ class ScriptedStream:
 @pytest.fixture
 def scripted_stream():
     return ScriptedStream
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded by its path: ``scripts/`` is no package."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,7 @@
 """Event kernel: ordering, determinism, tick-based oracle, task lifecycle."""
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -21,7 +22,7 @@ import scenesim
 from scenesim.agents import NodeCosts, Task, cost_table, plan_path
 from scenesim.cli import TraceWriter
 from scenesim.config import FleetConfig, SimConfig, TaskSpec
-from scenesim.errors import TimeTravel, Unreachable
+from scenesim.errors import TimeTravel, Unreachable, ValidationError
 from scenesim.graph import (ObjectNode, ObservedGraph, PathNode, PoiNode, SceneGraph,
                             StaticNetwork, _scan, up_to_date)
 from scenesim.kernel import (
@@ -39,7 +40,7 @@ from scenesim.processes import ProcessSpec
 from scenesim.stochastic import RateProfile, random_streams
 from scenesim.routing import astar
 from scenesim.synthetic import grid_scenario, line_scenario
-from conftest import plan_ids
+from conftest import load_script, plan_ids
 
 HOUR = 3600.0
 
@@ -92,10 +93,10 @@ class TestScheduling:
 
     @pytest.mark.parametrize("mode", ["Static", "", "psychic"])
     def test_unknown_planner_mode_rejected(self, mode):
-        # a code-built config skips the loader's check: a misspelling must not plan as observed
-        config = SimConfig(fleet=FleetConfig(planner_mode=mode))
-        with pytest.raises(ValueError, match=f"unknown planner mode {mode!r}"):
-            SimState(line_scenario(3), config, seed=1)
+        # a code-built fleet meets the loader's rule: a misspelling must not plan as observed
+        with pytest.raises(ValidationError) as exc:
+            FleetConfig(planner_mode=mode)
+        assert exc.value.violations == [f"fleet.planner_mode: unknown {mode!r}"]
 
     @pytest.mark.parametrize("section", ["processes", "tasks"])
     def test_sources_sharing_a_payload_rejected(self, section):
@@ -107,8 +108,9 @@ class TestScheduling:
                       for rate in (1.0, 5.0)],
         }[section]
         scenario = line_scenario(3, pois=((2, "housing"),))
-        with pytest.raises(ValueError, match="share the payload"):
-            SimState(scenario, empty_config(**{section: twins}), seed=1)
+        with pytest.raises(ValidationError) as exc:
+            empty_config(**{section: twins})
+        assert exc.value.violations == [f"{section}[1].name: duplicate {twins[0].name!r}"]
         twins[1] = dataclasses.replace(twins[1], name="b")
         SimState(scenario, empty_config(**{section: twins}), seed=1)
 
@@ -162,7 +164,7 @@ class TestRun:
         # find the slot already vacated
         scenario = line_scenario(3, capacity={"car": 1}, pois=((1, "housing"),))
         config = empty_config(processes=[car_process()],
-                              duration=50.0, drain_search_bound=0.0)
+                              duration=50.0, drain_search_bound=5.0)
         state = SimState(scenario, config, seed=1)
         (inst,) = state.instances
         inst.stream = scripted_stream([10.0, 10.0], [10.0, 100.0])
@@ -1050,3 +1052,49 @@ def test_differential_caches_match_their_references(params):
         reference = run_with(build, config, seed, Path(tmp, "reference"), reference_caches())
     assert cached[0] == reference[0]
     assert cached[1] == reference[1]
+
+
+class TestTruthIndependence:
+    """For a seed, the true world is the same whatever the fleet and its planner."""
+
+    SUMMARY_ROWS = ("objects_spawned", "objects_expired", "discarded_private",
+                    "discarded_capacity")
+
+    def truth_of(self, scenario, config, out):
+        """(the run's true-world outputs, tasks it completed)."""
+        state = SimState(scenario, config, config.seed)
+        state.run()
+        write_outputs([state.ledger], scenario, out)
+        with open(out / "arrivals_by_node_hour.csv") as f:
+            arrivals = [(node, hour, true) for _, node, hour, true, _ in itertools.islice(
+                csv.reader(f), 1, None) if int(true) > 0]
+        with open(out / "summary.csv") as f:
+            summary = [row for row in csv.reader(f) if row[1] in self.SUMMARY_ROWS]
+        truth = ((out / "daily_trends.csv").read_bytes(), arrivals, summary,
+                 state.ledger.counters["tasks_issued"])
+        return truth, state.ledger.counters["tasks_completed"]
+
+    def test_truth_does_not_depend_on_the_fleet(self, tmp_path):
+        # planner_gap.py's scene and rates, one day; agents draw no random
+        # numbers and every source owns its stream, so neither the planner
+        # nor the fleet size may move a spawn, an expiry or a task arrival
+        gap = load_script("planner_gap")
+        scenario = gap.build_scenario()
+        by_seed = {}
+        for seed in (1, 2):
+            truths, completed = {}, {}
+            for mode in ("observed", "static"):
+                for agents in (0, 3, 12):
+                    config = gap.build_config(
+                        mode, rate_per_hour=1.0, lifetime_hours=8.0, footprint=4.0,
+                        task_rate=0.1, agents=agents, sensor_radius=45.0, days=1,
+                        warmup_hours=2, seed=seed)
+                    out = tmp_path / f"{seed}-{mode}-{agents}"
+                    truths[mode, agents], completed[mode, agents] = self.truth_of(
+                        scenario, config, out)
+            first = truths["observed", 0]
+            assert [key for key, truth in truths.items() if truth != first] == []
+            assert first[1] and first[3] > 0  # arrivals and tasks, so the pin is not empty
+            assert min(done for (_, agents), done in completed.items() if agents) > 0
+            by_seed[seed] = first
+        assert by_seed[1] != by_seed[2]

@@ -134,6 +134,13 @@ class TestCorrectnessIntervals:
         with pytest.raises(RuntimeError):
             led.up_to_date_share(["v0"])
 
+    @pytest.mark.parametrize("warmup, end", [(0.0, math.nan), (math.nan, 1000.0),
+                                             (math.nan, math.nan), (1000.0, 1000.0)])
+    def test_empty_or_nan_window_rejected(self, warmup, end):
+        # a NaN window would give NaN shares, and a NaN warm-up no first sample hour
+        with pytest.raises(ValueError, match="^t_end must exceed warmup_end$"):
+            MetricsLedger(warmup, end, ["car"])
+
     def test_no_nodes_raises(self):
         led = self.ledger()
         led.finalize()

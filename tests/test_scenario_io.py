@@ -1,5 +1,6 @@
 """Scenario JSON and run-config YAML: round trips and validation."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ from scenesim.cli import main
 from scenesim.config import SimConfig
 from scenesim.errors import ParseError, ValidationError
 from scenesim.graph import PathNode, PoiNode, SceneGraph, scene_faults
-from scenesim.kernel import run_replications
+from scenesim.kernel import SimState, run_replications
 from scenesim.scenario import (
     CONFIG_TEMPLATE,
     config_from_dict,
@@ -932,3 +933,84 @@ class TestConfig:
         path.write_text("fleet: [unclosed")
         with pytest.raises(ParseError):
             load_config(path)
+
+
+class TestCodeBuiltConfig:
+    """A record built in code checks the loader's rules, in the loader's words.
+
+    Each case edits one field of ``config_dict()``'s config: in the file, and
+    in code through ``dataclasses.replace`` on its record.  A spec's class
+    faults need the scene, so ``SimState`` reports them; a process spec names
+    itself as ``process '<name>':`` where the loader gives its index.
+    """
+
+    GRAPH = line_scenario(3, pois=((1, "housing"),))
+
+    @pytest.mark.parametrize("section, key, value, field, code_value, line", [
+        ("sim", "warmup_hours", -8, "warmup", -8 * 3600.0,
+         "sim.warmup_hours: must lie inside the run duration"),
+        ("fleet", "agent_width", -1, "agent_width", -1.0, "fleet.agent_width: must be positive"),
+        ("processes", "footprint_area", -4, "footprint_area", -4.0,
+         "processes[0].footprint_area: must be positive"),
+        ("sim", "drain_search_bound", -1, "drain_search_bound", -1.0,
+         "sim.drain_search_bound: must be positive"),
+        ("fleet", "count", -1, "count", -1, "fleet.count: must be >= 0"),
+        ("processes", "source_classes", ["houses"], "source_classes", frozenset({"houses"}),
+         "processes[0].source_classes: undeclared class 'houses'"),
+        ("processes", "object_classes", ["cars"], "object_classes", frozenset({"cars"}),
+         "processes[0].object_classes: undeclared class 'cars'"),
+        ("tasks", "place_classes", ["shops"], "place_classes", frozenset({"shops"}),
+         "tasks[0].place_classes: undeclared class 'shops'"),
+        ("fleet", "default_velocity", math.inf, "default_velocity", math.inf,
+         "fleet.default_velocity: must be finite"),
+        ("sim", "duration_days", math.inf, "duration", math.inf,
+         "sim.duration_days: must be positive and finite"),
+        ("sim", "duration_days", math.nan, "duration", math.nan,
+         "sim.duration_days: must be positive and finite"),
+        ("fleet", "default_velocity", 0, "default_velocity", 0.0,
+         "fleet.default_velocity: must be positive"),
+        ("fleet", "sensor_radius", -1, "sensor_radius", -1.0,
+         "fleet.sensor_radius: must be non-negative"),
+    ], ids=["negative-warmup", "negative-width", "negative-footprint", "negative-bound",
+            "negative-count", "undeclared-source", "undeclared-object", "undeclared-place",
+            "infinite-velocity", "infinite-duration", "nan-duration", "zero-velocity",
+            "negative-radius"])
+    def test_code_built_fault_raises_the_loaders_line(self, section, key, value, field,
+                                                     code_value, line):
+        data = config_dict()
+        (data[section][0] if section in ("processes", "tasks") else data[section])[key] = value
+        with pytest.raises(ValidationError) as loaded:
+            config_from_dict(data, self.GRAPH)
+        assert loaded.value.violations == [line]
+
+        config = config_from_dict(config_dict(), self.GRAPH)
+        with pytest.raises(ValidationError) as built:
+            if section == "sim":
+                dataclasses.replace(config, **{field: code_value})
+            elif section == "fleet":
+                dataclasses.replace(config.fleet, **{field: code_value})
+            else:
+                spec = dataclasses.replace(getattr(config, section)[0], **{field: code_value})
+                SimState(self.GRAPH, dataclasses.replace(config, **{section: [spec]}), 1)
+        name = config.processes[0].name
+        assert built.value.violations == [line.replace("processes[0].", f"process {name!r}: ")
+                                          if field == "footprint_area" else line]
+
+    def test_scene_puts_undeclared_classes_in_name_order(self):
+        spec = dataclasses.replace(config_from_dict(config_dict()).processes[0],
+                                   source_classes=frozenset({"zeta", "housing", "alpha"}))
+        with pytest.raises(ValidationError) as exc:
+            SimState(self.GRAPH, SimConfig(processes=[spec]), 1)
+        assert exc.value.violations == ["processes[0].source_classes: undeclared class 'alpha'",
+                                        "processes[0].source_classes: undeclared class 'zeta'"]
+
+    def test_footprint_reported_before_a_mean_that_does_not_parse(self):
+        # the loader checks the footprint where it parses it, so a later
+        # field that does not parse is reported after it
+        data = config_dict()
+        data["processes"][0].update(footprint_area=-4.0, lifetime_mean="long")
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(data)
+        assert exc.value.violations == [
+            "processes[0].footprint_area: must be positive",
+            "processes[0]: ValueError(\"could not convert string to float: 'long'\")"]
